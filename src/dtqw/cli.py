@@ -163,6 +163,13 @@ def parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _parse_value(key: str, raw, source: str):
+    try:
+        return _KEY_PARSERS[key](raw)
+    except (ValueError, TypeError) as exc:
+        raise CLIError(f"bad value for {source}: {exc}") from exc
+
+
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge config file and flags (flags win), validate keys, apply defaults."""
     allowed = _COMMAND_KEYS[command]
@@ -178,15 +185,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, raw in file_entries.items():
             if key not in allowed:
                 raise CLIError(f"unknown config key {key!r} for command {command!r}")
-            try:
-                merged[key] = _KEY_PARSERS[key](raw)
-            except (ValueError, TypeError) as exc:
-                raise CLIError(f"bad value for config key {key!r}: {exc}") from exc
+            merged[key] = _parse_value(key, raw, f"config key {key!r}")
 
     for key in allowed:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = _KEY_PARSERS[key](value)
+            merged[key] = _parse_value(key, value, "option --" + key.replace("_", "-"))
 
     for key, default in _DEFAULTS.items():
         if key in allowed:

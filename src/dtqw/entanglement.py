@@ -53,12 +53,21 @@ def check_density_matrix(rho: NDArray[np.complex128], atol: float = 1e-8) -> NDA
 def density_eigenvalues(rho: NDArray[np.complex128]) -> tuple[float, float]:
     """Closed-form eigenvalues (descending) of a 2x2 Hermitian trace-1 matrix.
 
-    lambda = 1/2 +- sqrt((rho00 - rho11)^2 / 4 + |rho01|^2).
+    lambda = 1/2 +- sqrt((rho00 - rho11)^2 / 4 + |rho01|^2).  Leading axes of
+    `rho` are independent matrices and carry through to both results.
     """
     half_gap = np.sqrt(
-        ((rho[0, 0].real - rho[1, 1].real) / 2.0) ** 2 + abs(rho[0, 1]) ** 2
+        ((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2.0) ** 2 + np.abs(rho[..., 0, 1]) ** 2
     )
     return 0.5 + half_gap, 0.5 - half_gap
+
+
+def _coin_density(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """sum_j (a, b)_j (a, b)_j^dagger over the last axis; leading axes carry through."""
+    r00 = np.sum(np.abs(a) ** 2, axis=-1)
+    r01 = np.sum(a * np.conj(b), axis=-1)
+    r11 = np.sum(np.abs(b) ** 2, axis=-1)
+    return np.stack([r00, r01, np.conj(r01), r11], axis=-1).reshape(r01.shape + (2, 2))
 
 
 def reduced_coin_density(state: WalkState) -> NDArray[np.complex128]:
@@ -73,10 +82,7 @@ def reduced_coin_density(state: WalkState) -> NDArray[np.complex128]:
     norm = float(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm^2 = {norm})")
-    r00 = np.sum(np.abs(a) ** 2)
-    r01 = np.sum(a * np.conj(b))
-    r11 = np.sum(np.abs(b) ** 2)
-    return np.array([[r00, r01], [np.conj(r01), r11]], dtype=np.complex128)
+    return _coin_density(a, b)
 
 
 @dataclass(frozen=True)
@@ -113,12 +119,15 @@ def site_decomposition(state: WalkState) -> SiteDecomposition:
     )
 
 
-def _binary_entropy(lam: float) -> float:
-    s = 0.0
-    for x in (lam, 1.0 - lam):
-        if x > 0.0:
-            s -= x * np.log2(x)
-    return s
+def _entropy_bits(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Von Neumann entropy in bits of 2x2 density matrices over any leading axes.
+
+    The larger closed-form eigenvalue is clamped to [0, 1] before the
+    logarithm (0 log 0 := 0); no validation.
+    """
+    lam = np.clip(density_eigenvalues(rho)[0], 0.0, 1.0)
+    rest = 1.0 - lam
+    return 0.0 - lam * np.log2(lam) - rest * np.log2(np.where(rest > 0.0, rest, 1.0))
 
 
 def von_neumann_entropy(rho: NDArray[np.complex128]) -> float:
@@ -128,9 +137,7 @@ def von_neumann_entropy(rho: NDArray[np.complex128]) -> float:
     the logarithm (0 log 0 := 0).  Invalid input (non-Hermitian, trace far
     from 1, or significantly negative spectrum) raises ValueError.
     """
-    rho = check_density_matrix(rho)
-    lam = float(np.clip(density_eigenvalues(rho)[0], 0.0, 1.0))
-    return _binary_entropy(lam)
+    return float(_entropy_bits(check_density_matrix(rho)))
 
 
 def state_entropy(state: WalkState) -> float:

@@ -3,7 +3,8 @@
 A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
-every sequence with a batched vectorized walk kernel and reduce the results
+every sequence with the walk kernel of :mod:`dtqw.walk`, advancing a whole
+batch of sequences as independent walks in one call, and reduce the results
 in a fixed batch order, so reports are bit-identical no matter how many
 worker processes share the job.
 
@@ -24,8 +25,8 @@ from importlib import resources
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import state_entropy
-from .walk import DynamicSequence, InitialCoin, evolve
+from .entanglement import _coin_density, _entropy_bits, state_entropy
+from .walk import DynamicSequence, InitialCoin, _propagate, _sequence_plan, evolve
 
 __all__ = [
     "CoinSequence",
@@ -171,50 +172,14 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     return state_entropy(evolve(init, DynamicSequence(seq), len(seq))[-1])
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _batch_entropies(
-    ints: NDArray[np.uint64], n: int, spinor: NDArray[np.complex128]
-) -> NDArray[np.float64]:
-    """Final entropies of the length-n walks encoded by `ints`, vectorized.
-
-    Bit k of each integer selects the coin of step k+1 (1 -> Hadamard,
-    0 -> Fourier).  Both coins share the 1/sqrt(2) prefactor, so each step
-    reduces to two elementwise axpy passes plus the conditional shift.
-    """
-    batch = ints.shape[0]
-    width = 2 * n + 1
-    up = np.zeros((batch, width), dtype=np.complex128)
-    dn = np.zeros((batch, width), dtype=np.complex128)
-    up[:, n] = spinor[0]
-    dn[:, n] = spinor[1]
-    for k in range(n):
-        bit = ((ints >> np.uint64(k)) & np.uint64(1)).astype(bool)
-        off = np.where(bit, 1.0 + 0.0j, 1j)[:, None]  # upper-right coin entry
-        low = np.where(bit, -1.0 + 0.0j, 1.0 + 0.0j)[:, None]  # lower-right entry
-        coined_up = (up + off * dn) * _INV_SQRT2
-        coined_dn = (off * up + low * dn) * _INV_SQRT2
-        up = np.zeros_like(coined_up)
-        up[:, 1:] = coined_up[:, :-1]
-        dn = np.zeros_like(coined_dn)
-        dn[:, :-1] = coined_dn[:, 1:]
-    r00 = np.sum(np.abs(up) ** 2, axis=1)
-    r11 = np.sum(np.abs(dn) ** 2, axis=1)
-    r01 = np.sum(up * np.conj(dn), axis=1)
-    disc = np.sqrt(((r00 - r11) * 0.5) ** 2 + np.abs(r01) ** 2)
-    lam = np.clip((r00 + r11) * 0.5 + disc, 0.5, 1.0)
-    entropies = np.zeros(batch, dtype=np.float64)
-    mixed = lam < 1.0
-    lm = lam[mixed]
-    entropies[mixed] = -(lm * np.log2(lm) + (1.0 - lm) * np.log2(1.0 - lm))
-    return entropies
-
-
 def _partial_stats(args):
     """Evaluate one batch of packed sequences and reduce it to summary stats."""
     ints, n, spinor, edges, threshold = args
-    entropies = _batch_entropies(ints, n, spinor)
+    # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
+    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    for up, dn in _propagate(_sequence_plan(bits), spinor):
+        pass
+    entropies = _entropy_bits(_coin_density(up, dn))
     top = float(entropies.max())
     near = entropies >= top - ARGMAX_TOL
     candidates = [(float(e), int(v)) for e, v in zip(entropies[near], ints[near])]

@@ -143,6 +143,19 @@ def project_to_physical(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return (vecs * vals) @ vecs.conj().T
 
 
+def _linear_inversion(c: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """rho = (I + r . sigma)/2 from six counts, projected to the physical set.
+
+    An empty basis pair carries no data and contributes r_k = 0.
+    """
+    rho = np.eye(2, dtype=np.complex128) / 2.0
+    for plus, sigma in zip((0, 2, 4), (SIGMA_Z, SIGMA_X, SIGMA_Y)):
+        total = c[plus] + c[plus + 1]
+        if total > 0.0:
+            rho = rho + 0.5 * ((c[plus] - c[plus + 1]) / total) * sigma
+    return project_to_physical(rho)
+
+
 def reconstruct_site(site_counts) -> NDArray[np.complex128]:
     """Linear-inversion estimate of one site's coin state from its six counts.
 
@@ -159,16 +172,13 @@ def reconstruct_site(site_counts) -> NDArray[np.complex128]:
     c = np.asarray(site_counts, dtype=np.float64)
     if c.shape != (6,):
         raise ValueError(f"expected 6 projector counts, got shape {c.shape}")
-    rho = np.eye(2, dtype=np.complex128) / 2.0
-    for (plus, minus), sigma in zip(((0, 1), (2, 3), (4, 5)), (SIGMA_Z, SIGMA_X, SIGMA_Y)):
-        total = c[plus] + c[minus]
-        if total <= 0.0:
+    for plus in (0, 2, 4):
+        if c[plus] + c[plus + 1] <= 0.0:
             raise ValueError(
-                f"basis pair {PROJECTOR_LABELS[plus]}/{PROJECTOR_LABELS[minus]} "
+                f"basis pair {PROJECTOR_LABELS[plus]}/{PROJECTOR_LABELS[plus + 1]} "
                 "has zero counts"
             )
-        rho = rho + 0.5 * ((c[plus] - c[minus]) / total) * sigma
-    return project_to_physical(rho)
+    return _linear_inversion(c)
 
 
 def fidelity(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
@@ -243,17 +253,7 @@ def tomographic_entropy(
 
     rho_hat = np.empty((len(sites), 2, 2), dtype=np.complex128)
     for row, c in enumerate(kept_counts):
-        if c[2] + c[3] > 0.0 and c[4] + c[5] > 0.0:
-            rho_hat[row] = reconstruct_site(c)
-        else:
-            rho = np.eye(2, dtype=np.complex128) / 2.0
-            for (plus, minus), sigma in zip(
-                ((0, 1), (2, 3), (4, 5)), (SIGMA_Z, SIGMA_X, SIGMA_Y)
-            ):
-                total = c[plus] + c[minus]
-                if total > 0.0:
-                    rho = rho + 0.5 * ((c[plus] - c[minus]) / total) * sigma
-            rho_hat[row] = project_to_physical(rho)
+        rho_hat[row] = _linear_inversion(c)
 
     rho_c_hat = np.einsum("j,jkl->kl", p_hat, rho_hat)
     rho_c_hat = 0.5 * (rho_c_hat + rho_c_hat.conj().T)  # shave numerical dust

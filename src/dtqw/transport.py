@@ -15,7 +15,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import curve_fit
 
-from .walk import CoinPolicy, DynamicRandom, InitialCoin, WalkState, evolve
+from .walk import CoinPlan, CoinPolicy, DynamicRandom, InitialCoin, WalkState
+from .walk import _propagate, evolve, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -94,14 +95,18 @@ def ensemble_moment_series(
     """Second moment averaged over `n_seeds` fresh random coin sequences.
 
     Seeds are base_seed .. base_seed + n_seeds - 1, so the ensemble is
-    reproducible.
+    reproducible; all walks advance together as one batch of the walk kernel.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    total = np.zeros(steps, dtype=np.float64)
-    for k in range(n_seeds):
-        total += moment_series(init, DynamicRandom(seed=base_seed + k), steps).m2
-    return MomentSeries(times=np.arange(1, steps + 1), m2=total / n_seeds)
+    plans = [plan_coins(DynamicRandom(seed=base_seed + k), steps) for k in range(n_seeds)]
+    bits = np.stack([p.step_bits for p in plans])
+    batch = CoinPlan(steps, alphabet=plans[0].alphabet, step_bits=bits)
+    m2 = [
+        (np.abs(up) ** 2 + np.abs(dn) ** 2) @ np.arange(-t, t + 1, 2.0) ** 2
+        for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1)
+    ]
+    return MomentSeries(times=np.arange(1, steps + 1), m2=np.mean(m2, axis=1))
 
 
 def classical_baseline(steps: int) -> MomentSeries:

@@ -1,11 +1,15 @@
-"""Walker state and coin-shift dynamics for one-dimensional quantum walks.
+"""Walker state and the coin-shift propagation kernel for one-dimensional quantum walks.
 
-The walker lives on the integer lattice with a two-level internal coin.  A
-state after t steps is stored densely as a (2, 2t+1) complex array; row 0
-holds the |up> amplitudes a(j), row 1 the |down> amplitudes b(j), and lattice
-site j maps to column j + t.  One step applies a 2x2 coin to every site's
-spinor and then shifts the |up> component to j+1 and the |down> component to
-j-1, so an n-step walk consumes exactly n coins.
+The walker lives on the integer lattice with a two-level internal coin.  One
+step applies a 2x2 coin to every site's spinor and then shifts the |up>
+component to j+1 and the |down> component to j-1, so an n-step walk consumes
+exactly n coins.  A single kernel does all stepping.  It stores parity-compressed
+amplitudes ``up``, ``dn`` of shape (..., t+1), column m holding site j = 2m - t
+(the only sites that can carry amplitude), and treats leading axes as
+independent walks: one walk, a batch of coin sequences, or a random ensemble.
+:class:`WalkState` is the dense view of one walk: a (2, 2t+1) array with the
+|up> amplitudes a(j) in row 0, the |down> amplitudes b(j) in row 1, and site
+j at column j + t.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
 sequence, and randomly drawn coins that vary per step (dynamic disorder),
@@ -185,51 +189,66 @@ CoinPolicy = Union[Ordered, DynamicSequence, DynamicRandom, StaticRandom, Static
 
 
 class CoinPlan:
-    """Resolved coin assignment for a walk of a fixed number of steps.
+    """Resolved coin assignment for walks of a fixed number of steps.
 
-    Uniform plans hold one coin per step; sitewise plans hold a per-site bit
-    pattern (and optionally per-step bits) indexing a two-coin alphabet.
-    All randomness is consumed at construction, so applying the plan is
-    deterministic.
+    The coin applied at site j on step t is
+    ``alphabet[step_bits[..., t] ^ site_bits[j - site_origin]]``; a missing
+    bit stream reads as 0, so a plan with neither applies ``alphabet[0]``
+    everywhere.  Leading axes of `step_bits` index independent walks that
+    share the alphabet and the site pattern.  All randomness is consumed at
+    construction, so applying the plan is deterministic.
     """
 
     def __init__(
         self,
         steps: int,
-        per_step_coins: NDArray[np.complex128] | None = None,
-        alphabet: NDArray[np.complex128] | None = None,
+        alphabet: NDArray[np.complex128],
         site_bits: NDArray[np.int64] | None = None,
         site_origin: int = 0,
         step_bits: NDArray[np.int64] | None = None,
     ) -> None:
         self.steps = steps
-        self.per_step_coins = per_step_coins
         self.alphabet = alphabet
         self.site_bits = site_bits
         self.site_origin = site_origin  # lattice site of site_bits[0]
         self.step_bits = step_bits
 
-    @property
-    def uniform(self) -> bool:
-        return self.per_step_coins is not None
+    def coin_index(self, t: int):
+        """Alphabet indices for step t at sites -t, -t+2, .., t.
+
+        Broadcasts against (..., t+1) amplitudes per walk, per site, or both.
+        """
+        idx = 0
+        if self.step_bits is not None:
+            idx = self.step_bits[..., t, None]
+        if self.site_bits is not None:
+            lo = -t - self.site_origin
+            idx = idx ^ self.site_bits[lo : lo + 2 * t + 1 : 2]
+        return idx
 
     def coin_matrix(self, t: int, j: int) -> NDArray[np.complex128]:
-        """Coin applied at site j during step t (t = 0 .. steps-1)."""
+        """Coin applied at site j during step t (t = 0 .. steps-1) of a single walk."""
         if not 0 <= t < self.steps:
             raise ValueError(f"step index {t} outside 0..{self.steps - 1}")
-        if self.uniform:
-            return self.per_step_coins[t]
-        idx = j - self.site_origin
-        if not 0 <= idx < len(self.site_bits):
-            raise ValueError(f"site {j} outside the static assignment range")
-        bit = int(self.site_bits[idx])
-        if self.step_bits is not None:
-            bit ^= int(self.step_bits[t])
+        bit = 0 if self.step_bits is None else int(self.step_bits[t])
+        if self.site_bits is not None:
+            idx = j - self.site_origin
+            if not 0 <= idx < len(self.site_bits):
+                raise ValueError(f"site {j} outside the static assignment range")
+            bit ^= int(self.site_bits[idx])
         return self.alphabet[bit]
+
+
+def _sequence_plan(step_bits: NDArray[np.int64]) -> CoinPlan:
+    """Plan for (..., n) bit-packed {H, F} sequences: H -> 1, F -> 0, first coin in column 0."""
+    alphabet = np.stack([fourier_coin(), hadamard_coin()])
+    return CoinPlan(step_bits.shape[-1], alphabet=alphabet, step_bits=step_bits)
 
 
 def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     """Resolve `policy` into the explicit coin assignment for `steps` steps.
+
+    Coins are checked for unitarity here, once; the kernel does not re-check.
 
     Raises
     ------
@@ -241,8 +260,7 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
     if isinstance(policy, Ordered):
-        coin = require_unitary(policy.coin)
-        return CoinPlan(steps, per_step_coins=np.broadcast_to(coin, (steps, 2, 2)))
+        return CoinPlan(steps, alphabet=require_unitary(policy.coin)[None])
 
     if isinstance(policy, DynamicSequence):
         text = policy.text.upper()
@@ -253,17 +271,17 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
         bad = set(text) - {"H", "F"}
         if bad:
             raise ValueError(f"sequence contains symbols outside {{H, F}}: {sorted(bad)}")
-        table = {"H": hadamard_coin(), "F": fourier_coin()}
-        coins = np.stack([table[c] for c in text])
-        return CoinPlan(steps, per_step_coins=coins)
+        return _sequence_plan(np.array([c == "H" for c in text], dtype=np.int64))
+
+    if not isinstance(policy, (DynamicRandom, StaticRandom, StaticAndDynamic)):
+        raise TypeError(f"unsupported coin policy: {policy!r}")
+    alphabet = np.stack([require_unitary(c) for c in policy.alphabet])
 
     if isinstance(policy, DynamicRandom):
-        alphabet = np.stack([require_unitary(c) for c in policy.alphabet])
         picks = np.random.default_rng(policy.seed).integers(0, 2, size=steps)
-        return CoinPlan(steps, per_step_coins=alphabet[picks])
+        return CoinPlan(steps, alphabet=alphabet, step_bits=picks)
 
     if isinstance(policy, StaticRandom):
-        alphabet = np.stack([require_unitary(c) for c in policy.alphabet])
         lo, hi = policy.site_range if policy.site_range is not None else (-steps, steps)
         if lo > -steps or hi < steps:
             raise ValueError(
@@ -272,21 +290,36 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
         bits = np.random.default_rng(policy.seed).integers(0, 2, size=hi - lo + 1)
         return CoinPlan(steps, alphabet=alphabet, site_bits=bits, site_origin=lo)
 
-    if isinstance(policy, StaticAndDynamic):
-        alphabet = np.stack([require_unitary(c) for c in policy.alphabet])
-        site_bits = np.random.default_rng(policy.static_seed).integers(
-            0, 2, size=2 * steps + 1
-        )
-        step_bits = np.random.default_rng(policy.dynamic_seed).integers(0, 2, size=steps)
-        return CoinPlan(
-            steps,
-            alphabet=alphabet,
-            site_bits=site_bits,
-            site_origin=-steps,
-            step_bits=step_bits,
-        )
+    site_bits = np.random.default_rng(policy.static_seed).integers(
+        0, 2, size=2 * steps + 1
+    )
+    step_bits = np.random.default_rng(policy.dynamic_seed).integers(0, 2, size=steps)
+    return CoinPlan(
+        steps,
+        alphabet=alphabet,
+        site_bits=site_bits,
+        site_origin=-steps,
+        step_bits=step_bits,
+    )
 
-    raise TypeError(f"unsupported coin policy: {policy!r}")
+
+def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
+    """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
+
+    After step t the arrays have shape (..., t+1), leading axes those of
+    ``plan.step_bits[..., 0]``, and column m holds site j = 2m - t.
+    """
+    batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
+    up = np.full(batch + (1,), spinor[0], dtype=np.complex128)
+    dn = np.full(batch + (1,), spinor[1], dtype=np.complex128)
+    zero = np.zeros(batch + (1,), dtype=np.complex128)
+    for t in range(plan.steps):
+        c = plan.alphabet[plan.coin_index(t)]
+        up, dn = (
+            np.concatenate([zero, c[..., 0, 0] * up + c[..., 0, 1] * dn], axis=-1),
+            np.concatenate([c[..., 1, 0] * up + c[..., 1, 1] * dn, zero], axis=-1),
+        )
+        yield up, dn
 
 
 def initial_state(init: InitialCoin) -> WalkState:
@@ -313,19 +346,6 @@ def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
     return shift(WalkState(t=state.t, amps=coin @ state.amps))
 
 
-def _sitewise_step(state: WalkState, plan: CoinPlan, t: int) -> WalkState:
-    lo = -state.t - plan.site_origin
-    idx = plan.site_bits[lo : lo + 2 * state.t + 1].copy()
-    if plan.step_bits is not None:
-        idx ^= plan.step_bits[t]
-    c = plan.alphabet[idx]  # (width, 2, 2)
-    a, b = state.amps
-    mixed = np.empty_like(state.amps)
-    mixed[0] = c[:, 0, 0] * a + c[:, 0, 1] * b
-    mixed[1] = c[:, 1, 0] * a + c[:, 1, 1] * b
-    return shift(WalkState(t=state.t, amps=mixed))
-
-
 def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]:
     """Run the walk and return the whole trajectory.
 
@@ -346,13 +366,10 @@ def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]
     list[WalkState]
         States for t = 0 .. steps.
     """
-    plan = plan_coins(policy, steps)
-    state = initial_state(init)
-    trajectory = [state]
-    for t in range(steps):
-        if plan.uniform:
-            state = step(state, plan.per_step_coins[t])
-        else:
-            state = _sitewise_step(state, plan, t)
-        trajectory.append(state)
+    trajectory = [initial_state(init)]
+    for t, (up, dn) in enumerate(_propagate(plan_coins(policy, steps), init.spinor), 1):
+        amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+        amps[0, ::2] = up
+        amps[1, ::2] = dn
+        trajectory.append(WalkState(t=t, amps=amps))
     return trajectory

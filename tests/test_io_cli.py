@@ -160,6 +160,21 @@ def test_cli_config_rejects_unknown_keys_and_versions(tmp_path, capsys):
     assert run_cli("walk", "--config", str(mismatched)) == 1
 
 
+def test_cli_bad_flag_values_reported_like_config_values(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    cases = [
+        ("--phi", ("entropy", "--theta", "51", "--phi", "abc", "--steps", "3",
+                   "--ordered", "H", "--out", out)),
+        ("--bins", ("sweep", "--theta", "51", "--phi", "0", "--n", "3",
+                    "--bins", "x", "--out", out)),
+    ]
+    for flag, argv in cases:
+        assert run_cli(*argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"bad value for option {flag}: ")
+
+
 def test_cli_config_rerun_reproduces_results_byte_for_byte(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -116,3 +116,11 @@ def test_ensemble_moment_series_deterministic_and_subballistic():
     np.testing.assert_array_equal(a.m2, b.m2)
     fit = fit_power_law(a)
     assert 1.0 < fit.exponent < 2.0
+
+
+def test_ensemble_moment_series_is_mean_of_per_seed_series():
+    init = InitialCoin(33, 120)
+    ensemble = ensemble_moment_series(init, 15, n_seeds=9, base_seed=4)
+    per_seed = [moment_series(init, DynamicRandom(seed=4 + k), 15).m2 for k in range(9)]
+    np.testing.assert_array_equal(ensemble.times, np.arange(1, 16))
+    np.testing.assert_allclose(ensemble.m2, np.mean(per_seed, axis=0), rtol=0, atol=1e-12)

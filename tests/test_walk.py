@@ -182,6 +182,11 @@ def test_static_random_site_range_must_cover_light_cone():
 def test_static_random_explicit_range_accepted():
     states = evolve(InitialCoin(0, 0), StaticRandom(seed=1, site_range=(-9, 9)), 5)
     assert states[-1].norm() == pytest.approx(1.0, abs=1e-12)
+    init = InitialCoin(51, 30)
+    policy = StaticRandom(seed=1, site_range=(-7, 12))
+    oracle = dense_trajectory(init, policy, 5)
+    for state, vec in zip(evolve(init, policy, 5), oracle):
+        np.testing.assert_allclose(embed_state(state, 5), vec, atol=1e-10)
 
 
 def test_plan_matches_engine_for_static_policy():
