@@ -1,13 +1,14 @@
 """Command-line driver: walk, entropy, sweep, lz, fit, and tomo subcommands.
 
 Each run is configured by flags, by a flat ``key = value`` config file
-(``--config``), or both; flags win.  Config files must carry
+(``--config``), or both; flags win.  Each config key is also a flag
+(``dynamic_seed`` is ``--dynamic-seed``).  Config files must carry
 ``schema_version = 1`` and may pin the subcommand with a ``command`` key.
 All outputs are CSV tables with fixed headers plus JSON mirrors that echo
 the fully resolved configuration, so any output can be reproduced from the
 file alone.  Existing files are never overwritten unless ``--force`` is
-given.  Failures print a machine-readable JSON object on stderr and exit
-nonzero.
+given.  Every failure, a bad flag included, prints a JSON object on stderr
+and exits 1.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import io
 from .coins import coin_from_name
@@ -54,85 +54,85 @@ class CLIError(Exception):
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
+    lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise CLIError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_phi_list(text) -> list[float]:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+def _parse_float_list(text: str) -> list[float]:
+    parts = [p for p in text.split(",") if p.strip()]
     if not parts:
-        raise CLIError(f"cannot parse phi value(s) from {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
     return [float(p) for p in parts]
 
 
-def _parse_bins(text):
-    if isinstance(text, (int, np.integer)):
-        return int(text)
-    raw = str(text)
-    if "," in raw:
-        return [float(p) for p in raw.split(",") if p.strip()]
-    return int(raw)
+def _parse_bins(text: str) -> int | list[float]:
+    return _parse_float_list(text) if "," in text else int(text)
 
 
-_KEY_PARSERS = {
-    "theta": float,
-    "phi": _parse_phi_list,
-    "steps": int,
-    "ordered": str,
-    "sequence": str,
-    "dynamic_seed": int,
-    "static_seed": int,
-    "n": int,
-    "bins": _parse_bins,
-    "threshold": float,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "total_counts": int,
-    "noiseless": _parse_bool,
-    "eigenvalues": _parse_bool,
-    "t_min": int,
-    "t_max": int,
-    "input": str,
-    "classical": int,
-    "out": str,
-    "format": str,
-    "force": _parse_bool,
-}
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json", "both"):
+        raise ValueError(f"expected csv, json or both, got {text!r}")
+    return text
 
-_POLICY_KEYS = {"ordered", "sequence", "dynamic_seed", "static_seed"}
-_COMMON_KEYS = {"out", "format", "force"}
 
-_COMMAND_KEYS = {
-    "walk": _COMMON_KEYS | _POLICY_KEYS | {"theta", "phi", "steps"},
-    "entropy": _COMMON_KEYS | _POLICY_KEYS | {"theta", "phi", "steps", "eigenvalues"},
-    "sweep": _COMMON_KEYS
-    | {"theta", "phi", "n", "bins", "threshold", "samples", "seed", "workers"},
-    "lz": _COMMON_KEYS | {"input", "sequence"},
-    "fit": _COMMON_KEYS | {"input", "classical", "t_min", "t_max"},
-    "tomo": _COMMON_KEYS
-    | _POLICY_KEYS
-    | {"theta", "phi", "steps", "total_counts", "seed", "noiseless"},
-}
+class _Option(NamedTuple):
+    """One option: the config key ``key`` and the flag ``--key`` (dashed)."""
 
-_DEFAULTS = {
-    "out": "out",
-    "format": "both",
-    "force": False,
-    "threshold": 0.9,
-    "bins": 12,
-    "workers": 1,
-    "seed": 0,
-    "noiseless": False,
-    "eigenvalues": False,
-    "t_min": 1,
-}
+    key: str
+    parse: Callable[[str], object]  # text -> value; raises ValueError
+    default: object  # None: the key stays absent unless given
+    commands: tuple[str, ...]
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+_WALKS = ("walk", "entropy", "tomo")  # commands that run one walk policy
+_ALL = ("walk", "entropy", "sweep", "lz", "fit", "tomo")
+
+# The single declaration of every option.  Its order is the order of the
+# echoed ``config`` block and of ``--help``.  A `_parse_bool` option is a
+# switch on the command line and takes true/false in a config file.
+_OPTIONS = (
+    _Option("theta", float, None, _WALKS + ("sweep",), "initial polar angle, degrees"),
+    _Option("phi", _parse_float_list, None, _WALKS + ("sweep",),
+            "initial relative phase, degrees (entropy: comma-separated list)"),
+    _Option("steps", int, None, _WALKS, "number of walk steps"),
+    _Option("ordered", str, None, _WALKS, "coin policy: one fixed coin, H, F or I"),
+    _Option("sequence", str, None, _WALKS + ("lz",),
+            "coin sequence over {H, F}: the coin policy, or the one sequence lz scores"),
+    _Option("dynamic_seed", int, None, _WALKS,
+            "coin policy: a random coin per step, seeded (with --static-seed: both)"),
+    _Option("static_seed", int, None, _WALKS, "coin policy: a random coin per site, seeded"),
+    _Option("n", int, None, ("sweep",), "sequence length"),
+    _Option("bins", _parse_bins, 12, ("sweep",),
+            "histogram bin count or comma-separated edges"),
+    _Option("threshold", float, 0.9, ("sweep",), "entropy threshold of the reported fraction"),
+    _Option("samples", int, None, ("sweep",), "sample count (Monte Carlo sweep)"),
+    _Option("seed", int, 0, ("sweep", "tomo"), "seed of the samples or of the counts"),
+    _Option("workers", int, 1, ("sweep",), "worker processes"),
+    _Option("total_counts", int, None, ("tomo",), "total number of counts"),
+    _Option("noiseless", _parse_bool, False, ("tomo",),
+            "use exact expected counts instead of a multinomial draw"),
+    _Option("eigenvalues", _parse_bool, False, ("entropy",),
+            "include the reduced-matrix eigenvalues as extra columns"),
+    _Option("t_min", int, 1, ("fit",), "first time step of the fit"),
+    _Option("t_max", int, None, ("fit",), "last time step of the fit"),
+    _Option("input", str, None, ("lz", "fit"),
+            "lz: sequence file, one 'SEQUENCE [expected]' per line; "
+            "fit: CSV with columns t,m2"),
+    _Option("classical", int, None, ("fit",),
+            "fit the analytic classical baseline of this many steps instead of a file"),
+    _Option("out", str, "out", _ALL, "output directory"),
+    _Option("format", _parse_format, "both", _ALL, "csv, json or both"),
+    _Option("force", _parse_bool, False, _ALL, "allow overwriting outputs"),
+)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -163,17 +163,21 @@ def parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _parse_value(key: str, raw, source: str):
-    try:
-        return _KEY_PARSERS[key](raw)
-    except (ValueError, TypeError) as exc:
-        raise CLIError(f"bad value for {source}: {exc}") from exc
-
-
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """Merge config file and flags (flags win), validate keys, apply defaults."""
-    allowed = _COMMAND_KEYS[command]
-    merged: dict = {}
+    """Merge config file and flags (flags win), validate keys, apply defaults.
+
+    Flags arrive as text like config values, and each value is parsed by its
+    option's parser.  The result lists the command's options in table order,
+    then ``command``.
+    """
+    options = {o.key: o for o in _OPTIONS if command in o.commands}
+    values: dict = {}
+
+    def parse(option: _Option, text: str, source: str) -> None:
+        try:
+            values[option.key] = option.parse(text)
+        except ValueError as exc:
+            raise CLIError(f"bad value for {source}: {exc}") from exc
 
     if args.config is not None:
         file_entries = parse_config_file(args.config)
@@ -182,24 +186,23 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise CLIError(
                 f"config file pins command={file_command!r} but {command!r} was invoked"
             )
-        for key, raw in file_entries.items():
-            if key not in allowed:
+        for key, text in file_entries.items():
+            if key not in options:
                 raise CLIError(f"unknown config key {key!r} for command {command!r}")
-            merged[key] = _parse_value(key, raw, f"config key {key!r}")
+            parse(options[key], text, f"config key {key!r}")
 
-    for key in allowed:
-        value = getattr(args, key, None)
+    for option in options.values():
+        text = getattr(args, option.key, None)
+        if text is not None:
+            parse(option, text, "option " + option.flag)
+
+    cfg = {}
+    for key, option in options.items():
+        value = values.get(key, option.default)
         if value is not None:
-            merged[key] = _parse_value(key, value, "option --" + key.replace("_", "-"))
-
-    for key, default in _DEFAULTS.items():
-        if key in allowed:
-            merged.setdefault(key, default)
-
-    if merged.get("format") not in ("csv", "json", "both"):
-        raise CLIError(f"format must be csv, json or both, got {merged.get('format')!r}")
-    merged["command"] = command
-    return merged
+            cfg[key] = value
+    cfg["command"] = command
+    return cfg
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -281,7 +284,7 @@ class _Outputs:
     def write_json(self, name: str, payload: dict) -> None:
         body = {
             "schema_version": io.SCHEMA_VERSION,
-            "config": {k: v for k, v in self.cfg.items()},
+            "config": dict(self.cfg),
         }
         body.update(payload)
         io.write_json(self.path(name), body)
@@ -289,6 +292,7 @@ class _Outputs:
 
 
 def cmd_walk(cfg: dict) -> _Outputs:
+    """run a walk, export trajectory and distribution"""
     _require(cfg, "steps")
     if cfg["steps"] < 1:
         raise CLIError(f"steps must be >= 1, got {cfg['steps']}")
@@ -332,9 +336,11 @@ def cmd_walk(cfg: dict) -> _Outputs:
 
 
 def cmd_entropy(cfg: dict) -> _Outputs:
+    """entanglement entropy curve(s)"""
     _require(cfg, "steps", "theta", "phi")
     phis = cfg["phi"]
     policy = _policy(cfg)
+    inits = [_initial_coin(cfg, phi=phi) for phi in phis]
     out = _Outputs(cfg)
 
     def stem(phi: float) -> str:
@@ -349,8 +355,7 @@ def cmd_entropy(cfg: dict) -> _Outputs:
     out.check(names)
 
     header = io.ENTROPY_EIGEN_HEADER if cfg["eigenvalues"] else io.ENTROPY_HEADER
-    for phi in phis:
-        init = _initial_coin(cfg, phi=phi)
+    for phi, init in zip(phis, inits):
         try:
             trajectory = evolve(init, policy, cfg["steps"])
         except ValueError as exc:
@@ -371,6 +376,7 @@ def cmd_entropy(cfg: dict) -> _Outputs:
 
 
 def cmd_sweep(cfg: dict) -> _Outputs:
+    """entropy statistics over coin sequences"""
     _require(cfg, "n", "theta", "phi")
     init = _initial_coin(cfg)
     out = _Outputs(cfg)
@@ -424,11 +430,12 @@ def _load_sequence_file(path: str) -> list[tuple[str, int | None]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        expected = None
-        if len(parts) == 2:
-            expected = int(parts[1])
-        elif len(parts) != 1:
+        if len(parts) > 2:
             raise CLIError(f"{path}:{lineno}: expected 'SEQUENCE [expected]'")
+        try:
+            expected = int(parts[1]) if len(parts) == 2 else None
+        except ValueError as exc:
+            raise CLIError(f"{path}:{lineno}: bad expected count: {exc}") from exc
         entries.append((parts[0], expected))
     if not entries:
         raise CLIError(f"{path}: no sequences found")
@@ -436,6 +443,7 @@ def _load_sequence_file(path: str) -> list[tuple[str, int | None]]:
 
 
 def cmd_lz(cfg: dict) -> _Outputs:
+    """sequence complexity table"""
     out = _Outputs(cfg)
     names = []
     if out.want_csv():
@@ -476,6 +484,7 @@ def cmd_lz(cfg: dict) -> _Outputs:
 
 
 def cmd_fit(cfg: dict) -> _Outputs:
+    """power-law fit of a second-moment series"""
     out = _Outputs(cfg)
     names = ["fit.json"] if out.want_json() else []
     if out.want_csv():
@@ -506,6 +515,7 @@ def cmd_fit(cfg: dict) -> _Outputs:
 
 
 def cmd_tomo(cfg: dict) -> _Outputs:
+    """simulated tomography of the final state"""
     _require(cfg, "steps", "total_counts")
     init = _initial_coin(cfg)
     policy = _policy(cfg)
@@ -571,104 +581,43 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CLIError, so they follow the JSON error contract."""
+
+    def error(self, message: str):
+        raise CLIError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command, with a ``--key`` flag for each of its options."""
+    parser = _Parser(
         prog="dtqw",
         description="Quantum walks on the line: dynamics, entanglement, "
         "sequence statistics, transport fits, and simulated tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, run in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__, description=run.__doc__)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--format", choices=("csv", "json", "both"))
-        p.add_argument(
-            "--force", action="store_const", const=True, help="allow overwriting outputs"
-        )
-
-    def add_init(p: argparse.ArgumentParser, multi_phi: bool = False) -> None:
-        p.add_argument("--theta", type=float, help="initial polar angle, degrees")
-        help_phi = "initial relative phase, degrees"
-        if multi_phi:
-            help_phi += " (comma-separated list allowed)"
-        p.add_argument("--phi", help=help_phi)
-
-    def add_policy(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ordered", metavar="COIN", help="fixed coin: H, F or I")
-        p.add_argument("--sequence", metavar="TEXT", help="coin sequence over {H, F}")
-        p.add_argument("--dynamic-seed", dest="dynamic_seed", type=int)
-        p.add_argument("--static-seed", dest="static_seed", type=int)
-
-    p = sub.add_parser("walk", help="run a walk, export trajectory and distribution")
-    add_common(p)
-    add_init(p)
-    add_policy(p)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("entropy", help="entanglement entropy curve(s)")
-    add_common(p)
-    add_init(p, multi_phi=True)
-    add_policy(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument(
-        "--eigenvalues",
-        action="store_const",
-        const=True,
-        help="include the reduced-matrix eigenvalues as extra columns",
-    )
-
-    p = sub.add_parser("sweep", help="entropy statistics over coin sequences")
-    add_common(p)
-    add_init(p)
-    p.add_argument("--n", type=int, help="sequence length")
-    p.add_argument("--bins", help="histogram bin count or comma-separated edges")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--samples", type=int, help="sample count (Monte Carlo sweep)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("lz", help="sequence complexity table")
-    add_common(p)
-    p.add_argument("--input", help="sequence file, one 'SEQUENCE [expected]' per line")
-    p.add_argument("--sequence", help="single sequence text")
-
-    p = sub.add_parser("fit", help="power-law fit of a second-moment series")
-    add_common(p)
-    p.add_argument("--input", help="CSV with columns t,m2")
-    p.add_argument("--classical", type=int, metavar="STEPS",
-                   help="fit the analytic classical baseline instead of a file")
-    p.add_argument("--t-min", dest="t_min", type=int)
-    p.add_argument("--t-max", dest="t_max", type=int)
-
-    p = sub.add_parser("tomo", help="simulated tomography of the final state")
-    add_common(p)
-    add_init(p)
-    add_policy(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--total-counts", dest="total_counts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--noiseless",
-        action="store_const",
-        const=True,
-        help="use exact expected counts instead of a multinomial draw",
-    )
-
+        for option in (o for o in _OPTIONS if name in o.commands):
+            help_text = option.help
+            if option.default is not None:
+                help_text += f" (default: {option.default})"
+            if option.parse is _parse_bool:
+                p.add_argument(option.flag, action="store_const", const="true", help=help_text)
+            else:
+                p.add_argument(option.flag, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args.command, args)
         outputs = _COMMANDS[args.command](cfg)
-    except CLIError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
     except Exception as exc:  # keep the uniform machine-readable contract
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+        kind = "config" if isinstance(exc, CLIError) else type(exc).__name__
+        json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     for path in outputs.written:

@@ -1,11 +1,17 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtqw
 from dtqw import io
-from dtqw.cli import main
+from dtqw.cli import CLIError, build_parser, main, resolve_config
 from dtqw.coins import hadamard_coin
 from dtqw.transport import MomentSeries
 from dtqw.walk import InitialCoin, Ordered, evolve
@@ -119,6 +125,17 @@ def test_cli_entropy_multiple_phis(tmp_path):
     assert float(rows[0][1]) == 0.0  # t = 0 row
 
 
+def test_cli_entropy_checks_every_phi_before_writing(tmp_path, capsys):
+    out = tmp_path / "curves"
+    code = run_cli(
+        "entropy", "--theta", "51", "--phi", "0,400", "--steps", "3",
+        "--ordered", "H", "--out", str(out),
+    )
+    assert code == 1
+    assert "phi" in json.loads(capsys.readouterr().err)["message"]
+    assert not list(out.glob("*"))
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -162,17 +179,103 @@ def test_cli_config_rejects_unknown_keys_and_versions(tmp_path, capsys):
 
 def test_cli_bad_flag_values_reported_like_config_values(tmp_path, capsys):
     out = str(tmp_path / "x")
+    force_cfg = tmp_path / "force.cfg"
+    force_cfg.write_text("schema_version = 1\nforce = maybe\n")
     cases = [
-        ("--phi", ("entropy", "--theta", "51", "--phi", "abc", "--steps", "3",
-                   "--ordered", "H", "--out", out)),
-        ("--bins", ("sweep", "--theta", "51", "--phi", "0", "--n", "3",
-                    "--bins", "x", "--out", out)),
+        ("bad value for option --phi: ",
+         ("entropy", "--theta", "51", "--phi", "abc", "--steps", "3",
+          "--ordered", "H", "--out", out)),
+        ("bad value for option --bins: ",
+         ("sweep", "--theta", "51", "--phi", "0", "--n", "3", "--bins", "x", "--out", out)),
+        ("bad value for option --steps: ",
+         ("walk", "--theta", "51", "--phi", "0", "--steps", "abc", "--ordered", "H",
+          "--out", out)),
+        ("bad value for option --dynamic-seed: ",
+         ("walk", "--theta", "51", "--phi", "0", "--steps", "3", "--dynamic-seed", "x",
+          "--out", out)),
+        ("bad value for option --format: ", ("lz", "--format", "xml", "--out", out)),
+        ("bad value for config key 'force': ",
+         ("lz", "--config", str(force_cfg), "--out", out)),
+        ("unrecognized arguments: --wibble", ("lz", "--wibble", "--out", out)),
+        ("argument --steps: expected one argument", ("walk", "--steps")),
     ]
-    for flag, argv in cases:
+    for prefix, argv in cases:
         assert run_cli(*argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
-        assert err["message"].startswith(f"bad value for option {flag}: ")
+        assert err["message"].startswith(prefix)
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(SystemExit) as help_exit:
+        run_cli("walk", "--help")
+    assert help_exit.value.code == 0
+
+
+# The CLI surface: for each command, every key is both a config key and the
+# flag --key (underscores become dashes).
+CLI_KEYS = {
+    "walk": {"theta", "phi", "steps", "ordered", "sequence", "dynamic_seed",
+             "static_seed", "out", "format", "force"},
+    "entropy": {"theta", "phi", "steps", "ordered", "sequence", "dynamic_seed",
+                "static_seed", "eigenvalues", "out", "format", "force"},
+    "sweep": {"theta", "phi", "n", "bins", "threshold", "samples", "seed", "workers",
+              "out", "format", "force"},
+    "lz": {"input", "sequence", "out", "format", "force"},
+    "fit": {"input", "classical", "t_min", "t_max", "out", "format", "force"},
+    "tomo": {"theta", "phi", "steps", "ordered", "sequence", "dynamic_seed",
+             "static_seed", "total_counts", "seed", "noiseless", "out", "format", "force"},
+}
+# One valid text per key; switches are flags without a value.
+SAMPLE_TEXT = {
+    "theta": "51", "phi": "0,90", "steps": "7", "ordered": "H", "sequence": "HFH",
+    "dynamic_seed": "3", "static_seed": "4", "n": "5", "bins": "0,0.5,1",
+    "threshold": "0.8", "samples": "9", "seed": "2", "workers": "2",
+    "total_counts": "900", "noiseless": None, "eigenvalues": None, "t_min": "2",
+    "t_max": "6", "input": "in.csv", "classical": "20", "out": "o", "format": "csv",
+    "force": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_KEYS))
+def test_cli_flags_and_config_keys_are_one_set(command, tmp_path):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert flags - {"-h", "--help", "--config"} == {
+        "--" + k.replace("_", "-") for k in CLI_KEYS[command]
+    }
+
+    accepted = set()
+    for key, text in SAMPLE_TEXT.items():
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"schema_version = 1\n{key} = {text or 'true'}\n")
+        try:
+            from_file = resolve_config(command, argparse.Namespace(config=str(cfg)))
+        except CLIError as exc:
+            assert str(exc).startswith("unknown config key")
+            continue
+        accepted.add(key)
+        argv = [command, "--" + key.replace("_", "-")] + ([text] if text else [])
+        from_flag = resolve_config(command, build_parser().parse_args(argv))
+        assert from_flag == from_file
+        assert type(from_flag[key]) is type(from_file[key])
+    assert accepted == CLI_KEYS[command]
+
+
+def test_cli_config_echo_has_fixed_key_order(tmp_path):
+    out = tmp_path / "fit"
+    env = dict(os.environ, PYTHONPATH=str(Path(dtqw.__file__).parents[1]))
+    echoed = []
+    for hash_seed in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "dtqw.cli", "fit", "--classical", "20", "--t-max", "15",
+             "--out", str(out), "--force"],
+            env={**env, "PYTHONHASHSEED": hash_seed}, check=True, capture_output=True,
+        )
+        echoed.append((out / "fit.json").read_bytes())
+    assert echoed[0] == echoed[1]
+    config = json.loads(echoed[0])["config"]
+    assert list(config) == ["t_min", "t_max", "classical", "out", "format", "force",
+                            "command"]
 
 
 def test_cli_config_rerun_reproduces_results_byte_for_byte(tmp_path):
@@ -221,6 +324,15 @@ def test_cli_lz_single_sequence(tmp_path):
     assert run_cli("lz", "--sequence", "HFHFHFHFHFHFHFHFHFHF", "--out", str(out)) == 0
     header, rows = read_csv(out / "lz_complexity.csv")
     assert rows[0][2] == "3"
+
+
+def test_cli_lz_bad_expected_count_names_file_and_line(tmp_path, capsys):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("# sequences\nHFH 3\nHHF x\n")
+    assert run_cli("lz", "--input", str(seqs), "--out", str(tmp_path / "lz")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{seqs}:3: ")
 
 
 def test_cli_fit_from_series_file(tmp_path):
