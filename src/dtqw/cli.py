@@ -250,7 +250,11 @@ def _policy(cfg: dict):
 
 
 class _Outputs:
-    """Collects target paths, enforces the no-overwrite rule, writes files."""
+    """Collects target paths, enforces the no-overwrite rule, writes files.
+
+    The output directory is created by the first write, so a command that
+    rejects its inputs leaves nothing behind.
+    """
 
     def __init__(self, cfg: dict):
         self.dir = Path(cfg["out"])
@@ -262,8 +266,11 @@ class _Outputs:
     def path(self, name: str) -> Path:
         return self.dir / name
 
-    def check(self, names: list[str]) -> None:
+    def _target(self, name: str) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
+        return self.path(name)
+
+    def check(self, names: list[str]) -> None:
         clashes = [str(self.path(n)) for n in names if self.path(n).exists()]
         if clashes and not self.force:
             raise CLIError(
@@ -278,7 +285,7 @@ class _Outputs:
         return self.fmt in ("json", "both")
 
     def write_csv(self, name: str, header, rows) -> None:
-        io.write_csv(self.path(name), header, rows)
+        io.write_csv(self._target(name), header, rows)
         self.written.append(self.path(name))
 
     def write_json(self, name: str, payload: dict) -> None:
@@ -287,7 +294,7 @@ class _Outputs:
             "config": dict(self.cfg),
         }
         body.update(payload)
-        io.write_json(self.path(name), body)
+        io.write_json(self._target(name), body)
         self.written.append(self.path(name))
 
 

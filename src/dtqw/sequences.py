@@ -3,10 +3,22 @@
 A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
-every sequence with the walk kernel of :mod:`dtqw.walk`, advancing a whole
-batch of sequences as independent walks in one call, and reduce the results
-in a fixed batch order, so reports are bit-identical no matter how many
-worker processes share the job.
+every sequence with the coin-and-shift step of :mod:`dtqw.walk`, advancing
+many sequences as independent walks in one call, and reduce the results in
+fixed batches of 2^14 consecutive packed integers, so reports are
+bit-identical no matter how many worker processes share the job.
+
+The exhaustive sweep walks the enumeration as a binary prefix tree, so
+sequences that share their first coins share that work.  The first 10 coins
+are stepped breadth-first, both branches at once, which leaves 2^10 walks
+whose row index packs those coins.  The later coins are stepped depth-first
+on that leaf block of 2^10 walks, one coin per call, and each finished leaf
+writes its entropies to the slice of the enumeration that its later coins
+select.  This costs about 2(n+1) site updates per sequence instead of the
+n^2/2 of stepping every sequence from the origin.  A task is an aligned
+power-of-two range of whole batches; a sweep with one task (one worker, or
+n <= 14) runs in process without a worker pool.  Random sequences share no
+prefixes, so the sampled sweep steps each batch from the origin.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -26,7 +38,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .entanglement import _coin_density, _entropy_bits, state_entropy
-from .walk import DynamicSequence, InitialCoin, _propagate, _sequence_plan, evolve
+from .walk import (
+    DynamicSequence,
+    InitialCoin,
+    _coin_shift,
+    _propagate,
+    _sequence_alphabet,
+    _sequence_plan,
+    evolve,
+)
 
 __all__ = [
     "CoinSequence",
@@ -56,6 +76,10 @@ ARGMAX_TOL = 1e-12
 #: Fixed work-unit size for sweeps; independent of the worker count so that
 #: partial reductions merge identically for any parallel layout.
 _BATCH_SIZE = 1 << 14
+
+#: The exhaustive sweep's prefix tree steps its first _LEAF_BITS coins
+#: breadth-first; every later coin advances a leaf block of 2^_LEAF_BITS walks.
+_LEAF_BITS = 10
 
 _EXHAUSTIVE_LIMIT = 24
 
@@ -172,14 +196,8 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     return state_entropy(evolve(init, DynamicSequence(seq), len(seq))[-1])
 
 
-def _partial_stats(args):
-    """Evaluate one batch of packed sequences and reduce it to summary stats."""
-    ints, n, spinor, edges, threshold = args
-    # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
-    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    for up, dn in _propagate(_sequence_plan(bits), spinor):
-        pass
-    entropies = _entropy_bits(_coin_density(up, dn))
+def _batch_stats(entropies, ints, edges, threshold):
+    """Summary stats of one batch: `entropies[i]` belongs to packed sequence `ints[i]`."""
     top = float(entropies.max())
     near = entropies >= top - ARGMAX_TOL
     candidates = [(float(e), int(v)) for e, v in zip(entropies[near], ints[near])]
@@ -193,6 +211,68 @@ def _partial_stats(args):
         "candidates": candidates,
         "entropies": entropies,
     }
+
+
+def _sampled_batch(args):
+    """Evaluate one batch of packed sequences from the origin and reduce it."""
+    ints, n, spinor, edges, threshold = args
+    # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
+    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    for up, dn in _propagate(_sequence_plan(bits), spinor):
+        pass
+    return _batch_stats(_entropy_bits(_coin_density(up, dn)), ints, edges, threshold)
+
+
+def _tree_entropies(n, spinor, varying, high):
+    """Final entropies of the 2^varying sequences ``high + r``, in the order of r.
+
+    The low `varying` bits of `high` are zero; its higher bits fix coins
+    `varying` .. n-1.  The first min(varying, _LEAF_BITS) coins are stepped
+    breadth-first, the rest depth-first on leaf blocks, each finished leaf
+    writing to the slice its coins select.
+    """
+    alphabet = _sequence_alphabet()
+    out = np.empty(1 << varying)
+    up = np.full((1, 1), spinor[0], dtype=np.complex128)
+    dn = np.full((1, 1), spinor[1], dtype=np.complex128)
+    breadth = min(varying, _LEAF_BITS)
+    for t in range(breadth):
+        # The F walks, then the H walks: row index = old row + (bit << t).
+        up, dn = (x.reshape(-1, t + 2) for x in _coin_shift(up, dn, alphabet[:, None, None]))
+
+    # One state buffer per depth, which its two children fill in turn: leaf
+    # states allocated and freed on every step made malloc return memory to
+    # the system and fault it in again, which about doubled the first sweep
+    # in a fresh process.
+    rows = len(up)
+    level = {t: np.empty((2, rows, t + 1), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+
+    def descend(up, dn, t, offset):
+        if t == n:
+            out[offset : offset + len(up)] = _entropy_bits(_coin_density(up, dn))
+        elif t < varying:
+            for bit in (0, 1):
+                state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
+                descend(*state, t + 1, offset + (bit << t))
+        else:
+            state = _coin_shift(up, dn, alphabet[(high >> t) & 1], level[t + 1])
+            descend(*state, t + 1, offset)
+
+    descend(up, dn, breadth, 0)
+    return out
+
+
+def _tree_task(args):
+    """Per-batch stats, in batch order, for `count` batches from batch `first` on."""
+    n, spinor, edges, threshold, first, count = args
+    size = min(_BATCH_SIZE, 1 << n)
+    start = first * size
+    entropies = _tree_entropies(n, spinor, (count * size).bit_length() - 1, start)
+    ints = np.arange(start, start + count * size, dtype=np.uint64)
+    return [
+        _batch_stats(entropies[k : k + size], ints[k : k + size], edges, threshold)
+        for k in range(0, count * size, size)
+    ]
 
 
 @dataclass(frozen=True)
@@ -229,11 +309,17 @@ def _resolve_bins(bins) -> NDArray[np.float64]:
     return edges
 
 
-def _run_batches(batches, workers: int):
-    if workers <= 1:
-        return [_partial_stats(b) for b in batches]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_partial_stats, batches))
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _run_tasks(fn, tasks, workers: int) -> list:
+    """`fn` over `tasks`, results in task order; a pool only for several tasks and workers."""
+    if workers == 1 or len(tasks) == 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _merge_report(
@@ -319,7 +405,9 @@ def exhaustive_sweep(
         `fraction_above` reports the fraction of sequences with entropy
         strictly above this value.
     workers : int
-        Worker processes.  The report is bit-identical for any value.
+        Worker processes (>= 1).  The report is bit-identical for any value.
+        The work splits into at most `workers` tasks of 2^k whole batches of
+        2^14 sequences; one task runs in process.
 
     Returns
     -------
@@ -334,17 +422,17 @@ def exhaustive_sweep(
             f"exhaustive enumeration of 2^{n} sequences refused (limit n <= "
             f"{_EXHAUSTIVE_LIMIT}); use sampled_sweep instead"
         )
+    _check_workers(workers)
     edges = _resolve_bins(bins)
     spinor = init.spinor
     started = time.perf_counter()
-    total = 1 << n
-    size = min(_BATCH_SIZE, total)
-    batches = [
-        (np.arange(start, min(start + size, total), dtype=np.uint64),
-         n, spinor, edges, threshold)
-        for start in range(0, total, size)
+    batches = max((1 << n) // _BATCH_SIZE, 1)
+    # The largest power of two <= min(workers, batches): aligned, equal ranges.
+    count = batches >> (min(workers, batches).bit_length() - 1)
+    tasks = [
+        (n, spinor, edges, threshold, first, count) for first in range(0, batches, count)
     ]
-    partials = _run_batches(batches, workers)
+    partials = [p for part in _run_tasks(_tree_task, tasks, workers) for p in part]
     return _merge_report(
         partials,
         n,
@@ -378,6 +466,7 @@ def sampled_sweep(
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_workers(workers)
     edges = _resolve_bins(bins)
     spinor = init.spinor
     started = time.perf_counter()
@@ -389,7 +478,7 @@ def sampled_sweep(
         (ints[start : start + size], n, spinor, edges, threshold)
         for start in range(0, samples, size)
     ]
-    partials = _run_batches(batches, workers)
+    partials = _run_tasks(_sampled_batch, batches, workers)
     return _merge_report(
         partials,
         n,
@@ -413,13 +502,16 @@ def best_sequences(report: SweepReport, k: int) -> list[CoinSequence]:
         raise ValueError("best_sequences needs a report from exhaustive_sweep")
     if not 1 <= k <= report.count:
         raise ValueError(f"k must lie in [1, {report.count}], got {k}")
-    ints = np.arange(report.count, dtype=np.uint64)
+    entropies = report.entropies
+    # Every entry tied with the k-th largest stays a candidate; only they are sorted.
+    kth = np.partition(entropies, entropies.size - k)[entropies.size - k]
+    ints = np.flatnonzero(entropies >= kth).astype(np.uint64)
     # Text order reads the first-applied symbol first, i.e. the packed word
     # with its bits reversed.
     rank = np.zeros_like(ints)
     for b in range(report.n):
         rank |= ((ints >> np.uint64(b)) & np.uint64(1)) << np.uint64(report.n - 1 - b)
-    order = np.lexsort((rank, -report.entropies))
+    order = ints[np.lexsort((rank, -entropies[ints]))]
     return [CoinSequence.from_int(int(v), report.n) for v in order[:k]]
 
 

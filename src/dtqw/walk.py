@@ -239,10 +239,14 @@ class CoinPlan:
         return self.alphabet[bit]
 
 
+def _sequence_alphabet() -> NDArray[np.complex128]:
+    """The {H, F} coins indexed by bit: F -> 0, H -> 1."""
+    return np.stack([fourier_coin(), hadamard_coin()])
+
+
 def _sequence_plan(step_bits: NDArray[np.int64]) -> CoinPlan:
     """Plan for (..., n) bit-packed {H, F} sequences: H -> 1, F -> 0, first coin in column 0."""
-    alphabet = np.stack([fourier_coin(), hadamard_coin()])
-    return CoinPlan(step_bits.shape[-1], alphabet=alphabet, step_bits=step_bits)
+    return CoinPlan(step_bits.shape[-1], alphabet=_sequence_alphabet(), step_bits=step_bits)
 
 
 def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
@@ -303,6 +307,30 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     )
 
 
+def _coin_shift(up, dn, c, out=None):
+    """One step of parity-compressed walks: coin `c` on every site, then the shift.
+
+    `c` broadcasts as (..., 2, 2): its leading axes broadcast against those
+    of `up`/`dn` (..., t+1), one coin per walk, per site, or a single coin.
+    Returns (up, dn) of shape (..., t+2): |up> moves one column right and
+    |down> stays, which is j -> j+1 and j -> j-1 on the lattice.  With `out`,
+    a (2, ..., t+2) array, the step writes into it and returns its two rows.
+    """
+
+    def row(i):
+        return c[..., i, 0] * up + c[..., i, 1] * dn
+
+    if out is None:
+        shape = np.broadcast_shapes(up.shape, c.shape[:-2])[:-1] + (1,)
+        zero = np.zeros(shape, dtype=np.complex128)
+        return np.concatenate([zero, row(0)], axis=-1), np.concatenate([row(1), zero], axis=-1)
+    out[0, ..., 0] = 0
+    out[0, ..., 1:] = row(0)
+    out[1, ..., -1] = 0
+    out[1, ..., :-1] = row(1)
+    return out[0], out[1]
+
+
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
 
@@ -312,13 +340,8 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
     up = np.full(batch + (1,), spinor[0], dtype=np.complex128)
     dn = np.full(batch + (1,), spinor[1], dtype=np.complex128)
-    zero = np.zeros(batch + (1,), dtype=np.complex128)
     for t in range(plan.steps):
-        c = plan.alphabet[plan.coin_index(t)]
-        up, dn = (
-            np.concatenate([zero, c[..., 0, 0] * up + c[..., 0, 1] * dn], axis=-1),
-            np.concatenate([c[..., 1, 0] * up + c[..., 1, 1] * dn, zero], axis=-1),
-        )
+        up, dn = _coin_shift(up, dn, plan.alphabet[plan.coin_index(t)])
         yield up, dn
 
 
@@ -342,8 +365,12 @@ def shift(state: WalkState) -> WalkState:
 
 def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
     """Apply `coin` to every site's spinor, then shift.  Increments t by 1."""
-    coin = require_unitary(coin)
-    return shift(WalkState(t=state.t, amps=coin @ state.amps))
+    up, dn = _coin_shift(state.amps[0], state.amps[1], require_unitary(coin))
+    # The dense rows hold every site, so |up> moves two columns: one above, one here.
+    amps = np.zeros((2, up.shape[-1] + 1), dtype=np.complex128)
+    amps[0, 1:] = up
+    amps[1, :-1] = dn
+    return WalkState(t=state.t + 1, amps=amps)
 
 
 def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]:

@@ -374,6 +374,29 @@ def test_cli_fit_requires_one_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejected_run_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    init = ("--theta", "51", "--phi", "0")
+    for argv in (
+        ("fit",),
+        ("tomo", *init, "--steps", "0", "--total-counts", "1000", "--ordered", "H"),
+        ("sweep", *init, "--n", "25"),
+        ("sweep", *init, "--n", "3", "--workers", "0"),
+    ):
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+
+
+def test_cli_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    for workers in ("0", "-1"):
+        code = run_cli("sweep", "--theta", "51", "--phi", "0", "--n", "3",
+                       "--workers", workers, "--out", str(tmp_path / "s"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "message": f"workers must be >= 1, got {workers}"}
+
+
 def test_cli_tomo(tmp_path):
     out = tmp_path / "tomo"
     code = run_cli(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtqw.entanglement import state_entropy
+from dtqw.entanglement import _coin_density, _entropy_bits, state_entropy
 from dtqw.sequences import (
     ENHANCER_20,
     CoinSequence,
@@ -19,7 +19,7 @@ from dtqw.sequences import (
     to_bits,
     vocabulary,
 )
-from dtqw.walk import InitialCoin, Ordered, evolve
+from dtqw.walk import InitialCoin, Ordered, _propagate, _sequence_plan, evolve
 from dtqw.coins import hadamard_coin
 
 INIT = InitialCoin(51, 0)
@@ -182,16 +182,50 @@ def test_exhaustive_refuses_oversized_enumeration():
 
 
 def test_exhaustive_worker_counts_agree_bit_for_bit():
-    reports = {w: exhaustive_sweep(INIT, 10, workers=w) for w in (1, 2, 8)}
-    base = reports[1]
-    for r in (reports[2], reports[8]):
-        assert r.mean_entropy == base.mean_entropy
-        assert r.std_entropy == base.std_entropy
-        assert r.fraction_above == base.fraction_above
-        assert r.max_entropy == base.max_entropy
-        assert r.argmax_sequences == base.argmax_sequences
-        np.testing.assert_array_equal(r.bin_counts, base.bin_counts)
-        np.testing.assert_array_equal(r.entropies, base.entropies)
+    # n = 10 is one batch, run in process; n = 16 and 17 split into two
+    # tasks (three workers round down to two) or, at n = 17, four.
+    for n, counts in ((10, (2, 8)), (16, (2, 3)), (17, (2, 3, 4))):
+        base = exhaustive_sweep(INIT, n, workers=1)
+        for w in counts:
+            r = exhaustive_sweep(INIT, n, workers=w)
+            assert r.mean_entropy == base.mean_entropy
+            assert r.std_entropy == base.std_entropy
+            assert r.fraction_above == base.fraction_above
+            assert r.max_entropy == base.max_entropy
+            assert r.argmax_sequences == base.argmax_sequences
+            np.testing.assert_array_equal(r.bin_counts, base.bin_counts)
+            np.testing.assert_array_equal(r.entropies, base.entropies)
+
+
+def test_exhaustive_tree_matches_batch_propagation():
+    n, size = 16, 1 << 14
+    report = exhaustive_sweep(INIT, n)
+    ints = np.arange(2 * size, 3 * size, dtype=np.uint64)
+    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    for up, dn in _propagate(_sequence_plan(bits), INIT.spinor):
+        pass
+    direct = _entropy_bits(_coin_density(up, dn))
+    np.testing.assert_allclose(report.entropies[2 * size : 3 * size], direct, rtol=0, atol=1e-15)
+    # First and last sequence of leaf blocks (2^10) and batches (2^14).
+    for value in (0, 1023, 1024, 2047, size - 1, size, 2 * size + 1023, 3 * size - 1, (1 << n) - 1):
+        seq = CoinSequence.from_int(value, n)
+        assert abs(report.entropies[value] - entropy_of_sequence(INIT, seq)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_exhaustive_matches_every_single_walk(n):
+    report = exhaustive_sweep(INIT, n)
+    for value in range(1 << n):
+        seq = CoinSequence.from_int(value, n)
+        assert abs(report.entropies[value] - entropy_of_sequence(INIT, seq)) < 1e-12
+
+
+def test_sweeps_reject_nonpositive_worker_counts():
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            exhaustive_sweep(INIT, 3, workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            sampled_sweep(INIT, 3, samples=10, seed=0, workers=workers)
 
 
 def test_histogram_refinement_consistency():
@@ -247,6 +281,16 @@ def test_best_sequences_full_small_case():
     for a, b, va, vb in zip(texts, texts[1:], values, values[1:]):
         if abs(va - vb) < 1e-15:
             assert a < b
+
+
+def test_best_sequences_equals_full_sort():
+    # theta = 0 makes many entropies tie, also across the k-th place.
+    for init in (INIT, InitialCoin(0, 0)):
+        report = exhaustive_sweep(init, 8)
+        texts = [CoinSequence.from_int(v, 8).text for v in range(report.count)]
+        ranked = sorted(range(report.count), key=lambda v: (-report.entropies[v], texts[v]))
+        for k in (1, 2, 3, 5, 16, 100, 256):
+            assert [s.text for s in best_sequences(report, k)] == [texts[v] for v in ranked[:k]]
 
 
 def test_best_sequences_validates_inputs():

@@ -111,6 +111,16 @@ def test_six_hadamard_steps_match_dense_oracle():
         np.testing.assert_allclose(embed_state(state, 6), vec, atol=1e-10)
 
 
+def test_step_chain_equals_evolve_bit_for_bit():
+    # Both go through the one coin-and-shift kernel.
+    init = InitialCoin(51, 30)
+    states = evolve(init, Ordered(fourier_coin()), 40)
+    state = initial_state(init)
+    for expected in states[1:]:
+        state = step(state, fourier_coin())
+        np.testing.assert_array_equal(state.amps, expected.amps)
+
+
 # --- evolve ------------------------------------------------------------------
 
 
