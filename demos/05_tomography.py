@@ -15,7 +15,7 @@ from dtqw import (
     DynamicSequence,
     InitialCoin,
     Ordered,
-    evolve,
+    final_state,
     hadamard_coin,
     state_entropy,
     tomographic_entropy,
@@ -25,8 +25,8 @@ from dtqw import (
 def main() -> None:
     init = InitialCoin(51, 0)
     walks = {
-        "ordered Hadamard": evolve(init, Ordered(hadamard_coin()), 20)[-1],
-        "mixed sequence": evolve(init, DynamicSequence(ENHANCER_20), 20)[-1],
+        "ordered Hadamard": final_state(init, Ordered(hadamard_coin()), 20),
+        "mixed sequence": final_state(init, DynamicSequence(ENHANCER_20), 20),
     }
 
     print("Noiseless mode (counts = exact expected values):")

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import io
 from .coins import coin_from_name
-from .entanglement import density_eigenvalues, reduced_coin_density, state_entropy
+from .entanglement import _entropy_bits, coin_density_curve, density_eigenvalues
 from .sequences import (
     exhaustive_sweep,
     lz_complexity,
@@ -30,12 +30,7 @@ from .sequences import (
     sampled_sweep,
 )
 from .tomography import tomographic_entropy
-from .transport import (
-    classical_baseline,
-    fit_power_law,
-    position_distribution,
-    second_moment,
-)
+from .transport import classical_baseline, fit_power_law, moment_series, position_distribution
 from .walk import (
     DynamicRandom,
     DynamicSequence,
@@ -44,6 +39,7 @@ from .walk import (
     StaticAndDynamic,
     StaticRandom,
     evolve,
+    final_state,
 )
 
 __all__ = ["main"]
@@ -298,11 +294,23 @@ class _Outputs:
         self.written.append(self.path(name))
 
 
+#: Most rows `walk` exports in its trajectory: (steps + 1)^2, one per (t, j).
+#: The export is dense, so its memory grows with this count; 2^20 rows
+#: (steps <= 1023) peak at about 700 MB.
+TRAJECTORY_ROW_LIMIT = 1 << 20
+
+
 def cmd_walk(cfg: dict) -> _Outputs:
     """run a walk, export trajectory and distribution"""
     _require(cfg, "steps")
-    if cfg["steps"] < 1:
-        raise CLIError(f"steps must be >= 1, got {cfg['steps']}")
+    steps = cfg["steps"]
+    if steps < 1:
+        raise CLIError(f"steps must be >= 1, got {steps}")
+    if (steps + 1) ** 2 > TRAJECTORY_ROW_LIMIT:
+        raise CLIError(
+            f"steps={steps} would export (steps + 1)^2 = {(steps + 1) ** 2} trajectory rows, "
+            f"more than the limit of {TRAJECTORY_ROW_LIMIT}"
+        )
     init = _initial_coin(cfg)
     policy = _policy(cfg)
     out = _Outputs(cfg)
@@ -314,15 +322,12 @@ def cmd_walk(cfg: dict) -> _Outputs:
     out.check(names)
 
     try:
-        trajectory = evolve(init, policy, cfg["steps"])
+        trajectory = evolve(init, policy, steps)
+        moment_rows = io.moment_rows(moment_series(init, policy, steps))
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    dist = position_distribution(trajectory[-1])
     traj_rows = io.trajectory_rows(trajectory)
-    dist_rows = io.distribution_rows(dist)
-    moment_rows = [
-        (s.t, second_moment(position_distribution(s))) for s in trajectory[1:]
-    ]
+    dist_rows = io.distribution_rows(position_distribution(trajectory[-1]))
     if out.want_csv():
         out.write_csv("trajectory.csv", io.TRAJECTORY_HEADER, traj_rows)
         out.write_csv("distribution.csv", io.DISTRIBUTION_HEADER, dist_rows)
@@ -364,13 +369,13 @@ def cmd_entropy(cfg: dict) -> _Outputs:
     header = io.ENTROPY_EIGEN_HEADER if cfg["eigenvalues"] else io.ENTROPY_HEADER
     for phi, init in zip(phis, inits):
         try:
-            trajectory = evolve(init, policy, cfg["steps"])
+            rho = coin_density_curve(init, policy, cfg["steps"])
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
-        curve = [(s.t, state_entropy(s)) for s in trajectory]
+        curve = list(enumerate(_entropy_bits(rho).tolist()))
         eigen = None
         if cfg["eigenvalues"]:
-            eigen = [density_eigenvalues(reduced_coin_density(s)) for s in trajectory]
+            eigen = list(zip(*(lam.tolist() for lam in density_eigenvalues(rho))))
         rows = io.entropy_curve_rows(curve, eigen)
         if out.want_csv():
             out.write_csv(stem(phi) + ".csv", header, rows)
@@ -535,7 +540,7 @@ def cmd_tomo(cfg: dict) -> _Outputs:
     out.check(names)
 
     try:
-        state = evolve(init, policy, cfg["steps"])[-1]
+        state = final_state(init, policy, cfg["steps"])
         result = tomographic_entropy(
             state,
             total_counts=cfg["total_counts"],

@@ -4,7 +4,9 @@ For a pure walker state the entanglement between coin and position is the
 von Neumann entropy of the reduced 2x2 coin matrix, measured in bits, so it
 ranges from 0 (product state) to 1 (maximally entangled).  Eigenvalues of
 the 2x2 Hermitian matrix are computed in closed form; no iterative solver
-is involved.
+is involved.  Per-step curves come from :func:`coin_density_curve`, which
+reduces the walk kernel's arrays step by step and keeps one 2x2 matrix per
+step, never the trajectory.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .walk import CoinPolicy, InitialCoin, WalkState, evolve
+from .walk import CoinPolicy, InitialCoin, WalkState, _coin_density, _propagate, plan_coins
 
 __all__ = [
     "SiteDecomposition",
@@ -24,6 +26,7 @@ __all__ = [
     "site_decomposition",
     "von_neumann_entropy",
     "state_entropy",
+    "coin_density_curve",
     "entropy_curve",
     "asymptotic_entropy",
 ]
@@ -60,14 +63,6 @@ def density_eigenvalues(rho: NDArray[np.complex128]) -> tuple[float, float]:
         ((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2.0) ** 2 + np.abs(rho[..., 0, 1]) ** 2
     )
     return 0.5 + half_gap, 0.5 - half_gap
-
-
-def _coin_density(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """sum_j (a, b)_j (a, b)_j^dagger over the last axis; leading axes carry through."""
-    r00 = np.sum(np.abs(a) ** 2, axis=-1)
-    r01 = np.sum(a * np.conj(b), axis=-1)
-    r11 = np.sum(np.abs(b) ** 2, axis=-1)
-    return np.stack([r00, r01, np.conj(r01), r11], axis=-1).reshape(r01.shape + (2, 2))
 
 
 def reduced_coin_density(state: WalkState) -> NDArray[np.complex128]:
@@ -145,6 +140,39 @@ def state_entropy(state: WalkState) -> float:
     return von_neumann_entropy(reduced_coin_density(state))
 
 
+def coin_density_curve(
+    init: InitialCoin, policy: CoinPolicy, steps: int
+) -> NDArray[np.complex128]:
+    """Reduced coin matrix at every step of a walk, as a (steps+1, 2, 2) array.
+
+    Row t is rho_C(t) for t = 0 .. steps, reduced from the kernel's
+    parity-compressed amplitudes as they stream, so memory stays O(steps).
+
+    Raises
+    ------
+    ValueError
+        If a step's norm is off by more than 1e-6 (the check of
+        :func:`reduced_coin_density`) or its trace by more than 1e-8, or a
+        matrix has an eigenvalue below -1e-8.
+    """
+    plan = plan_coins(policy, steps)
+    spinor = init.spinor
+    rho = np.empty((steps + 1, 2, 2), dtype=np.complex128)
+    rho[0] = _coin_density(spinor[:1], spinor[1:])
+    for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
+        rho[t] = _coin_density(up, dn)
+    norm = rho[:, 0, 0].real + rho[:, 1, 1].real
+    worst = norm[np.argmax(np.abs(norm - 1.0))]
+    if abs(worst - 1.0) > 1e-6:
+        raise ValueError(f"state is not normalized (norm^2 = {worst})")
+    # The tolerances of check_density_matrix, which every entropy applies.
+    if abs(worst - 1.0) > 1e-8:
+        raise ValueError(f"density matrix trace {worst} is not 1")
+    if np.min(density_eigenvalues(rho)[1]) < -1e-8:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    return rho
+
+
 def entropy_curve(
     init: InitialCoin, policy: CoinPolicy, steps: int
 ) -> list[tuple[int, float]]:
@@ -153,7 +181,7 @@ def entropy_curve(
     Returns (t, S_E) pairs for t = 0 .. steps; S_E(0) = 0 for the localized
     product initial state.
     """
-    return [(state.t, state_entropy(state)) for state in evolve(init, policy, steps)]
+    return list(enumerate(_entropy_bits(coin_density_curve(init, policy, steps)).tolist()))
 
 
 def asymptotic_entropy(
@@ -170,5 +198,5 @@ def asymptotic_entropy(
     """
     if not 1 <= tail <= steps:
         raise ValueError(f"tail must lie in [1, steps], got tail={tail} steps={steps}")
-    trajectory = evolve(init, policy, steps)
-    return float(np.mean([state_entropy(s) for s in trajectory[steps - tail + 1 :]]))
+    rho = coin_density_curve(init, policy, steps)
+    return float(np.mean(_entropy_bits(rho[steps - tail + 1 :])))

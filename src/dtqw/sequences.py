@@ -37,15 +37,15 @@ from importlib import resources
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import _coin_density, _entropy_bits, state_entropy
+from .entanglement import _entropy_bits, coin_density_curve, von_neumann_entropy
 from .walk import (
     DynamicSequence,
     InitialCoin,
+    _coin_density,
     _coin_shift,
     _propagate,
     _sequence_alphabet,
     _sequence_plan,
-    evolve,
 )
 
 __all__ = [
@@ -193,7 +193,7 @@ def lz_complexity(seq: CoinSequence | str) -> int:
 def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     """Final-step entanglement entropy of the walk driven by `seq`."""
     seq = _as_sequence(seq)
-    return state_entropy(evolve(init, DynamicSequence(seq), len(seq))[-1])
+    return von_neumann_entropy(coin_density_curve(init, DynamicSequence(seq), len(seq))[-1])
 
 
 def _batch_stats(entropies, ints, edges, threshold):

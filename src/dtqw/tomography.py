@@ -5,7 +5,8 @@ walker state: split a photon-count budget equally over the three Pauli bases,
 draw multinomial counts over (site, outcome) cells, reconstruct each site's
 coin state by linear inversion of the Stokes parameters, and reassemble the
 reduced coin matrix as sum_j p_j rho_j.  A noiseless mode replaces counts by
-their exact expected values, making the round trip exact.
+their exact expected values, making the round trip exact wherever those are
+normal floats; subnormal expected counts keep only a few bits.
 
 Projector labels follow the polarization convention H/V (z basis), D/A
 (x basis), L/R (y basis) with L = (|up> + i|down>)/sqrt(2).
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .entanglement import (
     NEGLIGIBLE_SITE_PROBABILITY,
     check_density_matrix,
@@ -143,17 +143,36 @@ def project_to_physical(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _linear_inversion(c: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """rho = (I + r . sigma)/2 from six counts, projected to the physical set.
+def _site_states(c: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
+    """Bloch vectors (n, 3) and density matrices (n, 2, 2) from (n, 6) count rows.
 
-    An empty basis pair carries no data and contributes r_k = 0.
+    Stokes components r_k = (N_plus - N_minus) / (N_plus + N_minus) in x, y,
+    z order; an empty x or y pair carries no data and gives r_k = 0, while
+    every row needs z counts.  Scaling by 1 / max(1, |r|) is, for a trace-1
+    qubit matrix, exactly :func:`project_to_physical`'s clamp of the negative
+    eigenvalue.  The diagonal (1 +- r_z)/2 is taken from the H/V counts
+    themselves, so an entry near 0 keeps its digits.
     """
-    rho = np.eye(2, dtype=np.complex128) / 2.0
-    for plus, sigma in zip((0, 2, 4), (SIGMA_Z, SIGMA_X, SIGMA_Y)):
-        total = c[plus] + c[plus + 1]
-        if total > 0.0:
-            rho = rho + 0.5 * ((c[plus] - c[plus + 1]) / total) * sigma
-    return project_to_physical(rho)
+    plus, minus = c[:, [2, 4, 0]], c[:, [3, 5, 1]]
+    total = plus + minus
+    r = np.divide(plus - minus, total, out=np.zeros_like(total), where=total > 0.0)
+    n = np.maximum(1.0, np.linalg.norm(r, axis=1))
+    r = r / n[:, None]
+    h, v = c[:, 0], c[:, 1]
+    rho = np.empty((len(c), 2, 2), dtype=np.complex128)
+    rho[:, 0, 0] = ((n + 1.0) * h + (n - 1.0) * v) / (2.0 * n * total[:, 2])
+    rho[:, 1, 1] = ((n - 1.0) * h + (n + 1.0) * v) / (2.0 * n * total[:, 2])
+    rho[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
+    rho[:, 1, 0] = np.conj(rho[:, 0, 1])
+    return r, rho
+
+
+def _pure_bloch(spinors: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Bloch vectors of (2, n) nonzero spinors, scaled first so no subnormal is squared."""
+    a, b = spinors / np.max(np.abs(spinors), axis=0)
+    ab = 2.0 * np.conj(a) * b
+    pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
+    return np.stack([ab.real, ab.imag, pa - pb], axis=1) / (pa + pb)[:, None]
 
 
 def reconstruct_site(site_counts) -> NDArray[np.complex128]:
@@ -178,7 +197,7 @@ def reconstruct_site(site_counts) -> NDArray[np.complex128]:
                 f"basis pair {PROJECTOR_LABELS[plus]}/{PROJECTOR_LABELS[plus + 1]} "
                 "has zero counts"
             )
-    return _linear_inversion(c)
+    return _site_states(c[None])[1][0]
 
 
 def fidelity(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
@@ -235,37 +254,31 @@ def tomographic_entropy(
 ) -> TomographyResult:
     """Estimate the coin-position entanglement the way a counting experiment would.
 
-    Site weights p_hat_j come from the H/V counts alone; each occupied site's
-    coin state is reconstructed by linear inversion, and the estimated
-    reduced matrix is sum_j p_hat_j rho_hat_j.  At sites where count noise
-    left an x or y basis pair empty, that Stokes component is taken as zero
-    (no data, no inferred polarization); the z pair defines which sites exist
-    at all.  Reports per-site and whole-matrix fidelities against the exact
-    state and the Bhattacharyya similarity of the estimated position
-    distribution.
+    Site weights p_hat_j come from the H/V counts alone; every occupied
+    site's coin state is reconstructed at once by linear inversion in closed
+    form, and the estimated reduced matrix is sum_j p_hat_j rho_hat_j.  At
+    sites where count noise left an x or y basis pair empty, that Stokes
+    component is taken as zero (no data, no inferred polarization); the z
+    pair defines which sites exist at all.  Reports per-site and whole-matrix
+    fidelities against the exact state and the Bhattacharyya similarity of
+    the estimated position distribution.  A site's truth is pure, with Bloch
+    vector s, so its fidelity is (1 + r . s)/2 (Jozsa, J. Mod. Opt. 41, 2315
+    (1994)); s is taken from the spinor scaled to max(|a|, |b|) = 1, so
+    sites of subnormal weight score finitely.
     """
     counts = simulate_counts(state, total_counts, seed=seed, noiseless=noiseless)
     z_totals = counts.counts[:, 0] + counts.counts[:, 1]
     keep = z_totals > 0.0
-    kept_counts = counts.counts[keep]
     sites = state.sites[keep]
     p_hat = z_totals[keep] / z_totals.sum()
 
-    rho_hat = np.empty((len(sites), 2, 2), dtype=np.complex128)
-    for row, c in enumerate(kept_counts):
-        rho_hat[row] = _linear_inversion(c)
-
+    r, rho_hat = _site_states(counts.counts[keep])
     rho_c_hat = np.einsum("j,jkl->kl", p_hat, rho_hat)
     rho_c_hat = 0.5 * (rho_c_hat + rho_c_hat.conj().T)  # shave numerical dust
 
     truth_rho_c = reduced_coin_density(state)
-    amps = state.amps[:, keep]
-    site_fid = np.empty(len(sites), dtype=np.float64)
-    for row in range(len(sites)):
-        spinor = amps[:, row]
-        weight = float(np.vdot(spinor, spinor).real)
-        truth = np.outer(spinor, spinor.conj()) / weight
-        site_fid[row] = fidelity(rho_hat[row], truth)
+    s = _pure_bloch(state.amps[:, keep])
+    site_fid = np.clip((1.0 + np.sum(r * s, axis=1)) / 2.0, 0.0, 1.0)
 
     estimated_dist = PositionDistribution(sites=sites, probabilities=p_hat)
     return TomographyResult(

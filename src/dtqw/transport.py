@@ -2,9 +2,10 @@
 
 The transport class of a walk shows in how its second moment about the
 origin grows: ballistic spreading goes as t^2, classical diffusion as t, and
-disordered walks land in between (sub-ballistic).  `fit_power_law` extracts
-(prefactor, exponent) from a moment series by least squares against
-c * t^alpha.
+disordered walks land in between (sub-ballistic).  Moment series, of one walk
+or of a batched random ensemble, reduce the walk kernel's arrays to m2 as
+they stream.  `fit_power_law` extracts (prefactor, exponent) from a moment
+series by least squares against c * t^alpha.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.typing import NDArray
 from scipy.optimize import curve_fit
 
 from .walk import CoinPlan, CoinPolicy, DynamicRandom, InitialCoin, WalkState
-from .walk import _propagate, evolve, plan_coins
+from .walk import _propagate, _second_moment, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -80,13 +81,15 @@ def second_moment(dist: PositionDistribution) -> float:
     return float(np.sum(dist.probabilities * dist.sites.astype(float) ** 2))
 
 
+def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """m2 after each step of every walk of `plan`, shape (steps, ...)."""
+    return np.array([_second_moment(up, dn) for up, dn in _propagate(plan, spinor)])
+
+
 def moment_series(init: InitialCoin, policy: CoinPolicy, steps: int) -> MomentSeries:
     """Second moment of the walk at every t = 1 .. steps."""
-    trajectory = evolve(init, policy, steps)
-    m2 = [second_moment(position_distribution(s)) for s in trajectory[1:]]
-    return MomentSeries(
-        times=np.arange(1, steps + 1), m2=np.asarray(m2, dtype=np.float64)
-    )
+    m2 = _moments(plan_coins(policy, steps), init.spinor)
+    return MomentSeries(times=np.arange(1, steps + 1), m2=m2)
 
 
 def ensemble_moment_series(
@@ -102,11 +105,8 @@ def ensemble_moment_series(
     plans = [plan_coins(DynamicRandom(seed=base_seed + k), steps) for k in range(n_seeds)]
     bits = np.stack([p.step_bits for p in plans])
     batch = CoinPlan(steps, alphabet=plans[0].alphabet, step_bits=bits)
-    m2 = [
-        (np.abs(up) ** 2 + np.abs(dn) ** 2) @ np.arange(-t, t + 1, 2.0) ** 2
-        for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1)
-    ]
-    return MomentSeries(times=np.arange(1, steps + 1), m2=np.mean(m2, axis=1))
+    m2 = np.mean(_moments(batch, init.spinor), axis=1)
+    return MomentSeries(times=np.arange(1, steps + 1), m2=m2)
 
 
 def classical_baseline(steps: int) -> MomentSeries:

@@ -7,9 +7,12 @@ exactly n coins.  A single kernel does all stepping.  It stores parity-compresse
 amplitudes ``up``, ``dn`` of shape (..., t+1), column m holding site j = 2m - t
 (the only sites that can carry amplitude), and treats leading axes as
 independent walks: one walk, a batch of coin sequences, or a random ensemble.
-:class:`WalkState` is the dense view of one walk: a (2, 2t+1) array with the
-|up> amplitudes a(j) in row 0, the |down> amplitudes b(j) in row 1, and site
-j at column j + t.
+The per-step reductions live beside it, the reduced coin matrix and the
+second moment about the origin, and read those arrays as they stream; this
+module alone knows the column-to-site map.  :class:`WalkState` is the dense
+view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
+the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
+expands every step to it and `final_state` only the last.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
 sequence, and randomly drawn coins that vary per step (dynamic disorder),
@@ -41,6 +44,7 @@ __all__ = [
     "shift",
     "step",
     "evolve",
+    "final_state",
     "plan_coins",
 ]
 
@@ -345,6 +349,37 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
         yield up, dn
 
 
+def _coin_density(up, dn):
+    """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the last axis.
+
+    Works on dense rows and on parity-compressed ones alike; leading axes
+    carry through to a (..., 2, 2) result.
+    """
+    r00 = np.sum(np.abs(up) ** 2, axis=-1)
+    r01 = np.sum(up * np.conj(dn), axis=-1)
+    r11 = np.sum(np.abs(dn) ** 2, axis=-1)
+    return np.stack([r00, r01, np.conj(r01), r11], axis=-1).reshape(r01.shape + (2, 2))
+
+
+def _second_moment(up, dn):
+    """Second moment sum_j (|a_j|^2 + |b_j|^2) j^2 of parity-compressed walks.
+
+    Column m of the (..., t+1) arrays holds site j = 2m - t; leading axes
+    carry through.
+    """
+    t = up.shape[-1] - 1
+    return (np.abs(up) ** 2 + np.abs(dn) ** 2) @ np.arange(-t, t + 1, 2.0) ** 2
+
+
+def _dense(up, dn):
+    """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays."""
+    t = up.shape[-1] - 1
+    amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
+    amps[0, ::2] = up
+    amps[1, ::2] = dn
+    return WalkState(t=t, amps=amps)
+
+
 def initial_state(init: InitialCoin) -> WalkState:
     """Localized t=0 state: the coin spinor of `init` at the origin."""
     return WalkState(t=0, amps=init.spinor.reshape(2, 1))
@@ -394,9 +429,17 @@ def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]
         States for t = 0 .. steps.
     """
     trajectory = [initial_state(init)]
-    for t, (up, dn) in enumerate(_propagate(plan_coins(policy, steps), init.spinor), 1):
-        amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-        amps[0, ::2] = up
-        amps[1, ::2] = dn
-        trajectory.append(WalkState(t=t, amps=amps))
+    for up, dn in _propagate(plan_coins(policy, steps), init.spinor):
+        trajectory.append(_dense(up, dn))
     return trajectory
+
+
+def final_state(init: InitialCoin, policy: CoinPolicy, steps: int) -> WalkState:
+    """The state after `steps` steps, equal to ``evolve(init, policy, steps)[-1]``.
+
+    Only the last step is expanded to the dense view, so memory stays
+    O(steps) instead of the trajectory's O(steps^2).
+    """
+    for up, dn in _propagate(plan_coins(policy, steps), init.spinor):
+        pass
+    return _dense(up, dn)

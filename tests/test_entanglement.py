@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dtqw.entanglement
 from dtqw.coins import hadamard_coin
 from dtqw.entanglement import (
     asymptotic_entropy,
+    coin_density_curve,
     density_eigenvalues,
     entropy_curve,
     reduced_coin_density,
@@ -11,7 +15,15 @@ from dtqw.entanglement import (
     state_entropy,
     von_neumann_entropy,
 )
-from dtqw.walk import DynamicSequence, InitialCoin, Ordered, WalkState, evolve, initial_state
+from dtqw.walk import (
+    DynamicSequence,
+    InitialCoin,
+    Ordered,
+    WalkState,
+    _propagate,
+    evolve,
+    initial_state,
+)
 from oracles import dephased_limit_entropy, random_density, random_walk_state
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
@@ -122,6 +134,29 @@ def test_entropy_bounds_on_random_states(rng):
     for t in (2, 5, 11):
         s = state_entropy(random_walk_state(rng, t))
         assert 0.0 <= s <= 1.0
+
+
+@pytest.mark.parametrize("scale,message", [(0.9, "not normalized"), (1 + 1e-7, "trace")])
+def test_coin_density_curve_rejects_unnormalized_steps(monkeypatch, scale, message):
+    def leaky(plan, spinor):
+        for up, dn in _propagate(plan, spinor):
+            yield scale * up, scale * dn
+
+    monkeypatch.setattr(dtqw.entanglement, "_propagate", leaky)
+    with pytest.raises(ValueError, match=message):
+        coin_density_curve(InitialCoin(51, 0), Ordered(hadamard_coin()), 4)
+
+
+def test_asymptotic_entropy_memory_grows_linearly():
+    # The dense trajectory of 4096 steps alone takes 0.5 GB; the streamed
+    # reduction keeps one 2x2 matrix per step and the current amplitudes.
+    tracemalloc.start()
+    try:
+        asymptotic_entropy(InitialCoin(51, 0), Ordered(hadamard_coin()), steps=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_asymptotic_entropy_tail_validation():

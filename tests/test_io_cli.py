@@ -11,8 +11,9 @@ import pytest
 
 import dtqw
 from dtqw import io
-from dtqw.cli import CLIError, build_parser, main, resolve_config
+from dtqw.cli import TRAJECTORY_ROW_LIMIT, CLIError, build_parser, main, resolve_config
 from dtqw.coins import hadamard_coin
+from dtqw.entanglement import density_eigenvalues, reduced_coin_density, state_entropy
 from dtqw.transport import MomentSeries
 from dtqw.walk import InitialCoin, Ordered, evolve
 
@@ -101,6 +102,21 @@ def test_cli_walk_rejects_zero_steps(tmp_path, capsys):
     assert "steps" in err["message"]
 
 
+def test_cli_walk_refuses_trajectory_past_the_row_limit(tmp_path, capsys):
+    # (steps + 1)^2 rows: 1023 steps is the largest accepted walk.
+    assert (1023 + 1) ** 2 <= TRAJECTORY_ROW_LIMIT < (1024 + 1) ** 2
+    out = tmp_path / "big"
+    code = run_cli(
+        "walk", "--theta", "51", "--phi", "0", "--steps", "1024",
+        "--ordered", "H", "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert str(TRAJECTORY_ROW_LIMIT) in err["message"]
+    assert not out.exists()
+
+
 def test_cli_refuses_overwrite_without_force(tmp_path, capsys):
     out = tmp_path / "run"
     args = ("walk", "--theta", "51", "--phi", "0", "--steps", "2",
@@ -123,6 +139,21 @@ def test_cli_entropy_multiple_phis(tmp_path):
     assert header == list(io.ENTROPY_EIGEN_HEADER)
     assert len(rows) == 6
     assert float(rows[0][1]) == 0.0  # t = 0 row
+
+    def same_at_12_digits(text, ref):
+        # Printed with 12 significant digits; the last one may differ by one.
+        unit = 10.0 ** (np.floor(np.log10(abs(ref))) - 11) if ref else 1e-300
+        return abs(float(text) - ref) <= 1.5 * unit
+
+    for phi in (0, 90, 180):
+        _, rows = read_csv(out / f"entropy_curve_phi{phi}.csv")
+        states = evolve(InitialCoin(51, phi), Ordered(hadamard_coin()), 5)
+        for row, state in zip(rows, states):
+            assert int(row[0]) == state.t
+            rho = reduced_coin_density(state)
+            refs = (state_entropy(state), *density_eigenvalues(rho))
+            for text, ref in zip(row[1:], refs):
+                assert same_at_12_digits(text, float(ref)), (phi, row, refs)
 
 
 def test_cli_entropy_checks_every_phi_before_writing(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from dtqw.coins import hadamard_coin
+from dtqw.coins import SIGMA_X, SIGMA_Y, SIGMA_Z, hadamard_coin
 from dtqw.entanglement import state_entropy
 from dtqw.tomography import (
     fidelity,
@@ -250,3 +250,37 @@ def test_tomography_reproducible_under_seed():
     b = tomographic_entropy(state, 6000, seed=3)
     assert a.entropy_hat == b.entropy_hat
     assert a.rho_c_fidelity == b.rho_c_fidelity
+
+
+def test_vectorized_sites_match_per_site_references():
+    """rho_hat is the projected linear inversion; site fidelities are Uhlmann's."""
+    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0), 20)[-1]
+    for seed in range(5):
+        # Few counts: empty x/y pairs and Stokes vectors outside the ball occur.
+        result = tomographic_entropy(state, 300, seed=seed)
+        kept = result.counts.counts[np.isin(result.counts.sites, result.sites)]
+        for row, c in enumerate(kept):
+            rho = np.eye(2, dtype=complex) / 2.0
+            for plus, sigma in zip((0, 2, 4), (SIGMA_Z, SIGMA_X, SIGMA_Y)):
+                if c[plus] + c[plus + 1] > 0.0:
+                    rho = rho + 0.5 * (c[plus] - c[plus + 1]) / (c[plus] + c[plus + 1]) * sigma
+            rho = project_to_physical(rho)
+            np.testing.assert_allclose(result.rho_hat[row], rho, rtol=0, atol=1e-12)
+            spinor = state.spinor(int(result.sites[row]))
+            truth = np.outer(spinor, spinor.conj()) / np.vdot(spinor, spinor).real
+            assert abs(result.site_fidelities[row] - fidelity(rho, truth)) < 1e-8
+
+
+def test_site_with_subnormal_weight_is_reconstructed():
+    # Site -1 holds |down> with weight 1e-320: its noiseless counts are
+    # subnormal but nonzero, so the site is kept and must score finitely.
+    amps = np.zeros((2, 3), dtype=complex)
+    amps[:, 2] = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    amps[1, 0] = 1e-160j
+    state = WalkState(t=1, amps=amps)
+    result = tomographic_entropy(state, 10**6, noiseless=True)
+    assert list(result.sites) == [-1, 1]
+    assert np.all(np.isfinite(result.site_fidelities))
+    assert result.site_fidelities.min() > 1.0 - 1e-9
+    np.testing.assert_allclose(result.rho_hat[0], [[0, 0], [0, 1]], atol=1e-15)
+    assert abs(result.entropy_hat - state_entropy(state)) < 1e-9

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from dtqw.coins import fourier_coin, hadamard_coin, identity_coin
+from dtqw.entanglement import coin_density_curve, reduced_coin_density
+from dtqw.transport import moment_series, position_distribution, second_moment
 from dtqw.walk import (
+    CoinPlan,
     DynamicRandom,
     DynamicSequence,
     InitialCoin,
@@ -10,7 +13,11 @@ from dtqw.walk import (
     StaticAndDynamic,
     StaticRandom,
     WalkState,
+    _coin_density,
+    _propagate,
+    _second_moment,
     evolve,
+    final_state,
     initial_state,
     plan_coins,
     shift,
@@ -122,6 +129,51 @@ def test_step_chain_equals_evolve_bit_for_bit():
 
 
 # --- evolve ------------------------------------------------------------------
+
+FIVE_POLICIES = [
+    Ordered(hadamard_coin()),
+    DynamicSequence(SC0),
+    DynamicRandom(seed=7),
+    StaticRandom(seed=7),
+    StaticAndDynamic(static_seed=3, dynamic_seed=11),
+]
+
+
+@pytest.mark.parametrize("policy", FIVE_POLICIES)
+def test_final_state_equals_last_evolve_state_bit_for_bit(policy):
+    init = InitialCoin(33, 120)
+    final = final_state(init, policy, 20)
+    expected = evolve(init, policy, 20)[-1]
+    assert final.t == expected.t
+    np.testing.assert_array_equal(final.amps, expected.amps)
+
+
+@pytest.mark.parametrize("policy", FIVE_POLICIES)
+def test_streamed_reductions_equal_dense_states(policy):
+    """rho_C(t) and m2(t) reduced from the compressed arrays match the dense states."""
+    init = InitialCoin(51, 30)
+    states = evolve(init, policy, 20)
+    rho = coin_density_curve(init, policy, 20)
+    assert rho.shape == (21, 2, 2)
+    for t, state in enumerate(states):
+        np.testing.assert_allclose(rho[t], reduced_coin_density(state), rtol=0, atol=1e-12)
+    dense_m2 = [second_moment(position_distribution(s)) for s in states[1:]]
+    np.testing.assert_allclose(moment_series(init, policy, 20).m2, dense_m2, rtol=1e-12, atol=0)
+
+
+def test_streamed_reductions_carry_batch_axes():
+    init = InitialCoin(51, 30)
+    plans = [plan_coins(DynamicRandom(seed=k), 20) for k in range(4)]
+    batch = CoinPlan(20, plans[0].alphabet, step_bits=np.stack([p.step_bits for p in plans]))
+    walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
+    for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1):
+        rho, m2 = _coin_density(up, dn), _second_moment(up, dn)
+        assert rho.shape == (4, 2, 2) and m2.shape == (4,)
+        for k, states in enumerate(walks):
+            np.testing.assert_allclose(rho[k], reduced_coin_density(states[t]), rtol=0, atol=1e-12)
+            dense = second_moment(position_distribution(states[t]))
+            np.testing.assert_allclose(m2[k], dense, rtol=1e-12, atol=0)
+
 
 
 def test_evolve_identity_coin_marches_right():
