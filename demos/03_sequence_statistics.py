@@ -15,7 +15,6 @@ here is n = 16 so the demo stays quick.
 import sys
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from dtqw import (
     CoinSequence,
@@ -25,6 +24,22 @@ from dtqw import (
     exhaustive_sweep,
     lz_complexity,
 )
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..len(x), tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], len(x)] - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + last) / 2 + 1, last - first + 1)
+    return ranks
+
+
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation: Pearson's r of the average ranks."""
+    return float(np.corrcoef(average_ranks(x), average_ranks(y))[0, 1])
 
 
 def main() -> None:
@@ -61,7 +76,7 @@ def main() -> None:
     complexities = np.array(
         [lz_complexity(CoinSequence.from_int(v, n)) for v in range(1 << n)]
     )
-    rho, _ = spearmanr(complexities, entropies)
+    rho = spearman(complexities, entropies)
     mean_by_c = {
         int(c): float(entropies[complexities == c].mean())
         for c in np.unique(complexities)

@@ -17,7 +17,8 @@ writes its entropies to the slice of the enumeration that its later coins
 select.  This costs about 2(n+1) site updates per sequence instead of the
 n^2/2 of stepping every sequence from the origin.  A task is an aligned
 power-of-two range of whole batches; a sweep with one task (one worker, or
-n <= 14) runs in process without a worker pool.  Random sequences share no
+fewer than 2^17 sequences, where a pool costs more than it saves) runs in
+process without a worker pool.  Random sequences share no
 prefixes, so the sampled sweep steps each batch from the origin.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
@@ -82,6 +83,12 @@ _BATCH_SIZE = 1 << 14
 _LEAF_BITS = 10
 
 _EXHAUSTIVE_LIMIT = 24
+
+#: Exhaustive sweeps of fewer sequences run in process whatever `workers`
+#: says: below 2^17 sequences two workers take longer than one.  (A
+#: process's first pool pays ~0.1 s more to start, which moves that
+#: crossover to ~2^19 for a one-sweep process such as `dtqw sweep`.)
+_POOL_MIN_SEQUENCES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,10 @@ def _tree_entropies(n, spinor, varying, high):
             descend(*state, t + 1, offset)
 
     descend(up, dn, breadth, 0)
+    # `descend` refers to itself through its closure; breaking that cycle
+    # frees `level` and `out` by reference count instead of at the next
+    # garbage collection, which repeated in-process sweeps would wait on.
+    del descend
     return out
 
 
@@ -405,9 +416,10 @@ def exhaustive_sweep(
         `fraction_above` reports the fraction of sequences with entropy
         strictly above this value.
     workers : int
-        Worker processes (>= 1).  The report is bit-identical for any value.
-        The work splits into at most `workers` tasks of 2^k whole batches of
-        2^14 sequences; one task runs in process.
+        Upper bound on the worker processes (>= 1).  The report is
+        bit-identical for any value.  Below 2^17 sequences the sweep runs in
+        process as one task whatever the value; otherwise the work splits
+        into at most `workers` tasks of 2^k whole batches of 2^14 sequences.
 
     Returns
     -------
@@ -423,6 +435,8 @@ def exhaustive_sweep(
             f"{_EXHAUSTIVE_LIMIT}); use sampled_sweep instead"
         )
     _check_workers(workers)
+    if (1 << n) < _POOL_MIN_SEQUENCES:
+        workers = 1
     edges = _resolve_bins(bins)
     spinor = init.spinor
     started = time.perf_counter()

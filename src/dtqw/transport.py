@@ -5,7 +5,10 @@ origin grows: ballistic spreading goes as t^2, classical diffusion as t, and
 disordered walks land in between (sub-ballistic).  Moment series, of one walk
 or of a batched random ensemble, reduce the walk kernel's arrays to m2 as
 they stream.  `fit_power_law` extracts (prefactor, exponent) from a moment
-series by least squares against c * t^alpha.
+series by least squares against c * t^alpha, in numpy alone, by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for a
+fixed exponent the best prefactor is linear, so the fit is a 1-D search for
+the exponent, stopped at floating-point resolution.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import curve_fit
 
 from .walk import CoinPlan, CoinPolicy, DynamicRandom, InitialCoin, WalkState
 from .walk import _propagate, _second_moment, plan_coins
@@ -30,6 +32,10 @@ __all__ = [
     "classical_baseline",
     "fit_power_law",
 ]
+
+#: Profile-slope evaluations one fit may spend; the package's moment series
+#: take 10 to 20 (bracketing included).
+_FIT_MAX_EVALS = 100
 
 
 @dataclass(frozen=True)
@@ -117,21 +123,98 @@ def classical_baseline(steps: int) -> MomentSeries:
     return MomentSeries(times=t, m2=t.astype(np.float64))
 
 
+def _profile(
+    log_t: NDArray[np.float64], m2: NDArray[np.float64], alpha: float
+) -> tuple[float, float]:
+    """Best prefactor c(alpha), and a value > 0 where the profile SSE falls.
+
+    The slope of sum r^2 (r = m2 - c(alpha) t^alpha) is -2 c(alpha) sum r
+    t^alpha log t.  The second value is sum r u log(t / t_ref) with u = (t /
+    t_ref)^alpha, the negated slope up to a positive factor (sum r u = 0 at
+    c(alpha)); t_ref is the largest t for alpha >= 0, else the smallest, so
+    u <= 1 and nothing overflows.
+    """
+    ref = log_t.max() if alpha >= 0 else log_t.min()
+    d = log_t - ref
+    u = np.exp(alpha * d)
+    scale = (u @ m2) / (u @ u)
+    r = m2 - scale * u
+    return float(scale * np.exp(-alpha * ref)), float(r @ (u * d))
+
+
+def _best_exponent(
+    log_t: NDArray[np.float64], m2: NDArray[np.float64], alpha0: float
+) -> float:
+    """Stationary exponent of the profile SSE; see `fit_power_law`."""
+    budget = iter(range(_FIT_MAX_EVALS))
+    # Moving alpha by less than this moves no (t / t')^alpha by a rounding unit.
+    resolution = np.finfo(np.float64).eps / float(log_t.max() - log_t.min())
+
+    def downhill(alpha: float) -> float:
+        if next(budget, None) is None:
+            raise ValueError(
+                f"power-law fit did not converge within _FIT_MAX_EVALS = "
+                f"{_FIT_MAX_EVALS} evaluations"
+            )
+        return _profile(log_t, m2, alpha)[1]
+
+    a, fa = alpha0, downhill(alpha0)
+    if fa == 0.0:
+        return a
+    step = float(np.copysign(1e-2, fa))
+    b, fb = a + step, downhill(a + step)
+    while fa * fb > 0.0:
+        a, fa, step = b, fb, 2.0 * step
+        b, fb = a + step, downhill(a + step)
+    (lo, f_lo), (hi, f_hi) = sorted([(a, fa), (b, fb)])
+    kept = 0  # the end the previous step kept: -1 lo, +1 hi
+    while f_lo != 0.0 and f_hi != 0.0 and hi - lo > resolution:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = downhill(x)
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
 def fit_power_law(
     series: MomentSeries, t_min: int = 1, t_max: int | None = None
 ) -> PowerLawFit:
     """Fit m2 = c * t^alpha over the window t in [t_min, t_max].
 
-    The closed-form log-log least-squares line provides the starting point,
-    which is then refined by least squares on m2 itself (the refinement is a
-    no-op for exact power-law input, where the log-log line is already the
-    optimum).  Needs at least 3 points in the window and strictly positive
-    moments.
+    Least squares on m2 itself, by variable projection: for each alpha the
+    best c is c(alpha) = sum t^alpha m2 / sum t^(2 alpha), so only alpha is
+    searched.  The closed-form log-log least-squares line gives the starting
+    exponent; steps of 0.01, doubling, walk downhill from it until the slope
+    of the profile SSE changes sign, and Illinois false position (bisection
+    when it would leave the bracket) narrows that bracket until no double
+    lies strictly inside it or it is too narrow to move any ratio (t /
+    t')^alpha of window times by a rounding unit: the optimum's
+    floating-point limit.  Needs at least 3 points in the
+    window and strictly positive moments.
 
     Returns
     -------
     PowerLawFit
         Prefactor, exponent, and RMS log-log residual of the returned fit.
+
+    Raises
+    ------
+    ValueError
+        On a bad window or moments, if the search needs more than
+        `_FIT_MAX_EVALS` slope evaluations, or if the optimum's prefactor
+        over- or underflows a double.
     """
     if t_min < 1:
         raise ValueError(f"t_min must be >= 1, got {t_min}")
@@ -146,19 +229,14 @@ def fit_power_law(
 
     log_t, log_m = np.log(t), np.log(m2)
     design = np.column_stack([log_t, np.ones_like(log_t)])
-    (alpha0, log_c0), *_ = np.linalg.lstsq(design, log_m, rcond=None)
+    (alpha0, _), *_ = np.linalg.lstsq(design, log_m, rcond=None)
 
-    popt, _ = curve_fit(
-        lambda x, c, a: c * x**a,
-        t,
-        m2,
-        p0=(np.exp(log_c0), alpha0),
-        maxfev=10000,
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    c, alpha = float(popt[0]), float(popt[1])
+    alpha = _best_exponent(log_t, m2, float(alpha0))
+    c = _profile(log_t, m2, alpha)[0]
+    if not 0.0 < c < np.inf:
+        raise ValueError(
+            f"power-law fit has no representable prefactor (exponent {alpha:.6g})"
+        )
     residual = float(np.sqrt(np.mean((log_m - (np.log(c) + alpha * log_t)) ** 2)))
     return PowerLawFit(
         prefactor=c, exponent=alpha, residual=residual, t_min=int(t_min), t_max=int(hi)

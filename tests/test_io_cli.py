@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dtqw
-from dtqw import io
+from dtqw import io, transport
 from dtqw.cli import TRAJECTORY_ROW_LIMIT, CLIError, build_parser, main, resolve_config
 from dtqw.coins import hadamard_coin
 from dtqw.entanglement import density_eigenvalues, reduced_coin_density, state_entropy
@@ -398,6 +398,30 @@ def test_cli_walk_then_fit_round_trip(tmp_path):
     fit = json.loads((out / "fit.json").read_text())
     assert abs(fit["exponent"] - 2.0) <= 0.1
     assert abs(fit["prefactor"] - 0.29) <= 0.03
+
+
+def test_cli_fit_reports_non_convergence(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(transport, "_FIT_MAX_EVALS", 1)
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--classical", "20", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "config", "message": err["message"]}
+    assert "did not converge within _FIT_MAX_EVALS = 1" in err["message"]
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(dtqw.__file__).parents[1]))
+    code = (
+        "import sys, dtqw, dtqw.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_fit_requires_one_source(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtqw import sequences
 from dtqw.entanglement import _coin_density, _entropy_bits, state_entropy
 from dtqw.sequences import (
     ENHANCER_20,
@@ -181,9 +184,10 @@ def test_exhaustive_refuses_oversized_enumeration():
         exhaustive_sweep(INIT, 0)
 
 
-def test_exhaustive_worker_counts_agree_bit_for_bit():
+def _assert_worker_counts_agree():
     # n = 10 is one batch, run in process; n = 16 and 17 split into two
-    # tasks (three workers round down to two) or, at n = 17, four.
+    # tasks (three workers round down to two) or, at n = 17, four, where
+    # `_POOL_MIN_SEQUENCES` lets them reach the pool.
     for n, counts in ((10, (2, 8)), (16, (2, 3)), (17, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
@@ -195,6 +199,40 @@ def test_exhaustive_worker_counts_agree_bit_for_bit():
             assert r.argmax_sequences == base.argmax_sequences
             np.testing.assert_array_equal(r.bin_counts, base.bin_counts)
             np.testing.assert_array_equal(r.entropies, base.entropies)
+
+
+def test_exhaustive_worker_counts_agree_bit_for_bit():
+    _assert_worker_counts_agree()
+
+
+def test_exhaustive_pool_path_agrees_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
+    _assert_worker_counts_agree()
+
+
+def test_small_exhaustive_sweep_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    assert (1 << 16) < sequences._POOL_MIN_SEQUENCES
+    base = exhaustive_sweep(INIT, 16, workers=1)
+    monkeypatch.setattr(sequences, "ProcessPoolExecutor", refuse)
+    report = exhaustive_sweep(INIT, 16, workers=2)
+    np.testing.assert_array_equal(report.entropies, base.entropies)
+    assert report.mean_entropy == base.mean_entropy
+
+
+def test_exhaustive_sweep_leaves_no_reference_cycles():
+    # Buffers held by a cycle outlive the sweep until the next collection:
+    # back-to-back in-process sweeps then pile them up.
+    exhaustive_sweep(INIT, 12)
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_sweep(INIT, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_tree_matches_batch_propagation():

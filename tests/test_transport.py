@@ -1,6 +1,10 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
+from dtqw import transport
 from dtqw.coins import hadamard_coin
 from dtqw.transport import (
     MomentSeries,
@@ -11,7 +15,16 @@ from dtqw.transport import (
     position_distribution,
     second_moment,
 )
-from dtqw.walk import DynamicRandom, DynamicSequence, InitialCoin, Ordered, evolve, initial_state
+from dtqw.walk import (
+    DynamicRandom,
+    DynamicSequence,
+    InitialCoin,
+    Ordered,
+    StaticAndDynamic,
+    StaticRandom,
+    evolve,
+    initial_state,
+)
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
@@ -83,6 +96,71 @@ def test_fit_window_and_errors():
     bad = MomentSeries(times=t, m2=np.concatenate([[0.0], t[1:].astype(float)]))
     with pytest.raises(ValueError):
         fit_power_law(bad)
+
+
+def _sse(series, c, alpha):
+    """Sum of squared residuals of c * t^alpha, in 40-digit decimal arithmetic.
+
+    In doubles, the residuals of a near-exact t^2 series (ordered walk) carry
+    rounding noise of ~1e-11 relative in their sum, enough to swap the order
+    of two optima that agree to 14 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, alpha = Decimal(c), Decimal(alpha)
+        return sum(
+            (Decimal(float(m)) - c * Decimal(int(t)) ** alpha) ** 2
+            for t, m in zip(series.times, series.m2)
+        )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        Ordered(hadamard_coin()),
+        DynamicRandom(seed=7),
+        StaticRandom(seed=7),
+        StaticAndDynamic(static_seed=7, dynamic_seed=8),
+        None,
+    ],
+    ids=["ordered", "dynamic", "static", "static_and_dynamic", "ensemble"],
+)
+def test_fit_matches_curve_fit_oracle(policy):
+    init = InitialCoin(51, 0)
+    if policy is None:
+        series = ensemble_moment_series(init, 100, n_seeds=64, base_seed=0)
+    else:
+        series = moment_series(init, policy, 2048)
+    t = series.times.astype(float)
+    log_t, log_m = np.log(t), np.log(series.m2)
+    alpha0, log_c0 = np.polyfit(log_t, log_m, 1)
+    (c_ref, alpha_ref), _ = curve_fit(
+        lambda x, c, a: c * x**a, t, series.m2, p0=(np.exp(log_c0), alpha0),
+        maxfev=10000, xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    fit = fit_power_law(series)
+    assert _sse(series, fit.prefactor, fit.exponent) <= _sse(series, c_ref, alpha_ref) * (
+        1 + Decimal("1e-12")
+    )
+    assert abs(fit.prefactor / c_ref - 1) < 1e-8
+    assert abs(fit.exponent / alpha_ref - 1) < 1e-8
+
+
+def test_fit_that_does_not_converge_raises(monkeypatch):
+    series = moment_series(InitialCoin(51, 0), Ordered(hadamard_coin()), 20)
+    monkeypatch.setattr(transport, "_FIT_MAX_EVALS", 1)
+    with pytest.raises(ValueError, match="_FIT_MAX_EVALS = 1 evaluations"):
+        fit_power_law(series)
+
+
+def test_fit_refuses_unrepresentable_prefactor():
+    # One outlier at the end pulls the least-squares exponent past 600,
+    # where c = m2 / 70^alpha underflows.
+    t = np.arange(1, 71)
+    m2 = t.astype(float) ** 1.9
+    m2[-1] *= 1e4
+    with pytest.raises(ValueError, match="no representable prefactor"):
+        fit_power_law(MomentSeries(times=t, m2=m2))
 
 
 def test_classical_baseline_values_and_fit():
