@@ -7,7 +7,11 @@ exactly n coins.  A single kernel does all stepping.  It stores parity-compresse
 amplitudes ``up``, ``dn`` of shape (..., t+1), column m holding site j = 2m - t
 (the only sites that can carry amplitude), and treats leading axes as
 independent walks: one walk, a batch of coin sequences, or a random ensemble.
-The per-step reductions live beside it, the reduced coin matrix and the
+The kernel owns its buffers and allocates nothing per step: two flat arrays
+alternate as each step's output and a third holds the coin products, every
+step using a reshaped prefix of them, and per-site coins are resolved once
+into tables that each step slices.  A yielded step therefore lives for two
+steps.  The per-step reductions live beside it, the reduced coin matrix and the
 second moment about the origin, and read those arrays as they stream; this
 module alone knows the column-to-site map.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
@@ -22,6 +26,7 @@ generator, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -216,19 +221,30 @@ class CoinPlan:
         self.site_bits = site_bits
         self.site_origin = site_origin  # lattice site of site_bits[0]
         self.step_bits = step_bits
+        # Coins resolved once per site of the light cone -steps..steps, row b
+        # holding alphabet[site_bits ^ b]; without site bits, one column that
+        # broadcasts over every site.
+        if site_bits is None:
+            self._table = alphabet[:, None]
+        else:
+            lo = -steps - site_origin
+            cone = site_bits[lo : lo + 2 * steps + 1]
+            self._table = alphabet[cone ^ np.arange(1 if step_bits is None else 2)[:, None]]
 
-    def coin_index(self, t: int):
-        """Alphabet indices for step t at sites -t, -t+2, .., t.
+    def coins(self, t: int) -> NDArray[np.complex128]:
+        """Coins of step t at sites -t, -t+2, .., t.
 
-        Broadcasts against (..., t+1) amplitudes per walk, per site, or both.
+        Broadcasts as (..., 2, 2) against (..., t+1) amplitudes: one coin, one
+        per walk, one per site, or both.  For a single walk this is a view.
         """
-        idx = 0
-        if self.step_bits is not None:
-            idx = self.step_bits[..., t, None]
+        table = self._table
         if self.site_bits is not None:
-            lo = -t - self.site_origin
-            idx = idx ^ self.site_bits[lo : lo + 2 * t + 1 : 2]
-        return idx
+            lo = self.steps - t  # site -t in a table that starts at site -steps
+            table = table[:, lo : lo + 2 * t + 1 : 2]
+        if self.step_bits is None:
+            return table[0]
+        bits = self.step_bits[..., t]
+        return table[bits] if bits.ndim else table[int(bits)]  # an int index keeps the view
 
     def coin_matrix(self, t: int, j: int) -> NDArray[np.complex128]:
         """Coin applied at site j during step t (t = 0 .. steps-1) of a single walk."""
@@ -311,27 +327,33 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     )
 
 
-def _coin_shift(up, dn, c, out=None):
+def _coin_shift(up, dn, c, out=None, scratch=None):
     """One step of parity-compressed walks: coin `c` on every site, then the shift.
 
     `c` broadcasts as (..., 2, 2): its leading axes broadcast against those
     of `up`/`dn` (..., t+1), one coin per walk, per site, or a single coin.
-    Returns (up, dn) of shape (..., t+2): |up> moves one column right and
-    |down> stays, which is j -> j+1 and j -> j-1 on the lattice.  With `out`,
-    a (2, ..., t+2) array, the step writes into it and returns its two rows.
+    Writes into `out`, a (2, ..., t+2) array, and returns its two rows:
+    |up> moves one column right and |down> stays, which is j -> j+1 and
+    j -> j-1 on the lattice.  `scratch`, a (2, ..., t+1) array, holds the
+    coin products, which are summed in place and then copied into `out`.
+    Both are allocated when not given.
     """
-
-    def row(i):
-        return c[..., i, 0] * up + c[..., i, 1] * dn
-
     if out is None:
-        shape = np.broadcast_shapes(up.shape, c.shape[:-2])[:-1] + (1,)
-        zero = np.zeros(shape, dtype=np.complex128)
-        return np.concatenate([zero, row(0)], axis=-1), np.concatenate([row(1), zero], axis=-1)
+        shape = np.broadcast_shapes(up.shape, c.shape[:-2])
+        out = np.empty((2,) + shape[:-1] + (shape[-1] + 1,), dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty(out[:, ..., 1:].shape, dtype=np.complex128)
+
+    def row(i, dest):
+        np.multiply(c[..., i, 0], up, out=scratch[0])
+        np.multiply(c[..., i, 1], dn, out=scratch[1])
+        np.add(scratch[0], scratch[1], out=scratch[0])
+        dest[...] = scratch[0]
+
+    row(0, out[0, ..., 1:])
     out[0, ..., 0] = 0
-    out[0, ..., 1:] = row(0)
+    row(1, out[1, ..., :-1])
     out[1, ..., -1] = 0
-    out[1, ..., :-1] = row(1)
     return out[0], out[1]
 
 
@@ -339,13 +361,21 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
 
     After step t the arrays have shape (..., t+1), leading axes those of
-    ``plan.step_bits[..., 0]``, and column m holds site j = 2m - t.
+    ``plan.step_bits[..., 0]``, and column m holds site j = 2m - t.  The
+    kernel allocates its buffers once: two flat ones that alternate as each
+    step's output and one scratch, whose reshaped prefixes serve every step.
+    A yielded pair is therefore overwritten two steps later; reduce or copy
+    it before then.
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
+    column = 2 * math.prod(batch)  # elements per column of a (2, ..., width) array
+    buffers = np.empty((3, column * (plan.steps + 1)), dtype=np.complex128)
     up = np.full(batch + (1,), spinor[0], dtype=np.complex128)
     dn = np.full(batch + (1,), spinor[1], dtype=np.complex128)
     for t in range(plan.steps):
-        up, dn = _coin_shift(up, dn, plan.alphabet[plan.coin_index(t)])
+        out = buffers[t % 2, : column * (t + 2)].reshape((2,) + batch + (t + 2,))
+        scratch = buffers[2, : column * (t + 1)].reshape((2,) + batch + (t + 1,))
+        up, dn = _coin_shift(up, dn, plan.coins(t), out, scratch)
         yield up, dn
 
 
@@ -353,8 +383,12 @@ def _coin_density(up, dn):
     """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the last axis.
 
     Works on dense rows and on parity-compressed ones alike; leading axes
-    carry through to a (..., 2, 2) result.
+    carry through to a (..., 2, 2) result.  One walk reduces with three
+    BLAS dot products.
     """
+    if up.ndim == 1:
+        r01 = np.vdot(dn, up)
+        return np.array([[np.vdot(up, up).real, r01], [np.conj(r01), np.vdot(dn, dn).real]])
     r00 = np.sum(np.abs(up) ** 2, axis=-1)
     r01 = np.sum(up * np.conj(dn), axis=-1)
     r11 = np.sum(np.abs(dn) ** 2, axis=-1)

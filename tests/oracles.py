@@ -88,6 +88,28 @@ def dense_trajectory(init: InitialCoin, policy, steps: int) -> list[np.ndarray]:
     return out
 
 
+def reference_propagate(plan: CoinPlan, spinor: np.ndarray):
+    """Yield (up, dn) after each step, allocating fresh arrays at every step.
+
+    The kernel's arithmetic written plainly: gather each site's coin from the
+    plan's bits, form c00*up + c01*dn and c10*up + c11*dn, and pad with a
+    zero column to shift.  The engine must reproduce it bit for bit.
+    """
+    batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
+    up = np.full(batch + (1,), spinor[0], dtype=complex)
+    dn = np.full(batch + (1,), spinor[1], dtype=complex)
+    for t in range(plan.steps):
+        idx = 0 if plan.step_bits is None else plan.step_bits[..., t, None]
+        if plan.site_bits is not None:
+            lo = -t - plan.site_origin
+            idx = idx ^ plan.site_bits[lo : lo + 2 * t + 1 : 2]
+        c = plan.alphabet[idx]
+        row0, row1 = c[..., 0, 0] * up + c[..., 0, 1] * dn, c[..., 1, 0] * up + c[..., 1, 1] * dn
+        zero = np.zeros(row0.shape[:-1] + (1,), dtype=complex)
+        up, dn = np.concatenate([zero, row0], axis=-1), np.concatenate([row1, zero], axis=-1)
+        yield up, dn
+
+
 def embed_state(state: WalkState, w: int) -> np.ndarray:
     """Embed a WalkState into the dense oracle's vector layout."""
     vec = np.zeros(2 * (2 * w + 1), dtype=complex)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from dtqw.walk import (
     shift,
     step,
 )
-from oracles import dense_trajectory, embed_state, random_walk_state
+from oracles import dense_trajectory, embed_state, random_walk_state, reference_propagate
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
@@ -119,7 +121,8 @@ def test_six_hadamard_steps_match_dense_oracle():
 
 
 def test_step_chain_equals_evolve_bit_for_bit():
-    # Both go through the one coin-and-shift kernel.
+    # Both go through the one coin-and-shift kernel; evolve is also checked
+    # against the allocate-per-step reference below.
     init = InitialCoin(51, 30)
     states = evolve(init, Ordered(fourier_coin()), 40)
     state = initial_state(init)
@@ -161,10 +164,15 @@ def test_streamed_reductions_equal_dense_states(policy):
     np.testing.assert_allclose(moment_series(init, policy, 20).m2, dense_m2, rtol=1e-12, atol=0)
 
 
+def dynamic_batch(steps: int, walks: int = 4) -> CoinPlan:
+    """One plan whose leading axis runs the walks of DynamicRandom(seed=0 .. walks-1)."""
+    plans = [plan_coins(DynamicRandom(seed=k), steps) for k in range(walks)]
+    return CoinPlan(steps, plans[0].alphabet, step_bits=np.stack([p.step_bits for p in plans]))
+
+
 def test_streamed_reductions_carry_batch_axes():
     init = InitialCoin(51, 30)
-    plans = [plan_coins(DynamicRandom(seed=k), 20) for k in range(4)]
-    batch = CoinPlan(20, plans[0].alphabet, step_bits=np.stack([p.step_bits for p in plans]))
+    batch = dynamic_batch(20)
     walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
     for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1):
         rho, m2 = _coin_density(up, dn), _second_moment(up, dn)
@@ -174,6 +182,78 @@ def test_streamed_reductions_carry_batch_axes():
             dense = second_moment(position_distribution(states[t]))
             np.testing.assert_allclose(m2[k], dense, rtol=1e-12, atol=0)
 
+
+
+# The origin of StaticRandom's range is -7, not -steps, so its site slices are offset.
+KERNEL_CASES = [(p, 20) for p in FIVE_POLICIES] + [(StaticRandom(seed=5, site_range=(-7, 12)), 7)]
+KERNEL_IDS = [type(p).__name__ for p in FIVE_POLICIES] + ["StaticRandom-offset"]
+
+
+def static_batch(steps: int) -> CoinPlan:
+    """The walks of `dynamic_batch` on one frozen site pattern: coins per walk and per site."""
+    static = plan_coins(StaticRandom(seed=9), steps)
+    step_bits = dynamic_batch(steps).step_bits
+    return CoinPlan(steps, static.alphabet, static.site_bits, static.site_origin, step_bits)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [plan_coins(p, steps) for p, steps in KERNEL_CASES] + [dynamic_batch(20), static_batch(20)],
+    ids=KERNEL_IDS + ["batch", "static-batch"],
+)
+def test_kernel_matches_reference_bit_for_bit(plan):
+    """The buffered kernel equals the allocate-per-step reference after every step."""
+    spinor = InitialCoin(51, 30).spinor
+    steps = 0
+    # Compare before advancing: the kernel overwrites a yielded pair two steps later.
+    kernel, reference = _propagate(plan, spinor), reference_propagate(plan, spinor)
+    for (up, dn), (ref_up, ref_dn) in zip(kernel, reference):
+        np.testing.assert_array_equal(up, ref_up)
+        np.testing.assert_array_equal(dn, ref_dn)
+        steps += 1
+    assert steps == plan.steps
+
+
+@pytest.mark.parametrize("policy,steps", KERNEL_CASES, ids=KERNEL_IDS)
+def test_evolve_matches_reference_bit_for_bit(policy, steps):
+    init = InitialCoin(33, 120)
+    states = evolve(init, policy, steps)
+    reference = reference_propagate(plan_coins(policy, steps), init.spinor)
+    for state, (up, dn) in zip(states[1:], reference, strict=True):
+        np.testing.assert_array_equal(state.amps[:, ::2], np.stack([up, dn]))
+        assert not state.amps[:, 1::2].any()
+
+
+def test_single_walk_coin_density_matches_batched_rows():
+    """One walk's rho_C (BLAS dot products) and its row of a batch agree at every step.
+
+    The sweep reports batched entropies and `entropy_of_sequence` re-checks
+    one sequence through the single-walk path.
+    """
+    init = InitialCoin(51, 30)
+    curves = [coin_density_curve(init, DynamicRandom(seed=k), 200) for k in range(4)]
+    for t, (up, dn) in enumerate(_propagate(dynamic_batch(200), init.spinor), 1):
+        rho = _coin_density(up, dn)
+        for k, curve in enumerate(curves):
+            np.testing.assert_allclose(_coin_density(up[k], dn[k]), rho[k], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(curve[t], rho[k], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "policy,steps",
+    [(StaticAndDynamic(1, 2), 4096), (StaticRandom(seed=3, site_range=(-10**5, 10**5)), 100)],
+    ids=["StaticAndDynamic", "StaticRandom-wide-range"],
+)
+def test_final_state_memory_stays_linear_for_static_plans(policy, steps):
+    # Step buffers and coin tables are O(steps): tables cover the light cone,
+    # not the whole site range, and nothing may grow per step.
+    tracemalloc.start()
+    try:
+        final_state(InitialCoin(51, 0), policy, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_evolve_identity_coin_marches_right():
