@@ -6,9 +6,10 @@ Each run is configured by flags, by a flat ``key = value`` config file
 ``schema_version = 1`` and may pin the subcommand with a ``command`` key.
 All outputs are CSV tables with fixed headers plus JSON mirrors that echo
 the fully resolved configuration, so any output can be reproduced from the
-file alone.  Existing files are never overwritten unless ``--force`` is
-given.  Every failure, a bad flag included, prints a JSON object on stderr
-and exits 1.
+file alone.  Each command declares its output files once, before it
+computes anything; names that collide and existing files (unless
+``--force`` is given) are refused there.  Every failure, a bad flag
+included, prints a JSON object on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .sequences import (
     exhaustive_sweep,
     lz_complexity,
     parse_sequence,
+    parse_sequence_lines,
     reference_sequences,
     sampled_sweep,
 )
@@ -214,10 +216,7 @@ def _initial_coin(cfg: dict, phi: float | None = None) -> InitialCoin:
         if len(phis) != 1:
             raise CLIError("this command takes exactly one phi value")
         phi = phis[0]
-    try:
-        return InitialCoin(theta_deg=cfg["theta"], phi_deg=phi)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    return InitialCoin(theta_deg=cfg["theta"], phi_deg=phi)
 
 
 def _policy(cfg: dict):
@@ -229,69 +228,72 @@ def _policy(cfg: dict):
             "specify exactly one coin policy: --ordered NAME, --sequence TEXT, "
             "--dynamic-seed N, --static-seed N, or both seeds together"
         )
-    try:
-        if "ordered" in cfg:
-            return Ordered(coin_from_name(cfg["ordered"]))
-        if "sequence" in cfg:
-            return DynamicSequence(parse_sequence(cfg["sequence"]))
-        if has_dyn and has_stat:
-            return StaticAndDynamic(
-                static_seed=cfg["static_seed"], dynamic_seed=cfg["dynamic_seed"]
-            )
-        if has_dyn:
-            return DynamicRandom(seed=cfg["dynamic_seed"])
-        return StaticRandom(seed=cfg["static_seed"])
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    if "ordered" in cfg:
+        return Ordered(coin_from_name(cfg["ordered"]))
+    if "sequence" in cfg:
+        return DynamicSequence(parse_sequence(cfg["sequence"]))
+    if has_dyn and has_stat:
+        return StaticAndDynamic(
+            static_seed=cfg["static_seed"], dynamic_seed=cfg["dynamic_seed"]
+        )
+    if has_dyn:
+        return DynamicRandom(seed=cfg["dynamic_seed"])
+    return StaticRandom(seed=cfg["static_seed"])
+
+
+def _tables(*stems: str) -> list[str]:
+    """The CSV and the JSON name of each table, in that order."""
+    return [stem + suffix for stem in stems for suffix in (".csv", ".json")]
 
 
 class _Outputs:
-    """Collects target paths, enforces the no-overwrite rule, writes files.
+    """The files of one run: declared before any computation, written by name.
 
-    The output directory is created by the first write, so a command that
-    rejects its inputs leaves nothing behind.
+    ``--format`` keeps the ``.csv`` and ``.json`` names it selects; the names
+    in `always` come first and are kept under every format.  Declaring
+    refuses names that collide and, without ``--force``, files that exist.
+    Writing a name that was not kept is a no-op.  The output directory is
+    created by the first write, so a command that rejects its inputs leaves
+    nothing behind.
     """
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: dict, names, always=()):
         self.dir = Path(cfg["out"])
-        self.force = bool(cfg["force"])
-        self.fmt = cfg["format"]
         self.cfg = cfg
         self.written: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        return self.dir / name
-
-    def _target(self, name: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        return self.path(name)
-
-    def check(self, names: list[str]) -> None:
-        clashes = [str(self.path(n)) for n in names if self.path(n).exists()]
-        if clashes and not self.force:
+        declared = [*always, *names]
+        repeated = sorted({n for n in declared if declared.count(n) > 1})
+        if repeated:
+            raise CLIError(
+                "outputs would share a file name: "
+                + ", ".join(str(self.dir / n) for n in repeated)
+            )
+        fmt = cfg["format"]
+        self.kept = [*always, *(n for n in names if fmt in ("both", Path(n).suffix[1:]))]
+        clashes = [str(self.dir / n) for n in self.kept if (self.dir / n).exists()]
+        if clashes and not cfg["force"]:
             raise CLIError(
                 f"refusing to overwrite existing output(s): {', '.join(clashes)} "
                 "(pass --force to allow)"
             )
 
-    def want_csv(self) -> bool:
-        return self.fmt in ("csv", "both")
+    def _write(self, name: str, write: Callable[[Path], None]) -> None:
+        if name in self.kept:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            write(self.dir / name)
+            self.written.append(self.dir / name)
 
-    def want_json(self) -> bool:
-        return self.fmt in ("json", "both")
+    def csv(self, name: str, header, rows) -> None:
+        self._write(name, lambda path: io.write_csv(path, header, rows))
 
-    def write_csv(self, name: str, header, rows) -> None:
-        io.write_csv(self._target(name), header, rows)
-        self.written.append(self.path(name))
+    def json(self, name: str, payload: dict) -> None:
+        body = {"schema_version": io.SCHEMA_VERSION, "config": dict(self.cfg), **payload}
+        self._write(name, lambda path: io.write_json(path, body))
 
-    def write_json(self, name: str, payload: dict) -> None:
-        body = {
-            "schema_version": io.SCHEMA_VERSION,
-            "config": dict(self.cfg),
-        }
-        body.update(payload)
-        io.write_json(self._target(name), body)
-        self.written.append(self.path(name))
+    def table(self, stem: str, header, rows, **meta) -> None:
+        """``stem.csv`` and its mirror ``stem.json``: `meta`, then columns and records."""
+        self.csv(stem + ".csv", header, rows)
+        self.json(stem + ".json", {**meta, "columns": header, "records": rows})
 
 
 #: Most rows `walk` exports in its trajectory: (steps + 1)^2, one per (t, j).
@@ -313,37 +315,17 @@ def cmd_walk(cfg: dict) -> _Outputs:
         )
     init = _initial_coin(cfg)
     policy = _policy(cfg)
-    out = _Outputs(cfg)
-    names = []
-    if out.want_csv():
-        names += ["trajectory.csv", "distribution.csv", "moments.csv"]
-    if out.want_json():
-        names += ["trajectory.json", "distribution.json", "moments.json"]
-    out.check(names)
+    out = _Outputs(cfg, _tables("trajectory", "distribution", "moments"))
 
-    try:
-        trajectory = evolve(init, policy, steps)
-        moment_rows = io.moment_rows(moment_series(init, policy, steps))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    traj_rows = io.trajectory_rows(trajectory)
-    dist_rows = io.distribution_rows(position_distribution(trajectory[-1]))
-    if out.want_csv():
-        out.write_csv("trajectory.csv", io.TRAJECTORY_HEADER, traj_rows)
-        out.write_csv("distribution.csv", io.DISTRIBUTION_HEADER, dist_rows)
-        out.write_csv("moments.csv", io.MOMENT_HEADER, moment_rows)
-    if out.want_json():
-        out.write_json(
-            "trajectory.json",
-            {"columns": io.TRAJECTORY_HEADER, "records": traj_rows},
-        )
-        out.write_json(
-            "distribution.json",
-            {"columns": io.DISTRIBUTION_HEADER, "records": dist_rows},
-        )
-        out.write_json(
-            "moments.json", {"columns": io.MOMENT_HEADER, "records": moment_rows}
-        )
+    trajectory = evolve(init, policy, steps)
+    moment_rows = io.moment_rows(moment_series(init, policy, steps))
+    out.table("trajectory", io.TRAJECTORY_HEADER, io.trajectory_rows(trajectory))
+    out.table(
+        "distribution",
+        io.DISTRIBUTION_HEADER,
+        io.distribution_rows(position_distribution(trajectory[-1])),
+    )
+    out.table("moments", io.MOMENT_HEADER, moment_rows)
     return out
 
 
@@ -353,37 +335,20 @@ def cmd_entropy(cfg: dict) -> _Outputs:
     phis = cfg["phi"]
     policy = _policy(cfg)
     inits = [_initial_coin(cfg, phi=phi) for phi in phis]
-    out = _Outputs(cfg)
-
-    def stem(phi: float) -> str:
-        return "entropy_curve" if len(phis) == 1 else f"entropy_curve_phi{phi:g}"
-
-    names = []
-    for phi in phis:
-        if out.want_csv():
-            names.append(stem(phi) + ".csv")
-        if out.want_json():
-            names.append(stem(phi) + ".json")
-    out.check(names)
+    if len(phis) == 1:
+        stems = ["entropy_curve"]
+    else:
+        stems = [f"entropy_curve_phi{phi:g}" for phi in phis]
+    out = _Outputs(cfg, _tables(*stems))
 
     header = io.ENTROPY_EIGEN_HEADER if cfg["eigenvalues"] else io.ENTROPY_HEADER
-    for phi, init in zip(phis, inits):
-        try:
-            rho = coin_density_curve(init, policy, cfg["steps"])
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+    for stem, phi, init in zip(stems, phis, inits):
+        rho = coin_density_curve(init, policy, cfg["steps"])
         curve = list(enumerate(_entropy_bits(rho).tolist()))
         eigen = None
         if cfg["eigenvalues"]:
             eigen = list(zip(*(lam.tolist() for lam in density_eigenvalues(rho))))
-        rows = io.entropy_curve_rows(curve, eigen)
-        if out.want_csv():
-            out.write_csv(stem(phi) + ".csv", header, rows)
-        if out.want_json():
-            out.write_json(
-                stem(phi) + ".json",
-                {"phi_deg": phi, "columns": header, "records": rows},
-            )
+        out.table(stem, header, io.entropy_curve_rows(curve, eigen), phi_deg=phi)
     return out
 
 
@@ -391,138 +356,81 @@ def cmd_sweep(cfg: dict) -> _Outputs:
     """entropy statistics over coin sequences"""
     _require(cfg, "n", "theta", "phi")
     init = _initial_coin(cfg)
-    out = _Outputs(cfg)
-    names = ["sweep_report.json"]
-    if out.want_csv():
-        names.append("sweep_histogram.csv")
-    out.check(names)
+    out = _Outputs(cfg, ["sweep_histogram.csv"], always=["sweep_report.json"])
 
-    try:
-        if "samples" in cfg:
-            report = sampled_sweep(
-                init,
-                cfg["n"],
-                samples=cfg["samples"],
-                seed=cfg["seed"],
-                bins=cfg["bins"],
-                threshold=cfg["threshold"],
-                workers=cfg["workers"],
-            )
-        else:
-            report = exhaustive_sweep(
-                init,
-                cfg["n"],
-                bins=cfg["bins"],
-                threshold=cfg["threshold"],
-                workers=cfg["workers"],
-            )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    if "samples" in cfg:
+        report = sampled_sweep(
+            init,
+            cfg["n"],
+            samples=cfg["samples"],
+            seed=cfg["seed"],
+            bins=cfg["bins"],
+            threshold=cfg["threshold"],
+            workers=cfg["workers"],
+        )
+    else:
+        report = exhaustive_sweep(
+            init,
+            cfg["n"],
+            bins=cfg["bins"],
+            threshold=cfg["threshold"],
+            workers=cfg["workers"],
+        )
 
-    out.write_json("sweep_report.json", io.sweep_report_dict(report))
-    if out.want_csv():
-        rows = [
-            (float(lo), float(hi), int(c))
-            for lo, hi, c in zip(
-                report.bin_edges[:-1], report.bin_edges[1:], report.bin_counts
-            )
-        ]
-        out.write_csv("sweep_histogram.csv", ("bin_low", "bin_high", "count"), rows)
+    out.json("sweep_report.json", io.sweep_report_dict(report))
+    rows = [
+        (float(lo), float(hi), int(c))
+        for lo, hi, c in zip(
+            report.bin_edges[:-1], report.bin_edges[1:], report.bin_counts
+        )
+    ]
+    out.csv("sweep_histogram.csv", ("bin_low", "bin_high", "count"), rows)
     return out
-
-
-def _load_sequence_file(path: str) -> list[tuple[str, int | None]]:
-    entries = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise CLIError(f"cannot read sequence file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) > 2:
-            raise CLIError(f"{path}:{lineno}: expected 'SEQUENCE [expected]'")
-        try:
-            expected = int(parts[1]) if len(parts) == 2 else None
-        except ValueError as exc:
-            raise CLIError(f"{path}:{lineno}: bad expected count: {exc}") from exc
-        entries.append((parts[0], expected))
-    if not entries:
-        raise CLIError(f"{path}: no sequences found")
-    return entries
 
 
 def cmd_lz(cfg: dict) -> _Outputs:
     """sequence complexity table"""
-    out = _Outputs(cfg)
-    names = []
-    if out.want_csv():
-        names.append("lz_complexity.csv")
-    if out.want_json():
-        names.append("lz_complexity.json")
-    out.check(names)
-
+    out = _Outputs(cfg, _tables("lz_complexity"))
     if "sequence" in cfg and "input" in cfg:
         raise CLIError("give either --sequence or --input, not both")
     if "sequence" in cfg:
-        entries = [(cfg["sequence"], None)]
+        entries = [(parse_sequence(cfg["sequence"]), None)]
     elif "input" in cfg:
-        entries = _load_sequence_file(cfg["input"])
+        try:
+            text = Path(cfg["input"]).read_text()
+        except OSError as exc:
+            raise CLIError(f"cannot read sequence file {cfg['input']}: {exc}") from exc
+        entries = parse_sequence_lines(text, cfg["input"])
     else:
-        entries = [(seq.text, expected) for seq, expected in reference_sequences()]
+        entries = reference_sequences()
 
     with_expected = any(expected is not None for _, expected in entries)
     header = ("sequence", "length", "lz_complexity") + (
         ("expected",) if with_expected else ()
     )
     rows = []
-    for text, expected in entries:
-        try:
-            seq = parse_sequence(text)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+    for seq, expected in entries:
         row = (seq.text, len(seq), lz_complexity(seq))
         if with_expected:
             row += (expected if expected is not None else "",)
         rows.append(row)
-
-    if out.want_csv():
-        out.write_csv("lz_complexity.csv", header, rows)
-    if out.want_json():
-        out.write_json("lz_complexity.json", {"columns": header, "records": rows})
+    out.table("lz_complexity", header, rows)
     return out
 
 
 def cmd_fit(cfg: dict) -> _Outputs:
     """power-law fit of a second-moment series"""
-    out = _Outputs(cfg)
-    names = ["fit.json"] if out.want_json() else []
-    if out.want_csv():
-        names.append("fit.csv")
-    out.check(names)
-
+    out = _Outputs(cfg, ["fit.json", "fit.csv"])
     if ("input" in cfg) == ("classical" in cfg):
         raise CLIError("give exactly one of --input SERIES.csv or --classical STEPS")
-    try:
-        if "classical" in cfg:
-            series = classical_baseline(cfg["classical"])
-        else:
-            series = io.read_moment_series_csv(cfg["input"])
-        fit = fit_power_law(series, t_min=cfg["t_min"], t_max=cfg.get("t_max"))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    if "classical" in cfg:
+        series = classical_baseline(cfg["classical"])
+    else:
+        series = io.read_moment_series_csv(cfg["input"])
+    fit = fit_power_law(series, t_min=cfg["t_min"], t_max=cfg.get("t_max"))
 
-    payload = io.fit_dict(fit)
-    if out.want_json():
-        out.write_json("fit.json", payload)
-    if out.want_csv():
-        out.write_csv(
-            "fit.csv",
-            ("prefactor", "exponent", "residual", "t_min", "t_max"),
-            [(fit.prefactor, fit.exponent, fit.residual, fit.t_min, fit.t_max)],
-        )
+    out.json("fit.json", io.fit_dict(fit))
+    out.csv("fit.csv", io.FIT_HEADER, [tuple(getattr(fit, f) for f in io.FIT_HEADER)])
     return out
 
 
@@ -531,55 +439,18 @@ def cmd_tomo(cfg: dict) -> _Outputs:
     _require(cfg, "steps", "total_counts")
     init = _initial_coin(cfg)
     policy = _policy(cfg)
-    out = _Outputs(cfg)
-    names = ["tomography.json"] if out.want_json() else []
-    if out.want_csv():
-        names += ["counts.csv", "tomography_summary.csv"]
-    if out.want_json():
-        names.append("counts.json")
-    out.check(names)
+    out = _Outputs(cfg, [*_tables("counts"), "tomography_summary.csv", "tomography.json"])
 
-    try:
-        state = final_state(init, policy, cfg["steps"])
-        result = tomographic_entropy(
-            state,
-            total_counts=cfg["total_counts"],
-            seed=cfg["seed"],
-            noiseless=cfg["noiseless"],
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-
-    rows = io.counts_rows(result.counts)
-    if out.want_csv():
-        out.write_csv("counts.csv", io.COUNTS_HEADER, rows)
-        summary = result
-        out.write_csv(
-            "tomography_summary.csv",
-            (
-                "entropy_hat",
-                "exact_entropy",
-                "rho_c_fidelity",
-                "distribution_similarity",
-                "total_counts",
-                "seed",
-                "noiseless",
-            ),
-            [
-                (
-                    summary.entropy_hat,
-                    summary.exact_entropy,
-                    summary.rho_c_fidelity,
-                    summary.distribution_similarity,
-                    summary.total_counts,
-                    summary.seed,
-                    summary.noiseless,
-                )
-            ],
-        )
-    if out.want_json():
-        out.write_json("counts.json", {"columns": io.COUNTS_HEADER, "records": rows})
-        out.write_json("tomography.json", io.tomography_dict(result))
+    result = tomographic_entropy(
+        final_state(init, policy, cfg["steps"]),
+        total_counts=cfg["total_counts"],
+        seed=cfg["seed"],
+        noiseless=cfg["noiseless"],
+    )
+    out.table("counts", io.COUNTS_HEADER, io.counts_rows(result.counts))
+    fields = io.TOMOGRAPHY_SUMMARY_HEADER
+    out.csv("tomography_summary.csv", fields, [tuple(getattr(result, f) for f in fields)])
+    out.json("tomography.json", io.tomography_dict(result))
     return out
 
 
@@ -628,7 +499,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, args)
         outputs = _COMMANDS[args.command](cfg)
     except Exception as exc:  # keep the uniform machine-readable contract
-        kind = "config" if isinstance(exc, CLIError) else type(exc).__name__
+        # The library raises ValueError for every input it rejects.
+        kind = "config" if isinstance(exc, (CLIError, ValueError)) else type(exc).__name__
         json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

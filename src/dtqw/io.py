@@ -45,6 +45,18 @@ ENTROPY_HEADER = ("t", "entropy")
 ENTROPY_EIGEN_HEADER = ("t", "entropy", "eigenvalue_1", "eigenvalue_2")
 MOMENT_HEADER = ("t", "m2")
 COUNTS_HEADER = ("j", "basis", "outcome", "count")
+#: Fields of a `PowerLawFit`, in the order of the fit table.
+FIT_HEADER = ("prefactor", "exponent", "residual", "t_min", "t_max")
+#: Fields of a `TomographyResult` in the summary table and the JSON summary block.
+TOMOGRAPHY_SUMMARY_HEADER = (
+    "entropy_hat",
+    "exact_entropy",
+    "rho_c_fidelity",
+    "distribution_similarity",
+    "total_counts",
+    "seed",
+    "noiseless",
+)
 
 
 def fmt_float(x: float) -> str:
@@ -130,7 +142,11 @@ def moment_rows(series: MomentSeries) -> list[tuple]:
 
 
 def read_moment_series_csv(path: Path | str) -> MomentSeries:
-    """Read a (t, m2) series written by :func:`moment_rows` / the CLI."""
+    """Read a (t, m2) series written by :func:`moment_rows` / the CLI.
+
+    Raises ValueError naming the file and line of a row whose ``t`` is not
+    an integer or whose ``m2`` is not a finite number.
+    """
     times, m2 = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -140,8 +156,17 @@ def read_moment_series_csv(path: Path | str) -> MomentSeries:
         for row in reader:
             if not row:
                 continue
-            times.append(int(float(row[0])))
-            m2.append(float(row[1]))
+            where = f"{path}:{reader.line_num}"
+            try:
+                t, m = float(row[0]), float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{where}: expected numbers 't,m2', got {row!r}") from exc
+            if not t.is_integer():
+                raise ValueError(f"{where}: time step t must be an integer, got {row[0]!r}")
+            if not np.isfinite(m):
+                raise ValueError(f"{where}: moment m2 must be finite, got {row[1]!r}")
+            times.append(int(t))
+            m2.append(m)
     if not times:
         raise ValueError(f"{path}: no data rows")
     return MomentSeries(times=np.asarray(times), m2=np.asarray(m2))
@@ -204,15 +229,7 @@ def tomography_dict(result: TomographyResult) -> dict:
         )
     rho_c = result.rho_c_hat
     return {
-        "summary": {
-            "entropy_hat": result.entropy_hat,
-            "exact_entropy": result.exact_entropy,
-            "rho_c_fidelity": result.rho_c_fidelity,
-            "distribution_similarity": result.distribution_similarity,
-            "total_counts": result.total_counts,
-            "seed": result.seed,
-            "noiseless": result.noiseless,
-        },
+        "summary": {f: getattr(result, f) for f in TOMOGRAPHY_SUMMARY_HEADER},
         "rho_c_hat": [[complex(rho_c[r, c]) for c in range(2)] for r in range(2)],
         "sites": site_blocks,
     }

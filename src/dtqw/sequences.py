@@ -54,6 +54,7 @@ __all__ = [
     "SweepReport",
     "ENHANCER_20",
     "parse_sequence",
+    "parse_sequence_lines",
     "to_bits",
     "vocabulary",
     "lz_parse",
@@ -547,14 +548,36 @@ def interval_weighted_mean(
     return float(np.sum(entropies * rates) / samples_per_interval)
 
 
-def reference_sequences() -> list[tuple[CoinSequence, int]]:
-    """The bundled 12 benchmark sequences with their quoted complexities."""
-    out = []
-    text = resources.files("dtqw.data").joinpath("benchmark_sequences.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
+def parse_sequence_lines(text: str, source: str) -> list[tuple[CoinSequence, int | None]]:
+    """Parse ``SEQUENCE [expected]`` lines: one sequence and an optional count each.
+
+    Blank lines and lines starting with ``#`` are skipped.  Raises ValueError
+    prefixed ``source:line:`` for a malformed line, and when no line holds a
+    sequence.
+    """
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        seq_text, expected = line.split()
-        out.append((parse_sequence(seq_text), int(expected)))
-    return out
+        parts = line.split()
+        if len(parts) > 2:
+            raise ValueError(f"{source}:{lineno}: expected 'SEQUENCE [expected]'")
+        try:
+            seq = parse_sequence(parts[0])
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from exc
+        try:
+            expected = int(parts[1]) if len(parts) == 2 else None
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: bad expected count: {exc}") from exc
+        entries.append((seq, expected))
+    if not entries:
+        raise ValueError(f"{source}: no sequences found")
+    return entries
+
+
+def reference_sequences() -> list[tuple[CoinSequence, int]]:
+    """The bundled 12 benchmark sequences with their quoted complexities."""
+    name = "benchmark_sequences.txt"
+    return parse_sequence_lines(resources.files("dtqw.data").joinpath(name).read_text(), name)

@@ -202,7 +202,7 @@ def fit_power_law(
     lies strictly inside it or it is too narrow to move any ratio (t /
     t')^alpha of window times by a rounding unit: the optimum's
     floating-point limit.  Needs at least 3 points in the
-    window and strictly positive moments.
+    window and strictly positive, finite moments.
 
     Returns
     -------
@@ -224,8 +224,8 @@ def fit_power_law(
     m2 = series.m2[keep]
     if len(t) < 3:
         raise ValueError(f"need at least 3 points with t in [{t_min}, {hi}], got {len(t)}")
-    if np.any(m2 <= 0.0):
-        raise ValueError("zero or negative moment inside the fit window")
+    if not np.all((m2 > 0.0) & np.isfinite(m2)):
+        raise ValueError("zero, negative or non-finite moment inside the fit window")
 
     log_t, log_m = np.log(t), np.log(m2)
     design = np.column_stack([log_t, np.ones_like(log_t)])

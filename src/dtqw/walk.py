@@ -46,8 +46,6 @@ __all__ = [
     "CoinPolicy",
     "CoinPlan",
     "initial_state",
-    "shift",
-    "step",
     "evolve",
     "final_state",
     "plan_coins",
@@ -417,29 +415,6 @@ def _dense(up, dn):
 def initial_state(init: InitialCoin) -> WalkState:
     """Localized t=0 state: the coin spinor of `init` at the origin."""
     return WalkState(t=0, amps=init.spinor.reshape(2, 1))
-
-
-def shift(state: WalkState) -> WalkState:
-    """Conditional displacement: |up> amplitudes move j -> j+1, |down> j -> j-1.
-
-    The support window grows by one site on each side, so the returned state
-    carries t+1.  The norm is preserved exactly.
-    """
-    width = state.amps.shape[1]
-    out = np.zeros((2, width + 2), dtype=np.complex128)
-    out[0, 2:] = state.amps[0]
-    out[1, :-2] = state.amps[1]
-    return WalkState(t=state.t + 1, amps=out)
-
-
-def step(state: WalkState, coin: NDArray[np.complex128]) -> WalkState:
-    """Apply `coin` to every site's spinor, then shift.  Increments t by 1."""
-    up, dn = _coin_shift(state.amps[0], state.amps[1], require_unitary(coin))
-    # The dense rows hold every site, so |up> moves two columns: one above, one here.
-    amps = np.zeros((2, up.shape[-1] + 1), dtype=np.complex128)
-    amps[0, 1:] = up
-    amps[1, :-1] = dn
-    return WalkState(t=state.t + 1, amps=amps)
 
 
 def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]:

@@ -69,6 +69,24 @@ def test_read_moment_series_rejects_bad_header(tmp_path):
         io.read_moment_series_csv(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1.5,2.0", "time step t must be an integer, got '1.5'"),
+        ("2,nan", "moment m2 must be finite, got 'nan'"),
+        ("2,inf", "moment m2 must be finite, got 'inf'"),
+        ("2,abc", "expected numbers 't,m2'"),
+    ],
+)
+def test_read_moment_series_rejects_bad_rows_naming_file_and_line(tmp_path, line, message):
+    path = tmp_path / "m2.csv"
+    path.write_text(f"t,m2\n1,1.0\n{line}\n3,9.0\n")
+    with pytest.raises(ValueError) as info:
+        io.read_moment_series_csv(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert message in str(info.value)
+
+
 # --- CLI -----------------------------------------------------------------------
 
 
@@ -154,6 +172,26 @@ def test_cli_entropy_multiple_phis(tmp_path):
             refs = (state_entropy(state), *density_eigenvalues(rho))
             for text, ref in zip(row[1:], refs):
                 assert same_at_12_digits(text, float(ref)), (phi, row, refs)
+
+
+@pytest.mark.parametrize("phis, name", [
+    ("0,0", "entropy_curve_phi0"),
+    ("10.0000001,10.0000002", "entropy_curve_phi10"),
+])
+def test_cli_entropy_refuses_phis_that_share_a_file_name(tmp_path, capsys, phis, name):
+    out = tmp_path / "curves"
+    code = run_cli(
+        "entropy", "--theta", "51", "--phi", phis, "--steps", "3",
+        "--ordered", "H", "--out", str(out), "--format", "csv",
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert str(out / f"{name}.csv") in err["message"]
+    assert str(out / f"{name}.json") in err["message"]
+    assert not out.exists()
 
 
 def test_cli_entropy_checks_every_phi_before_writing(tmp_path, capsys):
@@ -364,6 +402,28 @@ def test_cli_lz_bad_expected_count_names_file_and_line(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["message"].startswith(f"{seqs}:3: ")
+
+
+def test_cli_lz_bad_symbol_names_file_and_line(tmp_path, capsys):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("HFH 3\n\n# next\nHXF 2\n")
+    out = tmp_path / "lz"
+    assert run_cli("lz", "--input", str(seqs), "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{seqs}:4: illegal symbol 'X'")
+    assert not out.exists()
+
+
+def test_cli_fit_rejects_fractional_times(tmp_path, capsys):
+    series_path = tmp_path / "m2.csv"
+    series_path.write_text("t,m2\n1,1\n1.5,2\n2,4\n3,9\n")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(series_path), "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{series_path}:3: ")
+    assert not out.exists()
 
 
 def test_cli_fit_from_series_file(tmp_path):

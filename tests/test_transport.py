@@ -153,6 +153,15 @@ def test_fit_that_does_not_converge_raises(monkeypatch):
         fit_power_law(series)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_rejects_non_finite_moments(value):
+    t = np.arange(1, 21)
+    m2 = t.astype(float) ** 1.5
+    m2[7] = value
+    with pytest.raises(ValueError, match="non-finite moment inside the fit window"):
+        fit_power_law(MomentSeries(times=t, m2=m2))
+
+
 def test_fit_refuses_unrepresentable_prefactor():
     # One outlier at the end pulls the least-squares exponent past 600,
     # where c = m2 / 70^alpha underflows.

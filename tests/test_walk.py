@@ -22,16 +22,10 @@ from dtqw.walk import (
     final_state,
     initial_state,
     plan_coins,
-    shift,
-    step,
 )
-from oracles import dense_trajectory, embed_state, random_walk_state, reference_propagate
+from oracles import dense_trajectory, embed_state, reference_propagate
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
-
-
-def up_at_origin() -> WalkState:
-    return initial_state(InitialCoin(0, 0))
 
 
 # --- initial_state -----------------------------------------------------------
@@ -64,51 +58,24 @@ def test_initial_coin_rejects_out_of_range(theta, phi):
         InitialCoin(theta, phi)
 
 
-# --- shift -------------------------------------------------------------------
-
-
-def test_shift_moves_up_right():
-    out = shift(up_at_origin())
-    assert out.t == 1
-    np.testing.assert_allclose(out.spinor(1), [1, 0], atol=1e-15)
-    assert out.norm() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_shift_splits_superposition():
-    s = initial_state(InitialCoin(90, 0))  # (|up> + |down>)/sqrt(2)
-    out = shift(s)
-    np.testing.assert_allclose(out.spinor(1), [1 / np.sqrt(2), 0], atol=1e-15)
-    np.testing.assert_allclose(out.spinor(-1), [0, 1 / np.sqrt(2)], atol=1e-15)
-
-
-def test_shift_matches_permutation_oracle(rng):
-    state = random_walk_state(rng, 5)
-    shifted = shift(state)
-    assert shifted.norm() == pytest.approx(1.0, abs=1e-12)
-    for j in range(-5, 6):
-        a, b = state.spinor(j)
-        assert shifted.spinor(j + 1)[0] == a
-        assert shifted.spinor(j - 1)[1] == b
-
-
-# --- step --------------------------------------------------------------------
+# --- one step ----------------------------------------------------------------
 
 
 def test_step_hadamard_from_origin():
-    out = step(up_at_origin(), hadamard_coin())
+    out = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     np.testing.assert_allclose(out.spinor(1), [1 / np.sqrt(2), 0], atol=1e-15)
     np.testing.assert_allclose(out.spinor(-1), [0, 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_step_fourier_from_origin():
-    out = step(up_at_origin(), fourier_coin())
+    out = final_state(InitialCoin(0, 0), Ordered(fourier_coin()), 1)
     np.testing.assert_allclose(out.spinor(1), [1 / np.sqrt(2), 0], atol=1e-15)
     np.testing.assert_allclose(out.spinor(-1), [0, 1j / np.sqrt(2)], atol=1e-15)
 
 
 def test_step_rejects_non_unitary_coin():
     with pytest.raises(ValueError):
-        step(up_at_origin(), np.array([[1, 0], [0, 2]], dtype=complex))
+        final_state(InitialCoin(0, 0), Ordered(np.array([[1, 0], [0, 2]], dtype=complex)), 1)
 
 
 def test_six_hadamard_steps_match_dense_oracle():
@@ -118,17 +85,6 @@ def test_six_hadamard_steps_match_dense_oracle():
     oracle = dense_trajectory(init, policy, 6)
     for state, vec in zip(states, oracle):
         np.testing.assert_allclose(embed_state(state, 6), vec, atol=1e-10)
-
-
-def test_step_chain_equals_evolve_bit_for_bit():
-    # Both go through the one coin-and-shift kernel; evolve is also checked
-    # against the allocate-per-step reference below.
-    init = InitialCoin(51, 30)
-    states = evolve(init, Ordered(fourier_coin()), 40)
-    state = initial_state(init)
-    for expected in states[1:]:
-        state = step(state, fourier_coin())
-        np.testing.assert_array_equal(state.amps, expected.amps)
 
 
 # --- evolve ------------------------------------------------------------------
