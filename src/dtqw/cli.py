@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import io
 from .coins import coin_from_name
 from .entanglement import _entropy_bits, coin_density_curve, density_eigenvalues
@@ -32,7 +34,7 @@ from .sequences import (
     sampled_sweep,
 )
 from .tomography import tomographic_entropy
-from .transport import classical_baseline, fit_power_law, moment_series, position_distribution
+from .transport import MomentSeries, classical_baseline, fit_power_law, position_distribution
 from .walk import (
     DynamicRandom,
     DynamicSequence,
@@ -40,8 +42,12 @@ from .walk import (
     Ordered,
     StaticAndDynamic,
     StaticRandom,
-    evolve,
+    _dense,
+    _propagate,
+    _second_moment,
     final_state,
+    initial_state,
+    plan_coins,
 )
 
 __all__ = ["main"]
@@ -283,22 +289,32 @@ class _Outputs:
             write(self.dir / name)
             self.written.append(self.dir / name)
 
+    def _head(self, **payload) -> dict:
+        return {"schema_version": io.SCHEMA_VERSION, "config": dict(self.cfg), **payload}
+
     def csv(self, name: str, header, rows) -> None:
         self._write(name, lambda path: io.write_csv(path, header, rows))
 
     def json(self, name: str, payload: dict) -> None:
-        body = {"schema_version": io.SCHEMA_VERSION, "config": dict(self.cfg), **payload}
-        self._write(name, lambda path: io.write_json(path, body))
+        self._write(name, lambda path: io.write_json(path, self._head(**payload)))
 
-    def table(self, stem: str, header, rows, **meta) -> None:
-        """``stem.csv`` and its mirror ``stem.json``: `meta`, then columns and records."""
-        self.csv(stem + ".csv", header, rows)
-        self.json(stem + ".json", {**meta, "columns": header, "records": rows})
+    def table(self, stem: str, header, blocks, **meta) -> None:
+        """``stem.csv`` and its mirror ``stem.json``, written in one pass over column `blocks`.
+
+        The mirror holds `meta`, then columns and records; see `io.write_table`.
+        """
+        paths = [
+            self.dir / name if name in self.kept else None for name in (stem + ".csv", stem + ".json")
+        ]
+        self.dir.mkdir(parents=True, exist_ok=True)
+        io.write_table(*paths, header, blocks, self._head(**meta))
+        self.written += [path for path in paths if path is not None]
 
 
 #: Most rows `walk` exports in its trajectory: (steps + 1)^2, one per (t, j).
-#: The export is dense, so its memory grows with this count; 2^20 rows
-#: (steps <= 1023) peak at about 700 MB.
+#: The rows stream to the files one step at a time, so this bounds the
+#: output size, not memory: 2^20 rows (steps <= 1023) write 61 MB of CSV
+#: and 129 MB of JSON.
 TRAJECTORY_ROW_LIMIT = 1 << 20
 
 
@@ -314,18 +330,29 @@ def cmd_walk(cfg: dict) -> _Outputs:
             f"more than the limit of {TRAJECTORY_ROW_LIMIT}"
         )
     init = _initial_coin(cfg)
-    policy = _policy(cfg)
+    plan = plan_coins(_policy(cfg), steps)
     out = _Outputs(cfg, _tables("trajectory", "distribution", "moments"))
 
-    trajectory = evolve(init, policy, steps)
-    moment_rows = io.moment_rows(moment_series(init, policy, steps))
-    out.table("trajectory", io.TRAJECTORY_HEADER, io.trajectory_rows(trajectory))
+    # One propagation streams the trajectory, a block per step, and leaves
+    # the last state and the second moments of every step behind.
+    state, m2 = initial_state(init), []
+
+    def trajectory():
+        nonlocal state
+        yield io.trajectory_columns(state)
+        for up, dn in _propagate(plan, init.spinor):
+            m2.append(_second_moment(up, dn))
+            state = _dense(up, dn)
+            yield io.trajectory_columns(state)
+
+    out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())
     out.table(
         "distribution",
         io.DISTRIBUTION_HEADER,
-        io.distribution_rows(position_distribution(trajectory[-1])),
+        [io.distribution_columns(position_distribution(state))],
     )
-    out.table("moments", io.MOMENT_HEADER, moment_rows)
+    series = MomentSeries(times=np.arange(1, steps + 1), m2=np.array(m2))
+    out.table("moments", io.MOMENT_HEADER, [io.moment_columns(series)])
     return out
 
 
@@ -344,11 +371,8 @@ def cmd_entropy(cfg: dict) -> _Outputs:
     header = io.ENTROPY_EIGEN_HEADER if cfg["eigenvalues"] else io.ENTROPY_HEADER
     for stem, phi, init in zip(stems, phis, inits):
         rho = coin_density_curve(init, policy, cfg["steps"])
-        curve = list(enumerate(_entropy_bits(rho).tolist()))
-        eigen = None
-        if cfg["eigenvalues"]:
-            eigen = list(zip(*(lam.tolist() for lam in density_eigenvalues(rho))))
-        out.table(stem, header, io.entropy_curve_rows(curve, eigen), phi_deg=phi)
+        eigen = density_eigenvalues(rho) if cfg["eigenvalues"] else ()
+        out.table(stem, header, [io.entropy_curve_columns(_entropy_bits(rho), eigen)], phi_deg=phi)
     return out
 
 
@@ -404,17 +428,14 @@ def cmd_lz(cfg: dict) -> _Outputs:
     else:
         entries = reference_sequences()
 
-    with_expected = any(expected is not None for _, expected in entries)
-    header = ("sequence", "length", "lz_complexity") + (
-        ("expected",) if with_expected else ()
-    )
-    rows = []
-    for seq, expected in entries:
-        row = (seq.text, len(seq), lz_complexity(seq))
-        if with_expected:
-            row += (expected if expected is not None else "",)
-        rows.append(row)
-    out.table("lz_complexity", header, rows)
+    seqs = [seq for seq, _ in entries]
+    header = ("sequence", "length", "lz_complexity")
+    columns = [[s.text for s in seqs], list(map(len, seqs)), list(map(lz_complexity, seqs))]
+    expected = [e for _, e in entries]
+    if any(e is not None for e in expected):
+        header += ("expected",)
+        columns.append(["" if e is None else e for e in expected])
+    out.table("lz_complexity", header, [columns])
     return out
 
 
@@ -426,7 +447,10 @@ def cmd_fit(cfg: dict) -> _Outputs:
     if "classical" in cfg:
         series = classical_baseline(cfg["classical"])
     else:
-        series = io.read_moment_series_csv(cfg["input"])
+        try:
+            series = io.read_moment_series_csv(cfg["input"])
+        except OSError as exc:
+            raise CLIError(f"cannot read moment series file {cfg['input']}: {exc}") from exc
     fit = fit_power_law(series, t_min=cfg["t_min"], t_max=cfg.get("t_max"))
 
     out.json("fit.json", io.fit_dict(fit))
@@ -447,7 +471,7 @@ def cmd_tomo(cfg: dict) -> _Outputs:
         seed=cfg["seed"],
         noiseless=cfg["noiseless"],
     )
-    out.table("counts", io.COUNTS_HEADER, io.counts_rows(result.counts))
+    out.table("counts", io.COUNTS_HEADER, [io.counts_columns(result.counts)])
     fields = io.TOMOGRAPHY_SUMMARY_HEADER
     out.csv("tomography_summary.csv", fields, [tuple(getattr(result, f) for f in fields)])
     out.json("tomography.json", io.tomography_dict(result))

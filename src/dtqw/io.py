@@ -3,11 +3,16 @@
 Every CSV has a fixed header row; floats are printed with 12 significant
 digits in both formats.  JSON payloads mirror the CSV data and additionally
 carry a schema version and, when written by the CLI, the full resolved
-configuration of the run.
+configuration of the run.  A table is written by `write_table` from column
+blocks, one sequence or array per header field, so a caller can stream it
+block by block (the walk trajectory, one step per block) and the writer
+formats each column once; `write_csv` and `write_json` take whole rows and
+payloads for the small files.  Both routes give the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -26,11 +31,12 @@ __all__ = [
     "jsonable",
     "write_csv",
     "write_json",
-    "trajectory_rows",
-    "distribution_rows",
-    "entropy_curve_rows",
-    "moment_rows",
-    "counts_rows",
+    "write_table",
+    "trajectory_columns",
+    "distribution_columns",
+    "entropy_curve_columns",
+    "moment_columns",
+    "counts_columns",
     "read_moment_series_csv",
     "sweep_report_dict",
     "fit_dict",
@@ -104,45 +110,106 @@ def write_json(path: Path | str, payload: dict) -> None:
         fh.write("\n")
 
 
-def trajectory_rows(trajectory: Sequence[WalkState]) -> list[tuple]:
-    """One record per (t, j) with spinor components and site probability.
+#: JSON tokens of the non-finite floats, whose 12-digit text is nan, inf or -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Sites run over the full window -t..t in ascending order, with no
-    probability thresholding.
+
+def _tokens(column, with_json: bool) -> tuple[list, list[str] | None]:
+    """CSV and JSON tokens of one column of ints, floats and strings.
+
+    The tokens are those `write_csv` and `write_json` print for the same
+    values.  A column of one numeric type is formatted in one pass; JSON
+    float tokens are computed only `with_json`.
     """
-    rows = []
-    for state in trajectory:
-        probs = state.probabilities()
-        for idx, j in enumerate(state.sites):
-            a = state.amps[0, idx]
-            b = state.amps[1, idx]
-            rows.append(
-                (state.t, int(j), a.real, a.imag, b.real, b.imag, float(probs[idx]))
-            )
-    return rows
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        text = list(map(str, values))
+        return text, text
+    if kinds == {float}:
+        text = list(map("{:.12g}".format, values))
+        if not with_json:
+            return text, None
+        mirror = list(map(repr, map(float, text)))
+        if not _JSON_NONFINITE.keys().isdisjoint(text):
+            mirror = [_JSON_NONFINITE.get(v, v) for v in mirror]
+        return text, mirror
+    # A mixed column, such as lz's expected counts with blanks: cell by cell.
+    text = [fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in values]
+    return text, [json.dumps(jsonable(v)) for v in values]
 
 
-def distribution_rows(dist: PositionDistribution) -> list[tuple]:
-    return [(int(j), float(p)) for j, p in zip(dist.sites, dist.probabilities)]
+def write_table(
+    csv_path: Path | str | None,
+    json_path: Path | str | None,
+    header: Sequence[str],
+    blocks: Iterable[Sequence],
+    head: dict,
+) -> None:
+    """Write a table given as column blocks: the CSV and its JSON mirror in one pass.
+
+    Each block holds one sequence or array per `header` field, and the
+    blocks' records follow one another in the table.  Ints are printed with
+    ``str``, floats with 12 significant digits, strings as they are.  The
+    mirror is `head`, then ``columns`` and ``records``, laid out as
+    ``json.dump(..., indent=2)`` lays out the whole payload: both files are
+    byte for byte what `write_csv` and `write_json` write for the same rows.
+    A path of None skips that file; the blocks are consumed either way.
+    """
+    with contextlib.ExitStack() as files:
+        csv_rows = json_fh = None
+        if csv_path is not None:
+            csv_rows = csv.writer(files.enter_context(open(csv_path, "w", newline="")))
+            csv_rows.writerow(header)
+        if json_path is not None:
+            json_fh = files.enter_context(open(json_path, "w"))
+            text = json.dumps(jsonable({**head, "columns": header, "records": []}), indent=2)
+            json_fh.write(text[: -len("[]\n}")] + "[")
+        # Every record starts with the comma that follows the record before it.
+        record = ",\n    [\n      " + ",\n      ".join(["{}"] * len(header)) + "\n    ]"
+        first = True
+        for block in blocks:
+            columns = [_tokens(column, json_fh is not None) for column in block]
+            if csv_rows is not None:
+                csv_rows.writerows(zip(*(text for text, _ in columns)))
+            if json_fh is not None:
+                chunk = "".join(map(record.format, *(tokens for _, tokens in columns)))
+                if first and chunk:
+                    chunk, first = chunk[1:], False
+                json_fh.write(chunk)
+        if json_fh is not None:
+            json_fh.write("]\n}\n" if first else "\n  ]\n}\n")
 
 
-def entropy_curve_rows(
-    curve: Sequence[tuple[int, float]],
-    eigenvalues: Sequence[tuple[float, float]] | None = None,
-) -> list[tuple]:
-    if eigenvalues is None:
-        return [(t, s) for t, s in curve]
-    return [
-        (t, s, lam[0], lam[1]) for (t, s), lam in zip(curve, eigenvalues)
-    ]
+def trajectory_columns(state: WalkState) -> tuple:
+    """The trajectory block of one state: a record per site j = -t .. t, ascending.
+
+    Each record holds t, j, the spinor components and the site probability,
+    with no probability thresholding.
+    """
+    (a, b), sites = state.amps, state.sites
+    return (
+        [state.t] * len(sites), sites, a.real, a.imag, b.real, b.imag, state.probabilities()
+    )
 
 
-def moment_rows(series: MomentSeries) -> list[tuple]:
-    return [(int(t), float(m)) for t, m in zip(series.times, series.m2)]
+def distribution_columns(dist: PositionDistribution) -> tuple:
+    return dist.sites, dist.probabilities
+
+
+def entropy_curve_columns(
+    entropy: Sequence[float], eigenvalues: Sequence[Sequence[float]] = ()
+) -> tuple:
+    """t = 0 .. len - 1, the entropy, then any eigenvalue columns."""
+    return (range(len(entropy)), entropy, *eigenvalues)
+
+
+def moment_columns(series: MomentSeries) -> tuple:
+    return series.times, series.m2
 
 
 def read_moment_series_csv(path: Path | str) -> MomentSeries:
-    """Read a (t, m2) series written by :func:`moment_rows` / the CLI.
+    """Read a (t, m2) series written by :func:`moment_columns` / the CLI.
 
     Raises ValueError naming the file and line of a row whose ``t`` is not
     an integer or whose ``m2`` is not a finite number.
@@ -172,15 +239,12 @@ def read_moment_series_csv(path: Path | str) -> MomentSeries:
     return MomentSeries(times=np.asarray(times), m2=np.asarray(m2))
 
 
-def counts_rows(counts: ProjectionCounts) -> list[tuple]:
-    """One record per (site, projector outcome)."""
-    rows = []
-    for row, j in enumerate(counts.sites):
-        for pair, (plus, minus) in enumerate(BASIS_PAIRS):
-            basis = plus + minus
-            rows.append((int(j), basis, plus, float(counts.counts[row, 2 * pair])))
-            rows.append((int(j), basis, minus, float(counts.counts[row, 2 * pair + 1])))
-    return rows
+def counts_columns(counts: ProjectionCounts) -> tuple:
+    """One record per (site, projector outcome), outcomes in `BASIS_PAIRS` order."""
+    n = len(counts.sites)
+    outcomes = [s for pair in BASIS_PAIRS for s in pair]
+    bases = [plus + minus for plus, minus in BASIS_PAIRS for _ in range(2)]
+    return np.repeat(counts.sites, len(outcomes)), bases * n, outcomes * n, counts.counts.ravel()
 
 
 def sweep_report_dict(report: SweepReport) -> dict:

@@ -3,13 +3,20 @@
 The dense oracle materializes the full one-step operator on a truncated
 lattice (shift matrix times block-diagonal coin) and evolves by explicit
 matrix-vector products, sharing nothing with the engine's sliced stepping
-except the resolved coin plan.
+except the resolved coin plan.  The table oracle writes a CLI table row by
+row, through `io.write_csv` and `io.write_json`, from rows built one tuple
+at a time: the route the column-wise `io.write_table` must reproduce byte
+for byte.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from dtqw import io
+from dtqw.tomography import BASIS_PAIRS
 from dtqw.walk import CoinPlan, InitialCoin, WalkState, plan_coins
 
 
@@ -139,3 +146,34 @@ def dephased_limit_entropy(spinor: np.ndarray, n_momenta: int = 2001) -> float:
     rho /= n_momenta
     lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
     return float(-sum(x * np.log2(x) for x in lam if x > 0.0))
+
+
+def reference_table(
+    directory: Path, stem: str, header, rows: list[tuple], head: dict, kept=("csv", "json")
+) -> None:
+    """Write ``stem.csv`` and ``stem.json`` (those whose suffix is `kept`) from whole rows."""
+    if "csv" in kept:
+        io.write_csv(directory / f"{stem}.csv", header, rows)
+    if "json" in kept:
+        io.write_json(directory / f"{stem}.json", {**head, "columns": header, "records": rows})
+
+
+def reference_trajectory_rows(trajectory: list[WalkState]) -> list[tuple]:
+    """One (t, j, re_a, im_a, re_b, im_b, probability) tuple per site of every state."""
+    rows = []
+    for state in trajectory:
+        probs = state.probabilities()
+        for idx, j in enumerate(state.sites):
+            a, b = state.amps[0, idx], state.amps[1, idx]
+            rows.append((state.t, int(j), a.real, a.imag, b.real, b.imag, float(probs[idx])))
+    return rows
+
+
+def reference_counts_rows(counts) -> list[tuple]:
+    """One (j, basis, outcome, count) tuple per site and projector outcome."""
+    rows = []
+    for row, j in enumerate(counts.sites):
+        for pair, (plus, minus) in enumerate(BASIS_PAIRS):
+            rows.append((int(j), plus + minus, plus, float(counts.counts[row, 2 * pair])))
+            rows.append((int(j), plus + minus, minus, float(counts.counts[row, 2 * pair + 1])))
+    return rows

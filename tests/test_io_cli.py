@@ -41,7 +41,8 @@ def test_float_formatting_uses_12_significant_digits(tmp_path):
 
 def test_trajectory_rows_cover_all_sites():
     trajectory = evolve(InitialCoin(51, 0), Ordered(hadamard_coin()), 3)
-    rows = io.trajectory_rows(trajectory)
+    blocks = [io.trajectory_columns(state) for state in trajectory]
+    rows = [row for block in blocks for row in zip(*block)]
     assert len(rows) == 1 + 3 + 5 + 7
     per_t = {}
     for t, j, *_rest, p in rows:
@@ -56,7 +57,7 @@ def test_trajectory_rows_cover_all_sites():
 def test_moment_series_csv_round_trip(tmp_path):
     series = MomentSeries(times=np.arange(1, 6), m2=np.array([1.0, 2, 3, 5, 8.25]))
     path = tmp_path / "m2.csv"
-    io.write_csv(path, io.MOMENT_HEADER, io.moment_rows(series))
+    io.write_table(path, None, io.MOMENT_HEADER, [io.moment_columns(series)], {})
     back = io.read_moment_series_csv(path)
     np.testing.assert_array_equal(back.times, series.times)
     np.testing.assert_allclose(back.m2, series.m2, rtol=1e-12)
@@ -412,6 +413,20 @@ def test_cli_lz_bad_symbol_names_file_and_line(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["message"].startswith(f"{seqs}:4: illegal symbol 'X'")
+    assert not out.exists()
+
+
+def test_cli_fit_reports_unreadable_input_as_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--input", str(missing), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"cannot read moment series file {missing}: ")
     assert not out.exists()
 
 

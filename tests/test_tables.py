@@ -1,0 +1,167 @@
+"""CLI tables against the row route: the column-wise writer and the streamed walk.
+
+`io.write_table` must write the bytes that `io.write_csv` plus `io.write_json`
+write for the same rows (`oracles.reference_table`), and every table of a
+CLI command must equal the one built from `evolve` and the library calls.
+"""
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dtqw import io, walk
+from dtqw.cli import build_parser, main, resolve_config
+from dtqw.coins import hadamard_coin
+from dtqw.entanglement import coin_density_curve, density_eigenvalues, entropy_curve
+from dtqw.sequences import lz_complexity, parse_sequence_lines, reference_sequences
+from dtqw.tomography import tomographic_entropy
+from dtqw.transport import moment_series, position_distribution
+from dtqw.walk import DynamicSequence, InitialCoin, Ordered, StaticRandom, evolve
+
+from oracles import reference_counts_rows, reference_table, reference_trajectory_rows
+
+FLOATS = [0.0, -0.0, 1 / 3, 1e-5, 5e-324, 123.0, 1e12, 1.5e15, float("nan"), float("inf"),
+          float("-inf")]
+N = len(FLOATS)
+HEADER = ("i", "name", "expected", "x", "x_array", "x_scalars")
+COLUMNS = (
+    np.arange(-3, N - 3),
+    ["plain", "a,b", 'say "hi"', "", "HFH"] + ["s"] * (N - 5),
+    [4, "", 7, 0, "", 12, -1, "", 3, 5, ""],  # lz `expected`: blank where none is given
+    FLOATS,
+    np.array(FLOATS),
+    [np.float64(x) for x in FLOATS],
+)
+HEAD = {"schema_version": 1, "config": {"command": "test", "phi": [0.1, 2.0]}, "phi_deg": 1 / 3}
+
+
+@pytest.mark.parametrize("cuts", [(0, N), (0, 1, 4, 4, 9, N), (), (0, 0)],
+                         ids=["one block", "several blocks", "no blocks", "empty block"])
+def test_write_table_matches_the_row_route(tmp_path, cuts):
+    blocks = [tuple(c[a:b] for c in COLUMNS) for a, b in zip(cuts, cuts[1:])]
+    rows = [row for block in blocks for row in zip(*block)]
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir(), want.mkdir()
+    io.write_table(got / "t.csv", got / "t.json", HEADER, blocks, HEAD)
+    reference_table(want, "t", HEADER, rows, HEAD)
+    for name in ("t.csv", "t.json"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    if not rows:
+        assert (got / "t.json").read_text().endswith('"records": []\n}\n')
+
+
+# --- every table of a command against the oracle ------------------------------
+
+INIT = ("--theta", "51", "--phi", "30")
+SEQUENCE = "FFHFHFHHFFFFFHFHHHHH"
+LZ_FILE = "HFHFHFHF 4\nHHHHFFFF\nFHFFHFFFHH 5\n"
+
+
+def walk_reference(policy, steps):
+    def write(out, head, kept):
+        trajectory = evolve(InitialCoin(51, 30), policy, steps)
+        dist = position_distribution(trajectory[-1])
+        series = moment_series(InitialCoin(51, 30), policy, steps)
+        tables = {
+            "trajectory": (io.TRAJECTORY_HEADER, reference_trajectory_rows(trajectory)),
+            "distribution": (io.DISTRIBUTION_HEADER,
+                             [(int(j), float(p)) for j, p in zip(dist.sites, dist.probabilities)]),
+            "moments": (io.MOMENT_HEADER,
+                        [(int(t), float(m)) for t, m in zip(series.times, series.m2)]),
+        }
+        for stem, (header, rows) in tables.items():
+            reference_table(out, stem, header, rows, head, kept)
+    return write
+
+
+def entropy_reference(out, head, kept):
+    for phi in (0.0, 90.5, 180.0):
+        init, policy = InitialCoin(51, phi), Ordered(hadamard_coin())
+        lam = density_eigenvalues(coin_density_curve(init, policy, 30))
+        rows = [(t, s, float(a), float(b))
+                for (t, s), a, b in zip(entropy_curve(init, policy, 30), *lam)]
+        reference_table(out, f"entropy_curve_phi{phi:g}", io.ENTROPY_EIGEN_HEADER, rows,
+                        {**head, "phi_deg": phi}, kept)
+
+
+def lz_reference(entries):
+    def write(out, head, kept):
+        header = ("sequence", "length", "lz_complexity", "expected")
+        rows = [(seq.text, len(seq), lz_complexity(seq), "" if e is None else e)
+                for seq, e in entries()]
+        reference_table(out, "lz_complexity", header, rows, head, kept)
+    return write
+
+
+def tomo_reference(out, head, kept):
+    state = evolve(InitialCoin(51, 30), StaticRandom(seed=2), 12)[-1]
+    result = tomographic_entropy(state, total_counts=5000, seed=4)
+    reference_table(out, "counts", io.COUNTS_HEADER, reference_counts_rows(result.counts),
+                    head, kept)
+    fields = io.TOMOGRAPHY_SUMMARY_HEADER
+    if "csv" in kept:
+        io.write_csv(out / "tomography_summary.csv", fields,
+                     [tuple(getattr(result, f) for f in fields)])
+    if "json" in kept:
+        io.write_json(out / "tomography.json", {**head, **io.tomography_dict(result)})
+
+
+CASES = {
+    "walk sequence": (["walk", *INIT, "--steps", "20", "--sequence", SEQUENCE],
+                      walk_reference(DynamicSequence(SEQUENCE), 20)),
+    "walk static": (["walk", *INIT, "--steps", "20", "--static-seed", "5"],
+                    walk_reference(StaticRandom(seed=5), 20)),
+    "entropy": (["entropy", "--theta", "51", "--phi", "0,90.5,180", "--steps", "30",
+                 "--ordered", "H", "--eigenvalues"], entropy_reference),
+    "lz": (["lz"], lz_reference(reference_sequences)),
+    "lz input": (["lz", "--input", "{seqs}"],
+                 lz_reference(lambda: parse_sequence_lines(LZ_FILE, "seqs.txt"))),
+    "tomo": (["tomo", *INIT, "--steps", "12", "--static-seed", "2", "--total-counts", "5000",
+              "--seed", "4"], tomo_reference),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_cli_files_match_the_row_route(tmp_path, capsys, case, fmt):
+    argv, reference = CASES[case]
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text(LZ_FILE)
+    got, want = tmp_path / "got", tmp_path / "want"
+    argv = [a.format(seqs=seqs) for a in argv] + ["--format", fmt, "--out", str(got)]
+    assert main(argv) == 0
+    cfg = resolve_config(argv[0], build_parser().parse_args(argv))
+    want.mkdir()
+    reference(want, {"schema_version": io.SCHEMA_VERSION, "config": cfg},
+              ("csv", "json") if fmt == "both" else (fmt,))
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_walk_streams_from_one_propagation_in_bounded_memory(tmp_path, monkeypatch, capsys):
+    argv = ["walk", *INIT, "--dynamic-seed", "3", "--out"]
+    assert main([*argv, str(tmp_path / "warm"), "--steps", "2"]) == 0  # first-call set-up
+    calls = []
+    real = walk._propagate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dtqw" and getattr(mod, "_propagate", None) is real:
+            monkeypatch.setattr(mod, "_propagate", counting)
+    tracemalloc.start()
+    try:
+        code = main([*argv, str(tmp_path / "run"), "--steps", "200"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(calls) == 1
+    # The dense trajectory of 201^2 rows held as tuples peaks near 20 MB.
+    assert peak < 2 * 2**20, peak
