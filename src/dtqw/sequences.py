@@ -4,9 +4,10 @@ A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
 every sequence with the coin-and-shift step of :mod:`dtqw.walk`, advancing
-many sequences as independent walks in one call, and reduce the results in
-fixed batches of 2^14 consecutive packed integers, so reports are
-bit-identical no matter how many worker processes share the job.
+many sequences as independent walks in one call.  Each task returns its
+final entropies, and the report is computed once from the whole array,
+summed in fixed batches of 2^14 sequences, so reports are bit-identical no
+matter how many worker processes share the job.
 
 The exhaustive sweep walks the enumeration as a binary prefix tree, so
 sequences that share their first coins share that work.  The first 10 coins
@@ -17,9 +18,9 @@ writes its entropies to the slice of the enumeration that its later coins
 select.  This costs about 2(n+1) site updates per sequence instead of the
 n^2/2 of stepping every sequence from the origin.  A task is an aligned
 power-of-two range of whole batches; a sweep with one task (one worker, or
-fewer than 2^17 sequences, where a pool costs more than it saves) runs in
-process without a worker pool.  Random sequences share no
-prefixes, so the sampled sweep steps each batch from the origin.
+fewer than 2^17 sequences, where a pool costs more than it saves) or one
+usable CPU runs in process without a worker pool.  Random sequences share
+no prefixes, so the sampled sweep steps each batch from the origin.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -30,6 +31,7 @@ a still-reproducible tail counts as a final word.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -75,8 +77,8 @@ ENHANCER_20 = "FFHFHFHHFFFFFHFHHHHH"
 #: maximum are reported as maximizers.
 ARGMAX_TOL = 1e-12
 
-#: Fixed work-unit size for sweeps; independent of the worker count so that
-#: partial reductions merge identically for any parallel layout.
+#: Fixed work-unit size for sweeps, independent of the worker count: tasks
+#: hold whole batches, and the report sums one batch at a time.
 _BATCH_SIZE = 1 << 14
 
 #: The exhaustive sweep's prefix tree steps its first _LEAF_BITS coins
@@ -204,31 +206,14 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     return von_neumann_entropy(coin_density_curve(init, DynamicSequence(seq), len(seq))[-1])
 
 
-def _batch_stats(entropies, ints, edges, threshold):
-    """Summary stats of one batch: `entropies[i]` belongs to packed sequence `ints[i]`."""
-    top = float(entropies.max())
-    near = entropies >= top - ARGMAX_TOL
-    candidates = [(float(e), int(v)) for e, v in zip(entropies[near], ints[near])]
-    return {
-        "count": int(entropies.size),
-        "sum": float(np.sum(entropies)),
-        "sum_sq": float(np.sum(entropies**2)),
-        "above": int(np.sum(entropies > threshold)),
-        "bins": np.histogram(entropies, bins=edges)[0],
-        "max": top,
-        "candidates": candidates,
-        "entropies": entropies,
-    }
-
-
 def _sampled_batch(args):
-    """Evaluate one batch of packed sequences from the origin and reduce it."""
-    ints, n, spinor, edges, threshold = args
+    """Final entropies of one batch of packed sequences, each stepped from the origin."""
+    ints, n, spinor = args
     # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
     bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
     for up, dn in _propagate(_sequence_plan(bits), spinor):
         pass
-    return _batch_stats(_entropy_bits(_coin_density(up, dn)), ints, edges, threshold)
+    return _entropy_bits(_coin_density(up, dn))
 
 
 def _tree_entropies(n, spinor, varying, high):
@@ -275,16 +260,10 @@ def _tree_entropies(n, spinor, varying, high):
 
 
 def _tree_task(args):
-    """Per-batch stats, in batch order, for `count` batches from batch `first` on."""
-    n, spinor, edges, threshold, first, count = args
+    """Final entropies of `count` batches from batch `first` on, in packed order."""
+    n, spinor, first, count = args
     size = min(_BATCH_SIZE, 1 << n)
-    start = first * size
-    entropies = _tree_entropies(n, spinor, (count * size).bit_length() - 1, start)
-    ints = np.arange(start, start + count * size, dtype=np.uint64)
-    return [
-        _batch_stats(entropies[k : k + size], ints[k : k + size], edges, threshold)
-        for k in range(0, count * size, size)
-    ]
+    return _tree_entropies(n, spinor, (count * size).bit_length() - 1, first * size)
 
 
 @dataclass(frozen=True)
@@ -310,70 +289,55 @@ class SweepReport:
     entropies: NDArray[np.float64] | None
 
 
-def _resolve_bins(bins) -> NDArray[np.float64]:
+def _sweep_edges(bins, threshold: float, workers: int) -> NDArray[np.float64]:
+    """Histogram edges for `bins`, after checking the options both sweeps share."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if isinstance(bins, (int, np.integer)):
         if bins < 1:
             raise ValueError(f"bin count must be >= 1, got {bins}")
         return np.linspace(0.0, 1.0, int(bins) + 1)
     edges = np.asarray(bins, dtype=np.float64)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be a strictly increasing 1-D sequence")
+    finite = edges.ndim == 1 and len(edges) >= 2 and np.all(np.isfinite(edges))
+    if not finite or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be a finite, strictly increasing 1-D sequence")
     return edges
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _run_tasks(fn, tasks, workers: int) -> list:
-    """`fn` over `tasks`, results in task order; a pool only for several tasks and workers."""
-    if workers == 1 or len(tasks) == 1:
+    """`fn` over `tasks` in task order, on at most `workers` processes and the usable CPUs."""
+    # A forked pool starts all its processes at the first submit; past the
+    # usable CPUs they only wait.  One process runs the tasks without a pool.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(tasks), cpus or 1)
+    if workers == 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
-def _merge_report(
-    partials,
-    n: int,
-    init: InitialCoin,
-    edges: NDArray[np.float64],
-    threshold: float,
-    sampled: bool,
-    seed: int | None,
-    samples: int | None,
-    keep_entropies: bool,
-    wall_time_s: float,
+def _report(
+    entropies, n, init, edges, threshold, started, ints=None, seed=None, samples=None
 ) -> SweepReport:
-    # Partials arrive in batch order; scalar accumulation below is the single
-    # float reduction, so the result cannot depend on the worker layout.
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    above = 0
-    bin_counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    top = -np.inf
-    candidates: list[tuple[float, int]] = []
-    chunks = []
-    for part in partials:
-        count += part["count"]
-        total += part["sum"]
-        total_sq += part["sum_sq"]
-        above += part["above"]
-        bin_counts += part["bins"]
-        top = max(top, part["max"])
-        candidates.extend(part["candidates"])
-        if keep_entropies:
-            chunks.append(part["entropies"])
+    """The report of a sweep's final entropies; `ints[i]` packs sequence i (None: i itself)."""
+    count = entropies.size
+    # One float sum per 2^14-entry batch, added in batch order, keeps the
+    # reported mean and std bit for bit; one np.sum of the array rounds
+    # differently (from n = 17 on).
+    total = total_sq = 0.0
+    for k in range(0, count, _BATCH_SIZE):
+        batch = entropies[k : k + _BATCH_SIZE]
+        total += float(np.sum(batch))
+        total_sq += float(np.sum(batch**2))
     mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    std = float(np.sqrt(var))
-    argmax = sorted(
-        CoinSequence.from_int(v, n).text
-        for e, v in candidates
-        if e >= top - ARGMAX_TOL
-    )
+    std = float(np.sqrt(max(total_sq / count - mean * mean, 0.0)))
+    top = float(entropies.max())
+    winners = np.flatnonzero(entropies >= top - ARGMAX_TOL)
+    sampled = ints is not None
+    if sampled:
+        winners = ints[winners]
     return SweepReport(
         n=n,
         init=init,
@@ -381,17 +345,17 @@ def _merge_report(
         mean_entropy=mean,
         std_entropy=std,
         threshold=threshold,
-        fraction_above=above / count,
+        fraction_above=int(np.count_nonzero(entropies > threshold)) / count,
         bin_edges=edges,
-        bin_counts=bin_counts,
+        bin_counts=np.histogram(entropies, bins=edges)[0],
         max_entropy=top,
-        argmax_sequences=argmax,
+        argmax_sequences=sorted(CoinSequence.from_int(int(v), n).text for v in winners),
         sampled=sampled,
         std_error=(std / np.sqrt(count)) if sampled else None,
         seed=seed,
         samples=samples,
-        wall_time_s=wall_time_s,
-        entropies=np.concatenate(chunks) if keep_entropies else None,
+        wall_time_s=time.perf_counter() - started,
+        entropies=None if sampled else entropies,
     )
 
 
@@ -412,15 +376,17 @@ def exhaustive_sweep(
         Sequence length; must satisfy 1 <= n <= 24 (the full enumeration has
         2^n walks).  For longer sequences use :func:`sampled_sweep`.
     bins : int or sequence of float
-        Histogram bin count (uniform on [0, 1]) or explicit monotone edges.
+        Histogram bin count (uniform on [0, 1]) or explicit finite, strictly
+        increasing edges.
     threshold : float
         `fraction_above` reports the fraction of sequences with entropy
-        strictly above this value.
+        strictly above this finite value.
     workers : int
-        Upper bound on the worker processes (>= 1).  The report is
-        bit-identical for any value.  Below 2^17 sequences the sweep runs in
-        process as one task whatever the value; otherwise the work splits
-        into at most `workers` tasks of 2^k whole batches of 2^14 sequences.
+        Upper bound on the worker processes (>= 1), further capped at the
+        usable CPUs.  Below 2^17 sequences the sweep runs in process as one
+        task whatever the value; otherwise the work splits into at most
+        `workers` tasks of 2^k whole batches of 2^14 sequences.  The report is
+        bit-identical for any value: sums add one sum per batch, in order.
 
     Returns
     -------
@@ -435,31 +401,17 @@ def exhaustive_sweep(
             f"exhaustive enumeration of 2^{n} sequences refused (limit n <= "
             f"{_EXHAUSTIVE_LIMIT}); use sampled_sweep instead"
         )
-    _check_workers(workers)
+    edges = _sweep_edges(bins, threshold, workers)
     if (1 << n) < _POOL_MIN_SEQUENCES:
         workers = 1
-    edges = _resolve_bins(bins)
     spinor = init.spinor
     started = time.perf_counter()
     batches = max((1 << n) // _BATCH_SIZE, 1)
     # The largest power of two <= min(workers, batches): aligned, equal ranges.
     count = batches >> (min(workers, batches).bit_length() - 1)
-    tasks = [
-        (n, spinor, edges, threshold, first, count) for first in range(0, batches, count)
-    ]
-    partials = [p for part in _run_tasks(_tree_task, tasks, workers) for p in part]
-    return _merge_report(
-        partials,
-        n,
-        init,
-        edges,
-        threshold,
-        sampled=False,
-        seed=None,
-        samples=None,
-        keep_entropies=True,
-        wall_time_s=time.perf_counter() - started,
-    )
+    tasks = [(n, spinor, first, count) for first in range(0, batches, count)]
+    entropies = np.concatenate(_run_tasks(_tree_task, tasks, workers))
+    return _report(entropies, n, init, edges, threshold, started)
 
 
 def sampled_sweep(
@@ -475,37 +427,25 @@ def sampled_sweep(
 
     Draws `samples` sequences i.i.d. uniformly (with replacement) from the
     2^n possibilities using the seeded PCG64 generator, so runs reproduce
-    bit for bit.  The report carries the standard error of the mean.
+    bit for bit.  The report carries the standard error of the mean.  The
+    other parameters, and the 2^14-sample batches, are as in the exhaustive sweep.
     """
     if not 1 <= n <= 62:
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_workers(workers)
-    edges = _resolve_bins(bins)
+    edges = _sweep_edges(bins, threshold, workers)
     spinor = init.spinor
     started = time.perf_counter()
     ints = np.random.default_rng(seed).integers(
         0, 1 << n, size=samples, dtype=np.uint64
     )
-    size = min(_BATCH_SIZE, samples)
     batches = [
-        (ints[start : start + size], n, spinor, edges, threshold)
-        for start in range(0, samples, size)
+        (ints[start : start + _BATCH_SIZE], n, spinor)
+        for start in range(0, samples, _BATCH_SIZE)
     ]
-    partials = _run_tasks(_sampled_batch, batches, workers)
-    return _merge_report(
-        partials,
-        n,
-        init,
-        edges,
-        threshold,
-        sampled=True,
-        seed=seed,
-        samples=samples,
-        keep_entropies=False,
-        wall_time_s=time.perf_counter() - started,
-    )
+    entropies = np.concatenate(_run_tasks(_sampled_batch, batches, workers))
+    return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 
 def best_sequences(report: SweepReport, k: int) -> list[CoinSequence]:

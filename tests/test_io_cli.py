@@ -527,6 +527,21 @@ def test_cli_sweep_rejects_nonpositive_workers(tmp_path, capsys):
         assert err == {"error": "config", "message": f"workers must be >= 1, got {workers}"}
 
 
+@pytest.mark.parametrize("samples", [(), ("--samples", "10")])
+@pytest.mark.parametrize(
+    "flag", ["--bins=0,nan,1", "--bins=0,1,inf", "--threshold=nan", "--threshold=-inf"]
+)
+def test_cli_sweep_rejects_non_finite_bins_and_threshold(tmp_path, capsys, samples, flag):
+    out = tmp_path / "s"
+    code = run_cli("sweep", "--theta", "51", "--phi", "0", "--n", "6", *samples, flag,
+                   "--out", str(out))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "finite" in err["message"]
+    assert not out.exists()
+
+
 def test_cli_tomo(tmp_path):
     out = tmp_path / "tomo"
     code = run_cli(

@@ -1,4 +1,7 @@
 import gc
+import os
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from dtqw import sequences
 from dtqw.entanglement import _coin_density, _entropy_bits, state_entropy
 from dtqw.sequences import (
+    ARGMAX_TOL,
     ENHANCER_20,
     CoinSequence,
+    SweepReport,
     best_sequences,
     entropy_of_sequence,
     exhaustive_sweep,
@@ -184,6 +189,15 @@ def test_exhaustive_refuses_oversized_enumeration():
         exhaustive_sweep(INIT, 0)
 
 
+def _assert_same_report(a, b):
+    """Every field but the wall time agrees bit for bit (and in type)."""
+    for field in fields(SweepReport):
+        if field.name != "wall_time_s":
+            assert pickle.dumps(getattr(a, field.name)) == pickle.dumps(getattr(b, field.name)), (
+                field.name
+            )
+
+
 def _assert_worker_counts_agree():
     # n = 10 is one batch, run in process; n = 16 and 17 split into two
     # tasks (three workers round down to two) or, at n = 17, four, where
@@ -191,14 +205,7 @@ def _assert_worker_counts_agree():
     for n, counts in ((10, (2, 8)), (16, (2, 3)), (17, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
-            r = exhaustive_sweep(INIT, n, workers=w)
-            assert r.mean_entropy == base.mean_entropy
-            assert r.std_entropy == base.std_entropy
-            assert r.fraction_above == base.fraction_above
-            assert r.max_entropy == base.max_entropy
-            assert r.argmax_sequences == base.argmax_sequences
-            np.testing.assert_array_equal(r.bin_counts, base.bin_counts)
-            np.testing.assert_array_equal(r.entropies, base.entropies)
+            _assert_same_report(exhaustive_sweep(INIT, n, workers=w), base)
 
 
 def test_exhaustive_worker_counts_agree_bit_for_bit():
@@ -208,6 +215,49 @@ def test_exhaustive_worker_counts_agree_bit_for_bit():
 def test_exhaustive_pool_path_agrees_bit_for_bit(monkeypatch):
     monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
     _assert_worker_counts_agree()
+
+
+def test_sampled_worker_counts_agree_bit_for_bit():
+    # Four batches, the last of 5 samples, on one, two and three workers.
+    samples = 3 * (1 << 14) + 5
+    base = sampled_sweep(INIT, 24, samples, seed=5, workers=1)
+    for w in (2, 3):
+        _assert_same_report(sampled_sweep(INIT, 24, samples, seed=5, workers=w), base)
+
+
+def test_worker_pool_is_capped_at_usable_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in process, starting no processes."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sequences, "ProcessPoolExecutor", SerialPool)
+    base = exhaustive_sweep(INIT, 17)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    # Eight tasks of 2^14 sequences, and five sample batches, on three CPUs.
+    _assert_same_report(exhaustive_sweep(INIT, 17, workers=1000), base)
+    sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
+    assert sizes == [3, 3]
+    # Without CPU affinity the CPU count caps the pool; one CPU starts none.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    exhaustive_sweep(INIT, 17, workers=1000)
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _assert_same_report(exhaustive_sweep(INIT, 17, workers=1000), base)
+    assert sizes == [3, 3, 2]
 
 
 def test_small_exhaustive_sweep_starts_no_pool(monkeypatch):
@@ -279,6 +329,32 @@ def test_bins_accept_explicit_edges():
     assert report.bin_counts.sum() == report.count
     with pytest.raises(ValueError):
         exhaustive_sweep(INIT, 6, bins=[0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "bins,threshold",
+    [([0.0, np.nan, 1.0], 0.9), ([0.0, 1.0, np.inf], 0.9), (12, np.nan), (12, np.inf), (12, -np.inf)],
+)
+def test_sweeps_reject_non_finite_bins_and_threshold(bins, threshold):
+    with pytest.raises(ValueError, match="finite"):
+        exhaustive_sweep(INIT, 6, bins=bins, threshold=threshold)
+    with pytest.raises(ValueError, match="finite"):
+        sampled_sweep(INIT, 6, samples=10, seed=0, bins=bins, threshold=threshold)
+
+
+@pytest.mark.parametrize("init", [INIT, InitialCoin(0, 0)])  # theta = 0 ties many sequences
+@pytest.mark.parametrize("bins", [12, [0.0, 0.3, 0.6, 0.9, 0.99, 1.0]])
+def test_report_fields_match_entropy_array(init, bins):
+    n, threshold = 12, 0.9
+    report = exhaustive_sweep(init, n, bins=bins, threshold=threshold)
+    e = report.entropies
+    np.testing.assert_array_equal(report.bin_counts, np.histogram(e, report.bin_edges)[0])
+    assert report.fraction_above == np.mean(e > threshold)
+    assert report.max_entropy == e.max()
+    winners = np.flatnonzero(e >= e.max() - ARGMAX_TOL)
+    assert report.argmax_sequences == sorted(CoinSequence.from_int(int(v), n).text for v in winners)
+    assert abs(report.mean_entropy - e.mean()) <= 1e-15
+    assert abs(report.std_entropy - e.std()) <= 1e-12
 
 
 def test_sampled_sweep_deterministic_under_seed():
