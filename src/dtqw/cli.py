@@ -77,6 +77,13 @@ def _parse_bins(text: str) -> int | list[float]:
     return _parse_float_list(text) if "," in text else int(text)
 
 
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_format(text: str) -> str:
     if text not in ("csv", "json", "both"):
         raise ValueError(f"expected csv, json or both, got {text!r}")
@@ -111,15 +118,15 @@ _OPTIONS = (
     _Option("ordered", str, None, _WALKS, "coin policy: one fixed coin, H, F or I"),
     _Option("sequence", str, None, _WALKS + ("lz",),
             "coin sequence over {H, F}: the coin policy, or the one sequence lz scores"),
-    _Option("dynamic_seed", int, None, _WALKS,
+    _Option("dynamic_seed", _parse_seed, None, _WALKS,
             "coin policy: a random coin per step, seeded (with --static-seed: both)"),
-    _Option("static_seed", int, None, _WALKS, "coin policy: a random coin per site, seeded"),
+    _Option("static_seed", _parse_seed, None, _WALKS, "coin policy: a random coin per site, seeded"),
     _Option("n", int, None, ("sweep",), "sequence length"),
     _Option("bins", _parse_bins, 12, ("sweep",),
             "histogram bin count or comma-separated edges"),
     _Option("threshold", float, 0.9, ("sweep",), "entropy threshold of the reported fraction"),
     _Option("samples", int, None, ("sweep",), "sample count (Monte Carlo sweep)"),
-    _Option("seed", int, 0, ("sweep", "tomo"), "seed of the samples or of the counts"),
+    _Option("seed", _parse_seed, 0, ("sweep", "tomo"), "seed of the samples or of the counts"),
     _Option("workers", int, 1, ("sweep",), "most worker processes to use"),
     _Option("total_counts", int, None, ("tomo",), "total number of counts"),
     _Option("noiseless", _parse_bool, False, ("tomo",),

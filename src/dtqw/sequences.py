@@ -74,7 +74,7 @@ __all__ = [
 ENHANCER_20 = "FFHFHFHHFFFFFHFHHHHH"
 
 #: Sequences whose final entropy is within this distance of the sweep
-#: maximum are reported as maximizers.
+#: maximum are reported as maximizers, each once.
 ARGMAX_TOL = 1e-12
 
 #: Fixed work-unit size for sweeps, independent of the worker count: tasks
@@ -337,7 +337,8 @@ def _report(
     winners = np.flatnonzero(entropies >= top - ARGMAX_TOL)
     sampled = ints is not None
     if sampled:
-        winners = ints[winners]
+        # Samples are drawn with replacement: list each maximizer once.
+        winners = np.unique(ints[winners])
     return SweepReport(
         n=n,
         init=init,
@@ -410,7 +411,9 @@ def exhaustive_sweep(
     # The largest power of two <= min(workers, batches): aligned, equal ranges.
     count = batches >> (min(workers, batches).bit_length() - 1)
     tasks = [(n, spinor, first, count) for first in range(0, batches, count)]
-    entropies = np.concatenate(_run_tasks(_tree_task, tasks, workers))
+    parts = _run_tasks(_tree_task, tasks, workers)
+    # One task's array is the result itself; concatenating would copy it.
+    entropies = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return _report(entropies, n, init, edges, threshold, started)
 
 

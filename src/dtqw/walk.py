@@ -19,15 +19,16 @@ the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 expands every step to it and `final_state` only the last.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
-sequence, and randomly drawn coins that vary per step (dynamic disorder),
-per site (static disorder), or both.  Random draws use numpy's seeded PCG64
-generator, so runs are reproducible bit for bit.
+sequence, and randomly drawn coins, H (bit 0) or F (bit 1), that vary per
+step (dynamic disorder), per site of the light cone -steps..steps (static
+disorder), or both.  Random draws use numpy's seeded PCG64 generator, so
+runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -123,10 +124,6 @@ class InitialCoin:
         )
 
 
-def _default_alphabet() -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    return (hadamard_coin(), fourier_coin())
-
-
 @dataclass(frozen=True)
 class Ordered:
     """Same coin at every step."""
@@ -152,44 +149,30 @@ class DynamicSequence:
 
 @dataclass(frozen=True)
 class DynamicRandom:
-    """Fresh uniform coin draw from `alphabet` at every step."""
+    """A fresh uniform draw of H (bit 0) or F (bit 1) at every step."""
 
     seed: int
-    alphabet: tuple[NDArray[np.complex128], NDArray[np.complex128]] = field(
-        default_factory=_default_alphabet
-    )
 
 
 @dataclass(frozen=True)
 class StaticRandom:
-    """One uniform coin draw per site, frozen for the whole walk.
-
-    The assignment covers `site_range` (inclusive), drawn once before the
-    evolution; None means [-steps, steps].
-    """
+    """One uniform draw of H (bit 0) or F (bit 1) per site of the light cone, drawn once."""
 
     seed: int
-    alphabet: tuple[NDArray[np.complex128], NDArray[np.complex128]] = field(
-        default_factory=_default_alphabet
-    )
-    site_range: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
 class StaticAndDynamic:
     """Static per-site pattern combined with a fresh per-step pattern.
 
-    The coin applied at site j on step t is ``alphabet[s_j XOR d_t]`` where
-    the bits s_j come from `static_seed` (one per site, drawn once) and the
-    bits d_t from `dynamic_seed` (one per step).  Holding either stream
-    constant recovers the pure static or pure dynamic policy.
+    The coin at site j on step t is H if ``s_j XOR d_t`` is 0, else F; the
+    bits s_j come from `static_seed` (one per site, drawn once) and the bits
+    d_t from `dynamic_seed` (one per step).  Holding either stream constant
+    recovers the pure static or pure dynamic policy.
     """
 
     static_seed: int
     dynamic_seed: int
-    alphabet: tuple[NDArray[np.complex128], NDArray[np.complex128]] = field(
-        default_factory=_default_alphabet
-    )
 
 
 CoinPolicy = Union[Ordered, DynamicSequence, DynamicRandom, StaticRandom, StaticAndDynamic]
@@ -199,7 +182,8 @@ class CoinPlan:
     """Resolved coin assignment for walks of a fixed number of steps.
 
     The coin applied at site j on step t is
-    ``alphabet[step_bits[..., t] ^ site_bits[j - site_origin]]``; a missing
+    ``alphabet[step_bits[..., t] ^ site_bits[j + steps]]``: `site_bits`
+    holds one bit per site of the light cone -steps..steps, and a missing
     bit stream reads as 0, so a plan with neither applies ``alphabet[0]``
     everywhere.  Leading axes of `step_bits` index independent walks that
     share the alphabet and the site pattern.  All randomness is consumed at
@@ -211,23 +195,19 @@ class CoinPlan:
         steps: int,
         alphabet: NDArray[np.complex128],
         site_bits: NDArray[np.int64] | None = None,
-        site_origin: int = 0,
         step_bits: NDArray[np.int64] | None = None,
     ) -> None:
         self.steps = steps
         self.alphabet = alphabet
         self.site_bits = site_bits
-        self.site_origin = site_origin  # lattice site of site_bits[0]
         self.step_bits = step_bits
-        # Coins resolved once per site of the light cone -steps..steps, row b
-        # holding alphabet[site_bits ^ b]; without site bits, one column that
+        # Coins resolved once per site of the light cone, row b holding
+        # alphabet[site_bits ^ b]; without site bits, one column that
         # broadcasts over every site.
         if site_bits is None:
             self._table = alphabet[:, None]
         else:
-            lo = -steps - site_origin
-            cone = site_bits[lo : lo + 2 * steps + 1]
-            self._table = alphabet[cone ^ np.arange(1 if step_bits is None else 2)[:, None]]
+            self._table = alphabet[site_bits ^ np.arange(1 if step_bits is None else 2)[:, None]]
 
     def coins(self, t: int) -> NDArray[np.complex128]:
         """Coins of step t at sites -t, -t+2, .., t.
@@ -245,15 +225,14 @@ class CoinPlan:
         return table[bits] if bits.ndim else table[int(bits)]  # an int index keeps the view
 
     def coin_matrix(self, t: int, j: int) -> NDArray[np.complex128]:
-        """Coin applied at site j during step t (t = 0 .. steps-1) of a single walk."""
+        """Coin applied at site j (|j| <= steps) during step t (0 .. steps-1) of a single walk."""
         if not 0 <= t < self.steps:
             raise ValueError(f"step index {t} outside 0..{self.steps - 1}")
+        if abs(j) > self.steps:
+            raise ValueError(f"site {j} outside the light cone -{self.steps}..{self.steps}")
         bit = 0 if self.step_bits is None else int(self.step_bits[t])
         if self.site_bits is not None:
-            idx = j - self.site_origin
-            if not 0 <= idx < len(self.site_bits):
-                raise ValueError(f"site {j} outside the static assignment range")
-            bit ^= int(self.site_bits[idx])
+            bit ^= int(self.site_bits[j + self.steps])
         return self.alphabet[bit]
 
 
@@ -270,13 +249,13 @@ def _sequence_plan(step_bits: NDArray[np.int64]) -> CoinPlan:
 def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     """Resolve `policy` into the explicit coin assignment for `steps` steps.
 
-    Coins are checked for unitarity here, once; the kernel does not re-check.
+    An `Ordered` coin is checked for unitarity here; the kernel does not re-check.
 
     Raises
     ------
     ValueError
-        If a prescribed sequence length differs from `steps`, a static site
-        range does not cover the light cone, or a coin is not unitary.
+        If a prescribed sequence length differs from `steps` or an ordered
+        coin is not unitary.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -297,31 +276,20 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
 
     if not isinstance(policy, (DynamicRandom, StaticRandom, StaticAndDynamic)):
         raise TypeError(f"unsupported coin policy: {policy!r}")
-    alphabet = np.stack([require_unitary(c) for c in policy.alphabet])
+    alphabet = np.stack([hadamard_coin(), fourier_coin()])  # bit 0 -> H, bit 1 -> F
+
+    def bits(seed: int, size: int) -> NDArray[np.int64]:
+        return np.random.default_rng(seed).integers(0, 2, size=size)
 
     if isinstance(policy, DynamicRandom):
-        picks = np.random.default_rng(policy.seed).integers(0, 2, size=steps)
-        return CoinPlan(steps, alphabet=alphabet, step_bits=picks)
-
+        return CoinPlan(steps, alphabet, step_bits=bits(policy.seed, steps))
     if isinstance(policy, StaticRandom):
-        lo, hi = policy.site_range if policy.site_range is not None else (-steps, steps)
-        if lo > -steps or hi < steps:
-            raise ValueError(
-                f"site range [{lo}, {hi}] does not cover the light cone [-{steps}, {steps}]"
-            )
-        bits = np.random.default_rng(policy.seed).integers(0, 2, size=hi - lo + 1)
-        return CoinPlan(steps, alphabet=alphabet, site_bits=bits, site_origin=lo)
-
-    site_bits = np.random.default_rng(policy.static_seed).integers(
-        0, 2, size=2 * steps + 1
-    )
-    step_bits = np.random.default_rng(policy.dynamic_seed).integers(0, 2, size=steps)
+        return CoinPlan(steps, alphabet, site_bits=bits(policy.seed, 2 * steps + 1))
     return CoinPlan(
         steps,
-        alphabet=alphabet,
-        site_bits=site_bits,
-        site_origin=-steps,
-        step_bits=step_bits,
+        alphabet,
+        site_bits=bits(policy.static_seed, 2 * steps + 1),
+        step_bits=bits(policy.dynamic_seed, steps),
     )
 
 

@@ -108,7 +108,7 @@ def reference_propagate(plan: CoinPlan, spinor: np.ndarray):
     for t in range(plan.steps):
         idx = 0 if plan.step_bits is None else plan.step_bits[..., t, None]
         if plan.site_bits is not None:
-            lo = -t - plan.site_origin
+            lo = plan.steps - t
             idx = idx ^ plan.site_bits[lo : lo + 2 * t + 1 : 2]
         c = plan.alphabet[idx]
         row0, row1 = c[..., 0, 0] * up + c[..., 0, 1] * dn, c[..., 1, 0] * up + c[..., 1, 1] * dn

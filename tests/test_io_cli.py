@@ -280,6 +280,35 @@ def test_cli_bad_flag_values_reported_like_config_values(tmp_path, capsys):
     assert help_exit.value.code == 0
 
 
+WALK_ARGS = ("--theta", "51", "--phi", "0", "--steps", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (("walk", *WALK_ARGS, "--static-seed", "-3"), "option --static-seed"),
+        (("walk", *WALK_ARGS, "--dynamic-seed", "-1"), "option --dynamic-seed"),
+        (("tomo", *WALK_ARGS, "--ordered", "H", "--total-counts", "100", "--seed", "-1"),
+         "option --seed"),
+        (("sweep", "--theta", "51", "--phi", "0", "--n", "5", "--samples", "5", "--seed", "-1"),
+         "option --seed"),
+        (("entropy", *WALK_ARGS, "--dynamic-seed", "2", "--config", "seed.cfg"),
+         "config key 'static_seed'"),
+    ],
+    ids=["static_seed", "dynamic_seed", "tomo-seed", "sweep-seed", "config-static_seed"],
+)
+def test_cli_negative_seed_names_its_option(tmp_path, monkeypatch, capsys, argv, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("schema_version = 1\nstatic_seed = -4\n")
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"bad value for {source}: ")
+    assert "non-negative" in err["message"]
+    assert not out.exists()
+
+
 # The CLI surface: for each command, every key is both a config key and the
 # flag --key (underscores become dashes).
 CLI_KEYS = {

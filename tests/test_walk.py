@@ -139,22 +139,19 @@ def test_streamed_reductions_carry_batch_axes():
             np.testing.assert_allclose(m2[k], dense, rtol=1e-12, atol=0)
 
 
-
-# The origin of StaticRandom's range is -7, not -steps, so its site slices are offset.
-KERNEL_CASES = [(p, 20) for p in FIVE_POLICIES] + [(StaticRandom(seed=5, site_range=(-7, 12)), 7)]
-KERNEL_IDS = [type(p).__name__ for p in FIVE_POLICIES] + ["StaticRandom-offset"]
+KERNEL_IDS = [type(p).__name__ for p in FIVE_POLICIES]
 
 
 def static_batch(steps: int) -> CoinPlan:
     """The walks of `dynamic_batch` on one frozen site pattern: coins per walk and per site."""
     static = plan_coins(StaticRandom(seed=9), steps)
     step_bits = dynamic_batch(steps).step_bits
-    return CoinPlan(steps, static.alphabet, static.site_bits, static.site_origin, step_bits)
+    return CoinPlan(steps, static.alphabet, static.site_bits, step_bits)
 
 
 @pytest.mark.parametrize(
     "plan",
-    [plan_coins(p, steps) for p, steps in KERNEL_CASES] + [dynamic_batch(20), static_batch(20)],
+    [plan_coins(p, 20) for p in FIVE_POLICIES] + [dynamic_batch(20), static_batch(20)],
     ids=KERNEL_IDS + ["batch", "static-batch"],
 )
 def test_kernel_matches_reference_bit_for_bit(plan):
@@ -170,11 +167,11 @@ def test_kernel_matches_reference_bit_for_bit(plan):
     assert steps == plan.steps
 
 
-@pytest.mark.parametrize("policy,steps", KERNEL_CASES, ids=KERNEL_IDS)
-def test_evolve_matches_reference_bit_for_bit(policy, steps):
+@pytest.mark.parametrize("policy", FIVE_POLICIES, ids=KERNEL_IDS)
+def test_evolve_matches_reference_bit_for_bit(policy):
     init = InitialCoin(33, 120)
-    states = evolve(init, policy, steps)
-    reference = reference_propagate(plan_coins(policy, steps), init.spinor)
+    states = evolve(init, policy, 20)
+    reference = reference_propagate(plan_coins(policy, 20), init.spinor)
     for state, (up, dn) in zip(states[1:], reference, strict=True):
         np.testing.assert_array_equal(state.amps[:, ::2], np.stack([up, dn]))
         assert not state.amps[:, 1::2].any()
@@ -197,12 +194,11 @@ def test_single_walk_coin_density_matches_batched_rows():
 
 @pytest.mark.parametrize(
     "policy,steps",
-    [(StaticAndDynamic(1, 2), 4096), (StaticRandom(seed=3, site_range=(-10**5, 10**5)), 100)],
+    [(StaticAndDynamic(1, 2), 4096), (StaticRandom(seed=3), 4096)],
     ids=["StaticAndDynamic", "StaticRandom-wide-range"],
 )
 def test_final_state_memory_stays_linear_for_static_plans(policy, steps):
-    # Step buffers and coin tables are O(steps): tables cover the light cone,
-    # not the whole site range, and nothing may grow per step.
+    # Step buffers and coin tables are O(steps), and nothing may grow per step.
     tracemalloc.start()
     try:
         final_state(InitialCoin(51, 0), policy, steps)
@@ -272,21 +268,6 @@ def test_evolve_is_deterministic_under_seed(policy):
         np.testing.assert_array_equal(sa.amps, sb.amps)
 
 
-def test_static_random_site_range_must_cover_light_cone():
-    with pytest.raises(ValueError):
-        evolve(InitialCoin(0, 0), StaticRandom(seed=1, site_range=(-2, 2)), 5)
-
-
-def test_static_random_explicit_range_accepted():
-    states = evolve(InitialCoin(0, 0), StaticRandom(seed=1, site_range=(-9, 9)), 5)
-    assert states[-1].norm() == pytest.approx(1.0, abs=1e-12)
-    init = InitialCoin(51, 30)
-    policy = StaticRandom(seed=1, site_range=(-7, 12))
-    oracle = dense_trajectory(init, policy, 5)
-    for state, vec in zip(evolve(init, policy, 5), oracle):
-        np.testing.assert_allclose(embed_state(state, 5), vec, atol=1e-10)
-
-
 def test_plan_matches_engine_for_static_policy():
     """The per-(t, j) coin lookup and the vectorized engine agree."""
     init = InitialCoin(77, 10)
@@ -294,6 +275,36 @@ def test_plan_matches_engine_for_static_policy():
     states = evolve(init, policy, 5)
     oracle = dense_trajectory(init, policy, 5)
     np.testing.assert_allclose(embed_state(states[-1], 5), oracle[-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
+    """Bit 0 is H and bit 1 is F; a seed's first draws are the step bits or the light cone's site bits."""
+
+    def draw(seed, size):
+        return np.random.default_rng(seed).integers(0, 2, size)
+
+    alphabet = np.stack([hadamard_coin(), fourier_coin()])
+    dynamic = plan_coins(DynamicRandom(seed), steps)
+    static = plan_coins(StaticRandom(seed), steps)
+    both = plan_coins(StaticAndDynamic(static_seed=seed, dynamic_seed=seed + 1), steps)
+    np.testing.assert_array_equal(dynamic.step_bits, draw(seed, steps))
+    np.testing.assert_array_equal(static.site_bits, draw(seed, 2 * steps + 1))
+    np.testing.assert_array_equal(both.site_bits, draw(seed, 2 * steps + 1))
+    np.testing.assert_array_equal(both.step_bits, draw(seed + 1, steps))
+    assert dynamic.site_bits is None and static.step_bits is None
+    for plan in (dynamic, static, both):
+        np.testing.assert_array_equal(plan.alphabet, alphabet)
+        step_bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
+        site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
+        sites = range(-steps, steps + 1)
+        got = [[plan.coin_matrix(t, j) for j in sites] for t in range(steps)]
+        np.testing.assert_array_equal(got, alphabet[step_bits[:, None] ^ site_bits])
+        for t in range(steps):
+            for j in (-steps - 1, steps + 1):
+                with pytest.raises(ValueError, match="light cone"):
+                    plan.coin_matrix(t, j)
 
 
 def test_walk_state_validates_shape():
