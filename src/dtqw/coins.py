@@ -114,19 +114,23 @@ def coin_from_name(name: str) -> NDArray[np.complex128]:
         ) from None
 
 
-def is_unitary(u: NDArray[np.complex128], tol: float = 1e-9) -> bool:
-    """Check that `u` is a 2x2 unitary within entrywise tolerance `tol`."""
+#: Entrywise tolerance of the unitarity check on u u^dagger - I.
+UNITARY_TOL = 1e-9
+
+
+def is_unitary(u: NDArray[np.complex128]) -> bool:
+    """Check that `u` is a 2x2 unitary within entrywise tolerance :data:`UNITARY_TOL`."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         return False
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol)
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= UNITARY_TOL)
 
 
-def require_unitary(u: NDArray[np.complex128], tol: float = 1e-9, what: str = "coin") -> NDArray[np.complex128]:
+def require_unitary(u: NDArray[np.complex128], what: str = "coin") -> NDArray[np.complex128]:
     """Return `u` as complex128, raising ValueError if it is not unitary."""
     u = np.asarray(u, dtype=np.complex128)
-    if not is_unitary(u, tol):
-        raise ValueError(f"{what} is not unitary within tolerance {tol}")
+    if not is_unitary(u):
+        raise ValueError(f"{what} is not unitary within tolerance {UNITARY_TOL}")
     return u
 
 
@@ -143,7 +147,7 @@ def phase_invariant_distance(u: NDArray[np.complex128], v: NDArray[np.complex128
     Parameters
     ----------
     u, v : NDArray[np.complex128]
-        (2, 2) unitary matrices (checked with tolerance 1e-9).
+        (2, 2) unitary matrices (checked with :data:`UNITARY_TOL`).
 
     Returns
     -------

@@ -35,20 +35,24 @@ __all__ = [
 #: decompositions (their local state is undefined).
 NEGLIGIBLE_SITE_PROBABILITY = 1e-14
 
+#: Absolute tolerance of every density-matrix check: Hermiticity, unit
+#: trace and the smaller eigenvalue.
+DENSITY_ATOL = 1e-8
 
-def check_density_matrix(rho: NDArray[np.complex128], atol: float = 1e-8) -> NDArray[np.complex128]:
-    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD within `atol`.
+
+def check_density_matrix(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD within :data:`DENSITY_ATOL`.
 
     Returns the matrix as complex128; raises ValueError otherwise.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL or abs(np.trace(rho).imag) > DENSITY_ATOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
-    if min(density_eigenvalues(rho)) < -atol:
+    if min(density_eigenvalues(rho)) < -DENSITY_ATOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return rho
 
@@ -166,9 +170,9 @@ def coin_density_curve(
     if abs(worst - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm^2 = {worst})")
     # The tolerances of check_density_matrix, which every entropy applies.
-    if abs(worst - 1.0) > 1e-8:
+    if abs(worst - 1.0) > DENSITY_ATOL:
         raise ValueError(f"density matrix trace {worst} is not 1")
-    if np.min(density_eigenvalues(rho)[1]) < -1e-8:
+    if np.min(density_eigenvalues(rho)[1]) < -DENSITY_ATOL:
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return rho
 

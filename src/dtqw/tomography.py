@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import (
-    NEGLIGIBLE_SITE_PROBABILITY,
-    check_density_matrix,
-    reduced_coin_density,
-    von_neumann_entropy,
-)
+from .entanglement import check_density_matrix, reduced_coin_density, von_neumann_entropy
 from .transport import PositionDistribution, position_distribution
 from .walk import WalkState
 
@@ -33,10 +28,8 @@ __all__ = [
     "BASIS_PAIRS",
     "ProjectionCounts",
     "TomographyResult",
-    "projector_probabilities",
     "simulate_counts",
     "reconstruct_site",
-    "project_to_physical",
     "fidelity",
     "similarity",
     "tomographic_entropy",
@@ -64,20 +57,6 @@ def _joint_probabilities(state: WalkState) -> NDArray[np.float64]:
     return np.stack(cols, axis=1)
 
 
-def projector_probabilities(state: WalkState, j: int) -> dict[str, float]:
-    """Joint probabilities of the six projective outcomes at site j.
-
-    Values are Born probabilities of the (unnormalized) spinor at j, so they
-    carry the site weight p_j: the H and V entries sum to p_j, as do D+A and
-    L+R.  Raises ValueError for a site with no occupation.
-    """
-    probs = _joint_probabilities(state)
-    idx = j + state.t
-    if abs(j) > state.t or probs[idx, 0] + probs[idx, 1] <= NEGLIGIBLE_SITE_PROBABILITY:
-        raise ValueError(f"site {j} carries no probability")
-    return dict(zip(PROJECTOR_LABELS, probs[idx].tolist()))
-
-
 @dataclass(frozen=True)
 class ProjectionCounts:
     """Counts per (site, projector), columns ordered H, V, D, A, L, R.
@@ -88,12 +67,6 @@ class ProjectionCounts:
 
     sites: NDArray[np.int64]
     counts: NDArray[np.float64]
-    total: int
-    noiseless: bool
-
-    def pair_totals(self, row: int) -> tuple[float, float, float]:
-        c = self.counts[row]
-        return float(c[0] + c[1]), float(c[2] + c[3]), float(c[4] + c[5])
 
 
 def simulate_counts(
@@ -128,19 +101,7 @@ def simulate_counts(
         flat = block.reshape(-1)
         drawn = rng.multinomial(budget, flat / flat.sum())
         counts[:, 2 * pair : 2 * pair + 2] = drawn.reshape(n_sites, 2)
-    return ProjectionCounts(
-        sites=state.sites, counts=counts, total=total_counts, noiseless=noiseless
-    )
-
-
-def project_to_physical(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Nearest physical state: negative eigenvalues clamped, trace renormalized."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    if vals.sum() <= 0.0:
-        return np.eye(2, dtype=np.complex128) / 2.0
-    vals = vals / vals.sum()
-    return (vecs * vals) @ vecs.conj().T
+    return ProjectionCounts(sites=state.sites, counts=counts)
 
 
 def _site_states(c: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
@@ -148,10 +109,11 @@ def _site_states(c: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[n
 
     Stokes components r_k = (N_plus - N_minus) / (N_plus + N_minus) in x, y,
     z order; an empty x or y pair carries no data and gives r_k = 0, while
-    every row needs z counts.  Scaling by 1 / max(1, |r|) is, for a trace-1
-    qubit matrix, exactly :func:`project_to_physical`'s clamp of the negative
-    eigenvalue.  The diagonal (1 +- r_z)/2 is taken from the H/V counts
-    themselves, so an entry near 0 keeps its digits.
+    every row needs z counts.  The eigenvalues of (I + r . sigma)/2 are
+    (1 +- |r|)/2, so scaling r by 1 / max(1, |r|) is exactly clamping a
+    negative eigenvalue to 0 and renormalizing the trace.  The diagonal
+    (1 +- r_z)/2 is taken from the H/V counts themselves, so an entry near 0
+    keeps its digits.
     """
     plus, minus = c[:, [2, 4, 0]], c[:, [3, 5, 1]]
     total = plus + minus

@@ -224,17 +224,6 @@ class CoinPlan:
         bits = self.step_bits[..., t]
         return table[bits] if bits.ndim else table[int(bits)]  # an int index keeps the view
 
-    def coin_matrix(self, t: int, j: int) -> NDArray[np.complex128]:
-        """Coin applied at site j (|j| <= steps) during step t (0 .. steps-1) of a single walk."""
-        if not 0 <= t < self.steps:
-            raise ValueError(f"step index {t} outside 0..{self.steps - 1}")
-        if abs(j) > self.steps:
-            raise ValueError(f"site {j} outside the light cone -{self.steps}..{self.steps}")
-        bit = 0 if self.step_bits is None else int(self.step_bits[t])
-        if self.site_bits is not None:
-            bit ^= int(self.site_bits[j + self.steps])
-        return self.alphabet[bit]
-
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
     """The {H, F} coins indexed by bit: F -> 0, H -> 1."""

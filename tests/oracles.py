@@ -6,7 +6,8 @@ matrix-vector products, sharing nothing with the engine's sliced stepping
 except the resolved coin plan.  The table oracle writes a CLI table row by
 row, through `io.write_csv` and `io.write_json`, from rows built one tuple
 at a time: the route the column-wise `io.write_table` must reproduce byte
-for byte.
+for byte.  The Kaspar-Schuster counter reaches the Lempel-Ziv complexity by
+pointer arithmetic, sharing nothing with the library's substring parse.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ def dense_coin_block(plan: CoinPlan, t: int, w: int) -> np.ndarray:
     """Block matrix applying plan's step-t coin at every site of [-w, w]."""
     dim = 2 * (2 * w + 1)
     block = np.zeros((dim, dim), dtype=complex)
+    step_bit = 0 if plan.step_bits is None else plan.step_bits[t]
     for j in range(-w, w + 1):
-        coin = plan.coin_matrix(t, j)
+        site_bit = 0 if plan.site_bits is None else plan.site_bits[j + plan.steps]
+        coin = plan.alphabet[step_bit ^ site_bit]
         for sp_out in range(2):
             for sp_in in range(2):
                 block[_index(sp_out, j, w), _index(sp_in, j, w)] = coin[sp_out, sp_in]
@@ -115,6 +118,46 @@ def reference_propagate(plan: CoinPlan, spinor: np.ndarray):
         zero = np.zeros(row0.shape[:-1] + (1,), dtype=complex)
         up, dn = np.concatenate([zero, row0], axis=-1), np.concatenate([row1, zero], axis=-1)
         yield up, dn
+
+
+def project_to_physical(rho: np.ndarray) -> np.ndarray:
+    """Nearest physical state: negative eigenvalues clamped, trace renormalized."""
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    if vals.sum() <= 0.0:
+        return np.eye(2, dtype=np.complex128) / 2.0
+    vals = vals / vals.sum()
+    return (vecs * vals) @ vecs.conj().T
+
+
+def kaspar_schuster_complexity(bits: str) -> int:
+    """Lempel-Ziv (1976) complexity by the Kaspar-Schuster scan, PRA 36, 842 (1987).
+
+    Pointer arithmetic over one string, with no substring search: `l` is the
+    length of the parsed prefix, and the current component is extended while
+    it matches, at some start `i` < `l`, a copy that may overlap it.  A
+    trailing component that never turned novel still counts.
+    """
+    n = len(bits)
+    if n == 1:
+        return 1
+    c, l, i, k, k_max = 1, 1, 0, 1, 1
+    while True:
+        if bits[i + k - 1] == bits[l + k - 1]:
+            k += 1
+            if l + k > n:
+                return c + 1
+        else:
+            k_max = max(k, k_max)
+            i += 1
+            if i == l:  # no earlier start reproduces the component: it ends here
+                c += 1
+                l += k_max
+                if l + 1 > n:
+                    return c
+                i, k, k_max = 0, 1, 1
+            else:
+                k = 1
 
 
 def embed_state(state: WalkState, w: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from dtqw.walk import (
     StaticAndDynamic,
     StaticRandom,
     evolve,
+    final_state,
 )
 from oracles import dense_trajectory, embed_state, random_density, random_unitary, random_walk_state
 
@@ -82,7 +83,7 @@ def test_2_enhancer_sequence_beats_ordered_walk_for_all_inits():
     for phi in phis:
         init = InitialCoin(51, phi)
         enhanced[phi] = float(entropy_of_sequence(init, ENHANCER_20))
-        ordered[phi] = float(state_entropy(evolve(init, ORDERED_H, 20)[-1]))
+        ordered[phi] = float(state_entropy(final_state(init, ORDERED_H, 20)))
     elapsed = time.perf_counter() - started
     in_band = all(0.96 <= enhanced[p] <= 1.0 for p in phis)
     spread = max(enhanced.values()) - min(enhanced.values())
@@ -215,9 +216,9 @@ def test_5_transport_fits():
 def test_6_second_moment_ordering():
     m_classical = classical_baseline(20).m2[-1]
     m_disordered = second_moment(
-        position_distribution(evolve(INIT, DynamicSequence(ENHANCER_20), 20)[-1])
+        position_distribution(final_state(INIT, DynamicSequence(ENHANCER_20), 20))
     )
-    m_ordered = second_moment(position_distribution(evolve(INIT, ORDERED_H, 20)[-1]))
+    m_ordered = second_moment(position_distribution(final_state(INIT, ORDERED_H, 20)))
     ok = m_classical < m_disordered < m_ordered
     check(
         "6",
@@ -270,8 +271,8 @@ def test_7_dense_oracle_equivalence():
 def test_8_tomography():
     started = time.perf_counter()
     walks = {
-        "ordered": evolve(INIT, ORDERED_H, 20)[-1],
-        "disordered": evolve(INIT, DynamicSequence(ENHANCER_20), 20)[-1],
+        "ordered": final_state(INIT, ORDERED_H, 20),
+        "disordered": final_state(INIT, DynamicSequence(ENHANCER_20), 20),
     }
 
     round_trip_ok = True

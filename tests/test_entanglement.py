@@ -21,7 +21,7 @@ from dtqw.walk import (
     Ordered,
     WalkState,
     _propagate,
-    evolve,
+    final_state,
     initial_state,
 )
 from oracles import dephased_limit_entropy, random_density, random_walk_state
@@ -37,7 +37,7 @@ def test_reduced_density_of_product_state():
 
 
 def test_reduced_density_one_hadamard_step_is_maximally_mixed():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     np.testing.assert_allclose(reduced_coin_density(state), np.eye(2) / 2, atol=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_site_decomposition_localized():
 
 
 def test_site_decomposition_one_hadamard_step():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     dec = site_decomposition(state)
     assert list(dec.sites) == [-1, 1]
     np.testing.assert_allclose(dec.probabilities, [0.5, 0.5], atol=1e-15)
@@ -70,7 +70,7 @@ def test_site_decomposition_one_hadamard_step():
 
 
 def test_site_decomposition_reconstructs_reduced_density():
-    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0), 20)[-1]
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     dec = site_decomposition(state)
     np.testing.assert_allclose(
         dec.reconstruct(), reduced_coin_density(state), atol=1e-12
@@ -176,4 +176,4 @@ def test_tail_average_matches_momentum_space_limit(theta, phi):
     init = InitialCoin(theta, phi)
     time_domain = asymptotic_entropy(init, Ordered(hadamard_coin()), steps=1024, tail=64)
     frequency_domain = dephased_limit_entropy(init.spinor)
-    assert abs(time_domain - frequency_domain) < 5e-3
+    assert abs(time_domain - frequency_domain) < 1e-3

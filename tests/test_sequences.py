@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import pickle
 import tracemalloc
@@ -28,8 +29,9 @@ from dtqw.sequences import (
     to_bits,
     vocabulary,
 )
-from dtqw.walk import InitialCoin, Ordered, _propagate, _sequence_plan, evolve
+from dtqw.walk import InitialCoin, Ordered, _propagate, _sequence_plan, final_state
 from dtqw.coins import hadamard_coin
+from oracles import kaspar_schuster_complexity
 
 INIT = InitialCoin(51, 0)
 
@@ -39,6 +41,7 @@ INIT = InitialCoin(51, 0)
 # word "00" to stop even though "00" already occurs (self-overlapping) in
 # the scanned prefix "10110100", while the other parses do count such
 # occurrences, so no single membership rule reproduces all twelve quotes.
+# The independent Kaspar-Schuster counter gives the same twelve values.
 PARSER_COMPLEXITIES = (3, 3, 5, 7, 7, 7, 6, 6, 6, 7, 7, 6)
 
 
@@ -115,6 +118,15 @@ def test_complexities_of_bundled_sequences():
     assert tuple(computed) == PARSER_COMPLEXITIES
 
 
+def test_lz_complexity_matches_kaspar_schuster_counter():
+    """Every binary string of length 1-12, then the bundled sequences."""
+    strings = ["".join(b) for n in range(1, 13) for b in itertools.product("01", repeat=n)]
+    for bits in strings:
+        assert lz_complexity(bits) == kaspar_schuster_complexity(bits), bits
+    counted = [kaspar_schuster_complexity(to_bits(seq)) for seq, _ in reference_sequences()]
+    assert tuple(counted) == PARSER_COMPLEXITIES
+
+
 def test_fixture_carries_twelve_sequences():
     entries = reference_sequences()
     assert len(entries) == 12
@@ -139,7 +151,7 @@ def test_lz_prefix_monotone(text, data):
 
 def test_all_hadamard_sequence_equals_ordered_walk():
     via_seq = entropy_of_sequence(INIT, "H" * 20)
-    via_ordered = state_entropy(evolve(INIT, Ordered(hadamard_coin()), 20)[-1])
+    via_ordered = state_entropy(final_state(INIT, Ordered(hadamard_coin()), 20))
     assert abs(via_seq - via_ordered) < 1e-12
 
 

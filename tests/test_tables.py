@@ -18,7 +18,7 @@ from dtqw.entanglement import coin_density_curve, density_eigenvalues, entropy_c
 from dtqw.sequences import lz_complexity, parse_sequence_lines, reference_sequences
 from dtqw.tomography import tomographic_entropy
 from dtqw.transport import moment_series, position_distribution
-from dtqw.walk import DynamicSequence, InitialCoin, Ordered, StaticRandom, evolve
+from dtqw.walk import DynamicSequence, InitialCoin, Ordered, StaticRandom, evolve, final_state
 
 from oracles import reference_counts_rows, reference_table, reference_trajectory_rows
 
@@ -96,7 +96,7 @@ def lz_reference(entries):
 
 
 def tomo_reference(out, head, kept):
-    state = evolve(InitialCoin(51, 30), StaticRandom(seed=2), 12)[-1]
+    state = final_state(InitialCoin(51, 30), StaticRandom(seed=2), 12)
     result = tomographic_entropy(state, total_counts=5000, seed=4)
     reference_table(out, "counts", io.COUNTS_HEADER, reference_counts_rows(result.counts),
                     head, kept)

@@ -5,17 +5,16 @@ from scipy.linalg import sqrtm
 from dtqw.coins import SIGMA_X, SIGMA_Y, SIGMA_Z, hadamard_coin
 from dtqw.entanglement import state_entropy
 from dtqw.tomography import (
+    PROJECTOR_LABELS,
     fidelity,
-    project_to_physical,
-    projector_probabilities,
     reconstruct_site,
     similarity,
     simulate_counts,
     tomographic_entropy,
 )
 from dtqw.transport import PositionDistribution
-from dtqw.walk import DynamicSequence, InitialCoin, Ordered, WalkState, evolve, initial_state
-from oracles import random_density
+from dtqw.walk import DynamicSequence, InitialCoin, Ordered, WalkState, final_state, initial_state
+from oracles import project_to_physical, random_density
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 UP_STATE = initial_state(InitialCoin(0, 0))
@@ -31,8 +30,14 @@ def dist(mapping: dict[int, float]) -> PositionDistribution:
 # --- projector probabilities -------------------------------------------------
 
 
+def outcome_probabilities(state: WalkState, j: int) -> dict[str, float]:
+    """Joint probabilities of the six outcomes at site j: noiseless counts of a budget of 3."""
+    row = simulate_counts(state, 3, noiseless=True).counts[j + state.t]
+    return dict(zip(PROJECTOR_LABELS, row.tolist()))
+
+
 def test_projectors_on_up_spinor():
-    probs = projector_probabilities(UP_STATE, 0)
+    probs = outcome_probabilities(UP_STATE, 0)
     assert probs["H"] == pytest.approx(1.0)
     assert probs["V"] == pytest.approx(0.0)
     for label in ("D", "A", "L", "R"):
@@ -43,7 +48,7 @@ def test_projectors_on_circular_spinor():
     state = WalkState(
         t=0, amps=np.array([[1.0], [1.0j]], dtype=complex) / np.sqrt(2.0)
     )
-    probs = projector_probabilities(state, 0)
+    probs = outcome_probabilities(state, 0)
     assert probs["L"] == pytest.approx(1.0)
     assert probs["R"] == pytest.approx(0.0, abs=1e-15)
     assert probs["H"] == pytest.approx(0.5)
@@ -53,22 +58,17 @@ def test_projectors_on_circular_spinor():
 
 
 def test_projectors_after_one_hadamard_step():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
-    probs = projector_probabilities(state, 1)
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
+    probs = outcome_probabilities(state, 1)
     assert probs["H"] == pytest.approx(0.5)
     assert probs["V"] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_projectors_reject_empty_site():
-    with pytest.raises(ValueError):
-        projector_probabilities(UP_STATE, 3)
 
 
 # --- simulated counts ---------------------------------------------------------
 
 
 def test_noiseless_counts_are_exact_expectations():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     counts = simulate_counts(state, 24000, noiseless=True)
     row = dict(zip([int(j) for j in counts.sites], counts.counts))
     np.testing.assert_allclose(row[1], [4000, 0, 2000, 2000, 2000, 2000], atol=1e-9)
@@ -76,7 +76,7 @@ def test_noiseless_counts_are_exact_expectations():
 
 
 def test_multinomial_counts_near_expectation():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     counts = simulate_counts(state, 24000, seed=123)
     total = counts.counts.sum()
     assert total == 24000
@@ -96,16 +96,16 @@ def test_counts_reject_empty_budget():
 
 
 def test_pair_totals_estimate_site_weight():
-    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0[:6]), 6)[-1]
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0[:6]), 6)
     counts = simulate_counts(state, 9000, noiseless=True)
     probs = state.probabilities()
     for row in range(len(counts.sites)):
-        for pair_total in counts.pair_totals(row):
+        for pair_total in counts.counts[row].reshape(3, 2).sum(axis=1):
             assert pair_total == pytest.approx(3000 * probs[row], abs=1e-9)
 
 
 def test_counts_reproducible_under_seed():
-    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0), 20)[-1]
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     a = simulate_counts(state, 5000, seed=7)
     b = simulate_counts(state, 5000, seed=7)
     np.testing.assert_array_equal(a.counts, b.counts)
@@ -224,7 +224,7 @@ def test_similarity_symmetric_and_validates(rng):
 
 @pytest.mark.parametrize("policy", [Ordered(hadamard_coin()), DynamicSequence(SC0)])
 def test_noiseless_round_trip(policy):
-    state = evolve(InitialCoin(51, 0), policy, 20)[-1]
+    state = final_state(InitialCoin(51, 0), policy, 20)
     result = tomographic_entropy(state, 24000, noiseless=True)
     assert abs(result.entropy_hat - state_entropy(state)) < 1e-9
     assert result.rho_c_fidelity > 1.0 - 1e-9
@@ -234,7 +234,7 @@ def test_noiseless_round_trip(policy):
 
 
 def test_noisy_reconstruction_stays_physical():
-    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0), 20)[-1]
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     for seed in range(10):
         result = tomographic_entropy(state, 1000, seed=seed)
         for rho in result.rho_hat:
@@ -245,7 +245,7 @@ def test_noisy_reconstruction_stays_physical():
 
 
 def test_tomography_reproducible_under_seed():
-    state = evolve(InitialCoin(51, 0), Ordered(hadamard_coin()), 10)[-1]
+    state = final_state(InitialCoin(51, 0), Ordered(hadamard_coin()), 10)
     a = tomographic_entropy(state, 6000, seed=3)
     b = tomographic_entropy(state, 6000, seed=3)
     assert a.entropy_hat == b.entropy_hat
@@ -254,7 +254,7 @@ def test_tomography_reproducible_under_seed():
 
 def test_vectorized_sites_match_per_site_references():
     """rho_hat is the projected linear inversion; site fidelities are Uhlmann's."""
-    state = evolve(InitialCoin(51, 0), DynamicSequence(SC0), 20)[-1]
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     for seed in range(5):
         # Few counts: empty x/y pairs and Stokes vectors outside the ball occur.
         result = tomographic_entropy(state, 300, seed=seed)

@@ -22,7 +22,7 @@ from dtqw.walk import (
     Ordered,
     StaticAndDynamic,
     StaticRandom,
-    evolve,
+    final_state,
     initial_state,
 )
 
@@ -35,7 +35,7 @@ def test_distribution_localized():
 
 
 def test_distribution_one_hadamard_step():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
     d = position_distribution(state).as_dict()
     assert d[1] == pytest.approx(0.5, abs=1e-15)
     assert d[-1] == pytest.approx(0.5, abs=1e-15)
@@ -43,7 +43,7 @@ def test_distribution_one_hadamard_step():
 
 
 def test_distribution_two_hadamard_steps():
-    state = evolve(InitialCoin(0, 0), Ordered(hadamard_coin()), 2)[-1]
+    state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 2)
     d = position_distribution(state).as_dict()
     assert d[2] == pytest.approx(0.25, abs=1e-14)
     assert d[0] == pytest.approx(0.5, abs=1e-14)
@@ -64,7 +64,7 @@ def test_second_moment_point_masses():
 
 
 def test_second_moment_20_steps_near_ballistic_prediction():
-    state = evolve(InitialCoin(51, 0), Ordered(hadamard_coin()), 20)[-1]
+    state = final_state(InitialCoin(51, 0), Ordered(hadamard_coin()), 20)
     m2 = second_moment(position_distribution(state))
     # 0.29 * 20^2 with the prefactor tolerance of the transport fit
     assert abs(m2 - 0.29 * 400.0) <= 0.03 * 400.0

@@ -298,13 +298,9 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
         np.testing.assert_array_equal(plan.alphabet, alphabet)
         step_bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
         site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
-        sites = range(-steps, steps + 1)
-        got = [[plan.coin_matrix(t, j) for j in sites] for t in range(steps)]
-        np.testing.assert_array_equal(got, alphabet[step_bits[:, None] ^ site_bits])
         for t in range(steps):
-            for j in (-steps - 1, steps + 1):
-                with pytest.raises(ValueError, match="light cone"):
-                    plan.coin_matrix(t, j)
+            want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2]]
+            np.testing.assert_array_equal(np.broadcast_to(plan.coins(t), want.shape), want)
 
 
 def test_walk_state_validates_shape():
@@ -312,12 +308,3 @@ def test_walk_state_validates_shape():
         WalkState(t=1, amps=np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         WalkState(t=-1, amps=np.zeros((2, 1), dtype=complex))
-
-
-def test_plan_coin_matrix_bounds():
-    plan = plan_coins(Ordered(hadamard_coin()), 3)
-    with pytest.raises(ValueError):
-        plan.coin_matrix(3, 0)
-    plan_static = plan_coins(StaticRandom(seed=0), 3)
-    with pytest.raises(ValueError):
-        plan_static.coin_matrix(0, 4)
