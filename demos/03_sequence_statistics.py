@@ -8,8 +8,8 @@ its Lempel-Ziv complexity.
 
 Usage: 03_sequence_statistics.py [n] [workers]
 
-The headline statistics use n = 20: the sweep takes about a second and the
-demo about 25 s, nearly all of it the LZ parse of every sequence (one core
+The headline statistics use n = 20: the sweep takes about 0.1 s and the
+demo about 23 s, nearly all of it the LZ parse of every sequence (one core
 of a 2-core Xeon VM).  The default here is n = 16 so the demo stays quick.
 """
 

@@ -124,7 +124,12 @@ def _entropy_bits(rho: NDArray[np.complex128]) -> NDArray[np.float64]:
     The larger closed-form eigenvalue is clamped to [0, 1] before the
     logarithm (0 log 0 := 0); no validation.
     """
-    lam = np.clip(density_eigenvalues(rho)[0], 0.0, 1.0)
+    return _eigenvalue_entropy(density_eigenvalues(rho)[0])
+
+
+def _eigenvalue_entropy(lam: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Entropy in bits of trace-1 2x2 density matrices from their larger eigenvalues `lam`."""
+    lam = np.clip(lam, 0.0, 1.0)
     rest = 1.0 - lam
     return 0.0 - lam * np.log2(lam) - rest * np.log2(np.where(rest > 0.0, rest, 1.0))
 

@@ -3,24 +3,30 @@
 A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
-every sequence with the coin-and-shift step of :mod:`dtqw.walk`, advancing
-many sequences as independent walks in one call.  Each task returns its
-final entropies, and the report is computed once from the whole array,
+every sequence, and the report is computed once from the whole array,
 summed in fixed batches of 2^14 sequences, so reports are bit-identical no
 matter how many worker processes share the job.
 
-The exhaustive sweep walks the enumeration as a binary prefix tree, so
-sequences that share their first coins share that work.  The first 10 coins
-are stepped breadth-first, both branches at once, which leaves 2^10 walks
-whose row index packs those coins.  The later coins are stepped depth-first
-on that leaf block of 2^10 walks, one coin per call, and each finished leaf
-writes its entropies to the slice of the enumeration that its later coins
-select.  This costs about 2(n+1) site updates per sequence instead of the
-n^2/2 of stepping every sequence from the origin.  A task is an aligned
-power-of-two range of whole batches; a sweep with one task (one worker, or
-fewer than 2^17 sequences, where a pool costs more than it saves) or one
-usable CPU runs in process without a worker pool.  Random sequences share
-no prefixes, so the sampled sweep steps each batch from the origin.
+The exhaustive sweep applies the last k = 7 coins of every sequence in
+closed form.  Those coins depend only on the step, so they act on the state
+phi after the first n - k coins, the parent, as a fixed linear map: the
+final reduced coin matrix of each of the 2^k sequences that share a parent
+is linear in the parent's lag blocks R(d) = sum_c phi(c) phi(c + d)^dagger,
+d = 0..k.  One real matrix, built once per process from the kernel run over
+the 2^k suffixes, maps those 8(k+1) numbers to the Bloch vectors of all 2^k
+leaves, and one BLAS product per chunk of parents gives them.  The parents
+themselves are stepped with the kernel of :mod:`dtqw.walk` as a binary
+prefix tree: the first 10 coins breadth-first, both branches at once, into
+a leaf block of 2^10 walks, and the later parent coins depth-first on that
+block.  Per sequence this costs 24(k+1) multiply-adds of the product and
+about 2(n-k+1)/2^k site updates of the tree, against about 2(n+1) site
+updates of a prefix tree that steps every sequence to the end.  A sweep
+with one worker, one leaf block, or fewer than _POOL_MIN_SEQUENCES
+sequences runs in process as one task; otherwise each task is one leaf
+block, whose entropies are copied into the result as they arrive.  Every
+product has the same shape whatever the split, so the entropies do not
+depend on it.  Random sequences share no prefixes, so the sampled sweep
+steps each batch from the origin.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -31,6 +37,7 @@ a still-reproducible tail counts as a final word.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +47,12 @@ from importlib import resources
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import _entropy_bits, coin_density_curve, von_neumann_entropy
+from .entanglement import (
+    _eigenvalue_entropy,
+    _entropy_bits,
+    coin_density_curve,
+    von_neumann_entropy,
+)
 from .walk import (
     DynamicSequence,
     InitialCoin,
@@ -77,21 +89,31 @@ ENHANCER_20 = "FFHFHFHHFFFFFHFHHHHH"
 #: maximum are reported as maximizers, each once.
 ARGMAX_TOL = 1e-12
 
-#: Fixed work-unit size for sweeps, independent of the worker count: tasks
-#: hold whole batches, and the report sums one batch at a time.
+#: Fixed work-unit size for sweeps, independent of the worker count: a
+#: sampled sweep's task is one batch, and the report sums one batch at a time.
 _BATCH_SIZE = 1 << 14
 
-#: The exhaustive sweep's prefix tree steps its first _LEAF_BITS coins
-#: breadth-first; every later coin advances a leaf block of 2^_LEAF_BITS walks.
+#: The exhaustive sweep applies the last _SUFFIX_BITS coins of every
+#: sequence in closed form, from its parent's lag features.
+_SUFFIX_BITS = 7
+
+#: The exhaustive sweep's prefix tree steps its first _LEAF_BITS parent
+#: coins breadth-first; every later one advances a leaf block of
+#: 2^_LEAF_BITS walks.
 _LEAF_BITS = 10
+
+#: Parents per product with the suffix map: smaller than a leaf block,
+#: which keeps each product's leaves small beside the sweep's result.
+_CHUNK = 128
 
 _EXHAUSTIVE_LIMIT = 24
 
 #: Exhaustive sweeps of fewer sequences run in process whatever `workers`
-#: says: below 2^17 sequences two workers take longer than one.  (A
-#: process's first pool pays ~0.1 s more to start, which moves that
-#: crossover to ~2^19 for a one-sweep process such as `dtqw sweep`.)
-_POOL_MIN_SEQUENCES = 1 << 17
+#: says.  Two workers took longer than one at every n from 18 to 24 on a
+#: 2-core VM, in a warm process and in a fresh `dtqw sweep` alike: sending
+#: each task's entropies back costs more than the second process saves.
+#: So no exhaustive sweep reaches the pool.
+_POOL_MIN_SEQUENCES = 1 << (_EXHAUSTIVE_LIMIT + 1)
 
 
 @dataclass(frozen=True)
@@ -216,16 +238,80 @@ def _sampled_batch(args):
     return _entropy_bits(_coin_density(up, dn))
 
 
-def _tree_entropies(n, spinor, varying, high):
-    """Final entropies of the 2^varying sequences ``high + r``, in the order of r.
+@functools.lru_cache(maxsize=None)
+def _suffix_map(k):
+    """The (3 * 2^k, 8(k+1)) real map from a parent's lag features to its leaves.
 
-    The low `varying` bits of `high` are zero; its higher bits fix coins
-    `varying` .. n-1.  The first min(varying, _LEAF_BITS) coins are stepped
-    breadth-first, the rest depth-first on leaf blocks, each finished leaf
-    writing to the slice its coins select.
+    The last k coins of a sequence walk depend only on the step, so suffix s
+    maps a parent state phi to the final state psi(c) = sum_m T_m phi(c - m),
+    with 2x2 transfer blocks T_m[:, e] the amplitudes at column m after
+    stepping basis spinor e through s.  The final reduced coin matrix is then
+    rho = sum_{m,m'} T_m R(m - m') T_{m'}^dagger, linear in the lag blocks
+    R(d) = sum_c phi(c) phi(c + d)^dagger, where R(-d) = R(d)^dagger.  Column
+    f of the map is the real linear coefficient of feature f (the real and
+    imaginary parts of R(d)[c, e], d = 0..k, in `_lag_features` order);
+    row (o, s) gives suffix s's Bloch components (rho00 - rho11)/2,
+    Re rho01, Im rho01 for o = 0, 1, 2.  It is read-only: every sweep of a
+    process shares it.
     """
+    suffixes = np.arange(1 << k, dtype=np.uint64)
+    plan = _sequence_plan((suffixes[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1))
+    blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
+    for e, spinor in enumerate(np.eye(2, dtype=np.complex128)):
+        for up, dn in _propagate(plan, spinor):
+            pass
+        blocks[..., 0, e], blocks[..., 1, e] = up, dn
+    # coef[part, d, c, e, s, a, b]: rho_ab of suffix s per unit real (part 0)
+    # or imaginary (part 1) part of R(d)[c, e].  Lag d pairs T_{m+d} with
+    # T_m; lag -d enters as the adjoint of R(d), with c and e swapped.
+    coef = np.empty((2, k + 1, 2, 2, 1 << k, 2, 2), dtype=np.complex128)
+    for d in range(k + 1):
+        late, early = blocks[:, d:], blocks[:, : k + 1 - d]
+        ahead = np.einsum("smac,smbe->cesab", late, early.conj())
+        behind = np.einsum("smae,smbc->cesab", early, late.conj()) if d else 0.0
+        coef[0, d] = ahead + behind
+        coef[1, d] = 1j * (ahead - behind)
+    bloch = np.stack(
+        [(coef[..., 0, 0].real - coef[..., 1, 1].real) / 2, coef[..., 0, 1].real, coef[..., 0, 1].imag],
+        axis=-2,
+    )
+    kmap = bloch.reshape(8 * (k + 1), 3 << k).T
+    kmap.flags.writeable = False
+    return kmap
+
+
+def _lag_features(up, dn, k):
+    """Lag blocks R(d) = sum_c phi(c) phi(c + d)^dagger, d = 0..k, of each walk, as real columns.
+
+    `up`, `dn` are (rows, width) parity-compressed states.  Column r of the
+    (8(k+1), rows) result holds the real parts of R(d)[c, e] in (d, c, e)
+    order, then the imaginary parts.
+    """
+    phi = np.stack([up.T, dn.T])  # [c, column, walk]: each sum runs over whole rows of walks
+    width = len(up.T)
+    conj = phi.conj()
+    lags = np.zeros((k + 1, 2, 2, len(up)), dtype=np.complex128)
+    for d in range(min(k, width - 1) + 1):
+        np.einsum("csr,esr->cer", phi[:, : width - d], conj[:, d:], out=lags[d])
+    return np.concatenate([lags.real, lags.imag]).reshape(8 * (k + 1), -1)
+
+
+def _tree_entropies(n, spinor, varying, high, out):
+    """Final entropies of the sequences whose first coins pack to ``high + r``, r < 2^varying.
+
+    The last k = min(_SUFFIX_BITS, n) coins are applied in closed form; the
+    first n - k, the parent coins, are stepped as a prefix tree.  The low
+    `varying` bits of `high` are zero and its higher bits fix parent coins
+    `varying` .. n-k-1.  ``out[s, r]``, a (2^k, 2^varying) array, receives
+    the sequence with parent ``high + r`` and last coins s.  The first
+    min(varying, _LEAF_BITS) coins are stepped breadth-first, the rest
+    depth-first on leaf blocks; each leaf block's lag features meet the
+    suffix map in products of _CHUNK parents.
+    """
+    k = min(_SUFFIX_BITS, n)
+    depth = n - k
+    kmap = _suffix_map(k)
     alphabet = _sequence_alphabet()
-    out = np.empty(1 << varying)
     up = np.full((1, 1), spinor[0], dtype=np.complex128)
     dn = np.full((1, 1), spinor[1], dtype=np.complex128)
     breadth = min(varying, _LEAF_BITS)
@@ -238,11 +324,17 @@ def _tree_entropies(n, spinor, varying, high):
     # the system and fault it in again, which about doubled the first sweep
     # in a fresh process.
     rows = len(up)
-    level = {t: np.empty((2, rows, t + 1), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+    chunk = min(_CHUNK, rows)
+    level = {t: np.empty((2, rows, t + 1), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
 
     def descend(up, dn, t, offset):
-        if t == n:
-            out[offset : offset + len(up)] = _entropy_bits(_coin_density(up, dn))
+        if t == depth:
+            features = _lag_features(up, dn, k)
+            for c in range(offset, offset + rows, chunk):
+                # Every product has the same shape whatever the task split,
+                # so the rounding, and the report, do not depend on it.
+                z, x, y = (kmap @ features[:, c - offset : c - offset + chunk]).reshape(3, -1, chunk)
+                out[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         elif t < varying:
             for bit in (0, 1):
                 state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
@@ -253,17 +345,17 @@ def _tree_entropies(n, spinor, varying, high):
 
     descend(up, dn, breadth, 0)
     # `descend` refers to itself through its closure; breaking that cycle
-    # frees `level` and `out` by reference count instead of at the next
-    # garbage collection, which repeated in-process sweeps would wait on.
+    # frees `level` by reference count instead of at the next garbage
+    # collection, which repeated in-process sweeps would wait on.
     del descend
-    return out
 
 
 def _tree_task(args):
-    """Final entropies of `count` batches from batch `first` on, in packed order."""
-    n, spinor, first, count = args
-    size = min(_BATCH_SIZE, 1 << n)
-    return _tree_entropies(n, spinor, (count * size).bit_length() - 1, first * size)
+    """The (2^k, 2^varying) entropies of :func:`_tree_entropies` for one pool task."""
+    n, spinor, varying, high = args
+    out = np.empty((1 << min(_SUFFIX_BITS, n), 1 << varying))
+    _tree_entropies(n, spinor, varying, high, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,16 +398,17 @@ def _sweep_edges(bins, threshold: float, workers: int) -> NDArray[np.float64]:
     return edges
 
 
-def _run_tasks(fn, tasks, workers: int) -> list:
-    """`fn` over `tasks` in task order, on at most `workers` processes and the usable CPUs."""
+def _run_tasks(fn, tasks, workers: int):
+    """Yield `fn` of each task in task order, on at most `workers` processes and the usable CPUs."""
     # A forked pool starts all its processes at the first submit; past the
     # usable CPUs they only wait.  One process runs the tasks without a pool.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(tasks), cpus or 1)
     if workers == 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from map(fn, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, tasks)
 
 
 def _report(
@@ -384,10 +477,12 @@ def exhaustive_sweep(
         strictly above this finite value.
     workers : int
         Upper bound on the worker processes (>= 1), further capped at the
-        usable CPUs.  Below 2^17 sequences the sweep runs in process as one
-        task whatever the value; otherwise the work splits into at most
-        `workers` tasks of 2^k whole batches of 2^14 sequences.  The report is
-        bit-identical for any value: sums add one sum per batch, in order.
+        usable CPUs.  Below `_POOL_MIN_SEQUENCES` sequences, which today is
+        every n (two workers measured slower than one up to n = 24), the
+        sweep runs in process as one task whatever the value; above it the
+        work splits into one task per 2^17 sequences, a leaf block of 2^10
+        parents.  The report is bit-identical for any value: every product
+        has one shape, and sums add one sum per 2^14 batch, in order.
 
     Returns
     -------
@@ -407,13 +502,19 @@ def exhaustive_sweep(
         workers = 1
     spinor = init.spinor
     started = time.perf_counter()
-    batches = max((1 << n) // _BATCH_SIZE, 1)
-    # The largest power of two <= min(workers, batches): aligned, equal ranges.
-    count = batches >> (min(workers, batches).bit_length() - 1)
-    tasks = [(n, spinor, first, count) for first in range(0, batches, count)]
-    parts = _run_tasks(_tree_task, tasks, workers)
-    # One task's array is the result itself; concatenating would copy it.
-    entropies = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    depth = n - min(_SUFFIX_BITS, n)
+    leaf = min(depth, _LEAF_BITS)
+    entropies = np.empty(1 << n)
+    # Sequence v = parent + (suffix << depth) lives at leaves[suffix, parent].
+    leaves = entropies.reshape(-1, 1 << depth)
+    if workers == 1 or depth == leaf:
+        _tree_entropies(n, spinor, depth, 0, leaves)
+    else:
+        # One task per leaf block, each part copied in as it arrives: this
+        # process holds a part or two beside the result, not a second result.
+        tasks = [(n, spinor, leaf, high) for high in range(0, 1 << depth, 1 << leaf)]
+        for i, part in enumerate(_run_tasks(_tree_task, tasks, workers)):
+            leaves[:, i << leaf : (i + 1) << leaf] = part
     return _report(entropies, n, init, edges, threshold, started)
 
 
@@ -447,7 +548,7 @@ def sampled_sweep(
         (ints[start : start + _BATCH_SIZE], n, spinor)
         for start in range(0, samples, _BATCH_SIZE)
     ]
-    entropies = np.concatenate(_run_tasks(_sampled_batch, batches, workers))
+    entropies = np.concatenate(list(_run_tasks(_sampled_batch, batches, workers)))
     return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 

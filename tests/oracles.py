@@ -8,6 +8,11 @@ row, through `io.write_csv` and `io.write_json`, from rows built one tuple
 at a time: the route the column-wise `io.write_table` must reproduce byte
 for byte.  The Kaspar-Schuster counter reaches the Lempel-Ziv complexity by
 pointer arithmetic, sharing nothing with the library's substring parse.
+The prefix-tree oracle is the exhaustive sweep before its last coins were
+applied in closed form: it steps every sequence to depth n with the kernel,
+so the closed form is checked against a route with another summation order,
+and `reference_propagate` also runs in np.clongdouble to give entropies
+with rounding far below float64's.
 """
 
 from __future__ import annotations
@@ -17,8 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from dtqw import io
+from dtqw.entanglement import _entropy_bits
 from dtqw.tomography import BASIS_PAIRS
-from dtqw.walk import CoinPlan, InitialCoin, WalkState, plan_coins
+from dtqw.walk import (
+    CoinPlan,
+    InitialCoin,
+    WalkState,
+    _coin_density,
+    _coin_shift,
+    _sequence_alphabet,
+    plan_coins,
+)
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -98,26 +112,74 @@ def dense_trajectory(init: InitialCoin, policy, steps: int) -> list[np.ndarray]:
     return out
 
 
-def reference_propagate(plan: CoinPlan, spinor: np.ndarray):
+def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):
     """Yield (up, dn) after each step, allocating fresh arrays at every step.
 
     The kernel's arithmetic written plainly: gather each site's coin from the
     plan's bits, form c00*up + c01*dn and c10*up + c11*dn, and pad with a
-    zero column to shift.  The engine must reproduce it bit for bit.
+    zero column to shift.  The engine must reproduce it bit for bit.  With
+    `dtype` np.clongdouble the same coins and spinor, promoted exactly, are
+    stepped in extended precision.
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
-    up = np.full(batch + (1,), spinor[0], dtype=complex)
-    dn = np.full(batch + (1,), spinor[1], dtype=complex)
+    alphabet = plan.alphabet.astype(dtype)
+    up = np.full(batch + (1,), spinor[0], dtype=dtype)
+    dn = np.full(batch + (1,), spinor[1], dtype=dtype)
     for t in range(plan.steps):
         idx = 0 if plan.step_bits is None else plan.step_bits[..., t, None]
         if plan.site_bits is not None:
             lo = plan.steps - t
             idx = idx ^ plan.site_bits[lo : lo + 2 * t + 1 : 2]
-        c = plan.alphabet[idx]
+        c = alphabet[idx]
         row0, row1 = c[..., 0, 0] * up + c[..., 0, 1] * dn, c[..., 1, 0] * up + c[..., 1, 1] * dn
-        zero = np.zeros(row0.shape[:-1] + (1,), dtype=complex)
+        zero = np.zeros(row0.shape[:-1] + (1,), dtype=dtype)
         up, dn = np.concatenate([zero, row0], axis=-1), np.concatenate([row1, zero], axis=-1)
         yield up, dn
+
+
+def extended_entropies(plan: CoinPlan, spinor: np.ndarray) -> np.ndarray:
+    """Final entropies of every walk of `plan`, stepped and reduced in np.clongdouble."""
+    for up, dn in reference_propagate(plan, spinor, np.clongdouble):
+        pass
+    r00 = np.sum(np.abs(up) ** 2, axis=-1)
+    r11 = np.sum(np.abs(dn) ** 2, axis=-1)
+    r01 = np.sum(up * np.conj(dn), axis=-1)
+    lam = 0.5 + np.sqrt(((r00 - r11) / 2) ** 2 + np.abs(r01) ** 2)
+    rest = 1 - lam
+    return (-lam * np.log2(lam) - rest * np.log2(np.where(rest > 0, rest, 1))).astype(np.float64)
+
+
+def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
+    """Final entropies of all {H, F} sequences of each length t = 0..n, stepping each to its end.
+
+    Entry t holds the 2^t sequences of length t, sequence v at index v (first
+    coin in the least significant bit).  The first 10 coins are stepped
+    breadth-first, both branches at once, into a leaf block of walks; every
+    later coin is stepped depth-first on that block, and each node writes
+    the slice of the enumeration that its coins select.  Every entry is
+    what the exhaustive sweep of its length computed before the closed form.
+    """
+    alphabet = _sequence_alphabet()
+    out = [np.empty(1 << t) for t in range(n + 1)]
+    up = np.full((1, 1), spinor[0], dtype=np.complex128)
+    dn = np.full((1, 1), spinor[1], dtype=np.complex128)
+    breadth = min(n, 10)
+    for t in range(breadth):
+        out[t][:] = _entropy_bits(_coin_density(up, dn))
+        # The F walks, then the H walks: row index = old row + (bit << t).
+        up, dn = (x.reshape(-1, t + 2) for x in _coin_shift(up, dn, alphabet[:, None, None]))
+    # One state buffer per depth, which its two children fill in turn.
+    level = {t: np.empty((2, len(up), t + 1), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+
+    def descend(up, dn, t, offset):
+        out[t][offset : offset + len(up)] = _entropy_bits(_coin_density(up, dn))
+        for bit in (0, 1) if t < n else ():
+            state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
+            descend(*state, t + 1, offset + (bit << t))
+
+    descend(up, dn, breadth, 0)
+    del descend
+    return out
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:

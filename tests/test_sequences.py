@@ -31,7 +31,7 @@ from dtqw.sequences import (
 )
 from dtqw.walk import InitialCoin, Ordered, _propagate, _sequence_plan, final_state
 from dtqw.coins import hadamard_coin
-from oracles import kaspar_schuster_complexity
+from oracles import extended_entropies, kaspar_schuster_complexity, prefix_tree_entropies
 
 INIT = InitialCoin(51, 0)
 
@@ -212,10 +212,10 @@ def _assert_same_report(a, b):
 
 
 def _assert_worker_counts_agree():
-    # n = 10 is one batch, run in process; n = 16 and 17 split into two
-    # tasks (three workers round down to two) or, at n = 17, four, where
-    # `_POOL_MIN_SEQUENCES` lets them reach the pool.
-    for n, counts in ((10, (2, 8)), (16, (2, 3)), (17, (2, 3, 4))):
+    # n = 10 is one leaf block, run in process; n = 18 and 19 split into
+    # two and four tasks, one per leaf block of 2^10 parents, which reach
+    # the pool where `_POOL_MIN_SEQUENCES` lets them.
+    for n, counts in ((10, (2, 8)), (18, (2, 3)), (19, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
             _assert_same_report(exhaustive_sweep(INIT, n, workers=w), base)
@@ -238,39 +238,60 @@ def test_sampled_worker_counts_agree_bit_for_bit():
         _assert_same_report(sampled_sweep(INIT, 24, samples, seed=5, workers=w), base)
 
 
+class SerialPool:
+    """Records each pool's size and maps in process, lazily, starting no processes."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 def test_worker_pool_is_capped_at_usable_cpus(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Records the pool size and maps in process, starting no processes."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
     monkeypatch.setattr(sequences, "ProcessPoolExecutor", SerialPool)
-    base = exhaustive_sweep(INIT, 17)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
+    base = exhaustive_sweep(INIT, 19)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    # Eight tasks of 2^14 sequences, and five sample batches, on three CPUs.
-    _assert_same_report(exhaustive_sweep(INIT, 17, workers=1000), base)
+    # Four tasks of one leaf block, and five sample batches, on three CPUs.
+    _assert_same_report(exhaustive_sweep(INIT, 19, workers=1000), base)
     sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
-    assert sizes == [3, 3]
+    assert SerialPool.sizes == [3, 3]
     # Without CPU affinity the CPU count caps the pool; one CPU starts none.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    exhaustive_sweep(INIT, 17, workers=1000)
+    exhaustive_sweep(INIT, 19, workers=1000)
     for cpus in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        _assert_same_report(exhaustive_sweep(INIT, 17, workers=1000), base)
-    assert sizes == [3, 3, 2]
+        _assert_same_report(exhaustive_sweep(INIT, 19, workers=1000), base)
+    assert SerialPool.sizes == [3, 3, 2]
+
+
+def test_multi_task_exhaustive_sweep_holds_one_result(monkeypatch):
+    # Sixteen leaf-block tasks on two workers: each part goes into the one
+    # result array as it arrives, so no second copy of the result builds up.
+    monkeypatch.setattr(sequences, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    exhaustive_sweep(INIT, 12)  # builds the suffix map outside the trace
+    tracemalloc.start()
+    try:
+        report = exhaustive_sweep(INIT, 21, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert SerialPool.sizes == [2]
+    assert peak < 1.5 * report.entropies.nbytes
 
 
 def test_small_exhaustive_sweep_starts_no_pool(monkeypatch):
@@ -298,19 +319,52 @@ def test_exhaustive_sweep_leaves_no_reference_cycles():
         gc.enable()
 
 
+def _batch_plan(n, first, size):
+    """The sequence plan of the `size` sequences packed as first, first + 1, ..."""
+    ints = np.arange(first, first + size, dtype=np.uint64)
+    return _sequence_plan((ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1))
+
+
 def test_exhaustive_tree_matches_batch_propagation():
+    # The closed form sums in another order than stepping each sequence, so
+    # the two agree to rounding, not bit for bit.
     n, size = 16, 1 << 14
     report = exhaustive_sweep(INIT, n)
-    ints = np.arange(2 * size, 3 * size, dtype=np.uint64)
-    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    for up, dn in _propagate(_sequence_plan(bits), INIT.spinor):
+    for up, dn in _propagate(_batch_plan(n, 2 * size, size), INIT.spinor):
         pass
     direct = _entropy_bits(_coin_density(up, dn))
-    np.testing.assert_allclose(report.entropies[2 * size : 3 * size], direct, rtol=0, atol=1e-15)
-    # First and last sequence of leaf blocks (2^10) and batches (2^14).
-    for value in (0, 1023, 1024, 2047, size - 1, size, 2 * size + 1023, 3 * size - 1, (1 << n) - 1):
+    np.testing.assert_allclose(report.entropies[2 * size : 3 * size], direct, rtol=0, atol=1e-14)
+    # First and last sequences of parents (2^9 at n = 16) and of suffixes.
+    for value in (0, 511, 512, 1023, 1024, 2047, size - 1, size, 2 * size + 1023, 3 * size - 1, (1 << n) - 1):
         seq = CoinSequence.from_int(value, n)
         assert abs(report.entropies[value] - entropy_of_sequence(INIT, seq)) < 1e-12
+
+
+def test_exhaustive_sweep_matches_extended_precision():
+    # The same coins and spinor stepped and reduced in np.clongdouble: the
+    # closed form's rounding stays within a few float64 ulps of 1.
+    n, size = 16, 1 << 14
+    report = exhaustive_sweep(INIT, n)
+    exact = extended_entropies(_batch_plan(n, 2 * size, size), INIT.spinor)
+    np.testing.assert_allclose(report.entropies[2 * size : 3 * size], exact, rtol=0, atol=4e-15)
+
+
+@pytest.mark.parametrize(
+    "init",
+    [INIT, InitialCoin(0, 0), InitialCoin(90, 90), InitialCoin(135, 300)],
+    ids=lambda c: f"{c.theta_deg:g}-{c.phi_deg:g}",
+)
+def test_closed_form_sweep_matches_prefix_tree(init):
+    # No entropy of these sweeps lies within 1e-14 of a bin edge or of the
+    # threshold, so every field read through a comparison agrees exactly.
+    references = prefix_tree_entropies(20, init.spinor)
+    for n in range(8, 21):
+        report = exhaustive_sweep(init, n)
+        np.testing.assert_allclose(report.entropies, references[n], rtol=0, atol=1e-14)
+        expected = sequences._report(references[n], n, init, report.bin_edges, report.threshold, 0.0)
+        assert report.argmax_sequences == expected.argmax_sequences
+        np.testing.assert_array_equal(report.bin_counts, expected.bin_counts)
+        assert report.fraction_above == expected.fraction_above
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -377,7 +431,8 @@ def test_sampled_sweep_lists_each_maximizer_once():
 
 
 def test_single_task_exhaustive_sweep_does_not_copy_its_entropies():
-    # At n = 21 the prefix tree's buffers take about 6 MB next to the 16 MB result.
+    # At n = 21 the prefix tree's buffers and one product with the suffix
+    # map take about 4 MB next to the 16 MB result.
     tracemalloc.start()
     try:
         report = exhaustive_sweep(INIT, 21, workers=1)
