@@ -6,7 +6,7 @@ Sweeping all of them shows that high entanglement is the rule, not the
 exception, and that the entanglement a sequence generates correlates with
 its Lempel-Ziv complexity.
 
-Usage: 03_sequence_statistics.py [n] [workers]
+Usage: 03_sequence_statistics.py [n]
 
 The headline statistics use n = 20: the sweep takes about 0.1 s and the
 demo about 23 s, nearly all of it the LZ parse of every sequence (one core
@@ -45,11 +45,10 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 16
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     init = InitialCoin(51, 0)
 
     print(f"Exhaustive sweep over all 2^{n} = {1 << n} sequences, theta=51, phi=0 ...")
-    report = exhaustive_sweep(init, n, bins=12, threshold=0.9, workers=workers)
+    report = exhaustive_sweep(init, n, bins=12, threshold=0.9)
     print(f"  mean final entropy   : {report.mean_entropy:.4f}")
     print(f"  std                  : {report.std_entropy:.4f}")
     print(f"  fraction above 0.9   : {report.fraction_above:.4f}")

@@ -127,7 +127,7 @@ _OPTIONS = (
     _Option("threshold", float, 0.9, ("sweep",), "entropy threshold of the reported fraction"),
     _Option("samples", int, None, ("sweep",), "sample count (Monte Carlo sweep)"),
     _Option("seed", _parse_seed, 0, ("sweep", "tomo"), "seed of the samples or of the counts"),
-    _Option("workers", int, 1, ("sweep",), "most worker processes to use"),
+    _Option("workers", int, 1, ("sweep",), "most threads a sampled sweep uses"),
     _Option("total_counts", int, None, ("tomo",), "total number of counts"),
     _Option("noiseless", _parse_bool, False, ("tomo",),
             "use exact expected counts instead of a multinomial draw"),

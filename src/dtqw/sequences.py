@@ -3,9 +3,9 @@
 A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
-every sequence, and the report is computed once from the whole array,
+every sequence into one array, and the report is computed once from it,
 summed in fixed batches of 2^14 sequences, so reports are bit-identical no
-matter how many worker processes share the job.
+matter how many worker threads share the job.
 
 The exhaustive sweep applies the last k = 7 coins of every sequence in
 closed form.  Those coins depend only on the step, so they act on the state
@@ -20,13 +20,11 @@ prefix tree: the first 10 coins breadth-first, both branches at once, into
 a leaf block of 2^10 walks, and the later parent coins depth-first on that
 block.  Per sequence this costs 24(k+1) multiply-adds of the product and
 about 2(n-k+1)/2^k site updates of the tree, against about 2(n+1) site
-updates of a prefix tree that steps every sequence to the end.  A sweep
-with one worker, one leaf block, or fewer than _POOL_MIN_SEQUENCES
-sequences runs in process as one task; otherwise each task is one leaf
-block, whose entropies are copied into the result as they arrive.  Every
-product has the same shape whatever the split, so the entropies do not
-depend on it.  Random sequences share no prefixes, so the sampled sweep
-steps each batch from the origin.
+updates of a prefix tree that steps every sequence to the end.  The whole
+tree runs in the calling thread: split across workers it lost the shared
+prefixes and ran slower at every n up to 24.  Random sequences share no
+prefixes, so the sampled sweep steps each batch from the origin, on up to
+`workers` threads, each batch into its own slice of the result.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -40,7 +38,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -107,13 +105,6 @@ _LEAF_BITS = 10
 _CHUNK = 128
 
 _EXHAUSTIVE_LIMIT = 24
-
-#: Exhaustive sweeps of fewer sequences run in process whatever `workers`
-#: says.  Two workers took longer than one at every n from 18 to 24 on a
-#: 2-core VM, in a warm process and in a fresh `dtqw sweep` alike: sending
-#: each task's entropies back costs more than the second process saves.
-#: So no exhaustive sweep reaches the pool.
-_POOL_MIN_SEQUENCES = 1 << (_EXHAUSTIVE_LIMIT + 1)
 
 
 @dataclass(frozen=True)
@@ -228,14 +219,13 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     return von_neumann_entropy(coin_density_curve(init, DynamicSequence(seq), len(seq))[-1])
 
 
-def _sampled_batch(args):
-    """Final entropies of one batch of packed sequences, each stepped from the origin."""
-    ints, n, spinor = args
+def _sampled_batch(ints, n, spinor, out):
+    """Write the final entropies of packed sequences `ints`, each stepped from the origin, into `out`."""
     # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
     bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
     for up, dn in _propagate(_sequence_plan(bits), spinor):
         pass
-    return _entropy_bits(_coin_density(up, dn))
+    out[...] = _entropy_bits(_coin_density(up, dn))
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,15 +286,14 @@ def _lag_features(up, dn, k):
     return np.concatenate([lags.real, lags.imag]).reshape(8 * (k + 1), -1)
 
 
-def _tree_entropies(n, spinor, varying, high, out):
-    """Final entropies of the sequences whose first coins pack to ``high + r``, r < 2^varying.
+def _tree_entropies(n, spinor, out):
+    """Write the final entropies of all 2^n sequences into `out`, indexed by packed integer.
 
     The last k = min(_SUFFIX_BITS, n) coins are applied in closed form; the
-    first n - k, the parent coins, are stepped as a prefix tree.  The low
-    `varying` bits of `high` are zero and its higher bits fix parent coins
-    `varying` .. n-k-1.  ``out[s, r]``, a (2^k, 2^varying) array, receives
-    the sequence with parent ``high + r`` and last coins s.  The first
-    min(varying, _LEAF_BITS) coins are stepped breadth-first, the rest
+    first n - k, the parent coins, are stepped as a prefix tree.  Sequence
+    ``parent + (s << (n - k))``, with last coins s, lands at ``leaves[s,
+    parent]`` of the (2^k, 2^(n-k)) view of `out`.  The first
+    min(n - k, _LEAF_BITS) coins are stepped breadth-first, the rest
     depth-first on leaf blocks; each leaf block's lag features meet the
     suffix map in products of _CHUNK parents.
     """
@@ -312,9 +301,10 @@ def _tree_entropies(n, spinor, varying, high, out):
     depth = n - k
     kmap = _suffix_map(k)
     alphabet = _sequence_alphabet()
+    leaves = out.reshape(1 << k, -1)
     up = np.full((1, 1), spinor[0], dtype=np.complex128)
     dn = np.full((1, 1), spinor[1], dtype=np.complex128)
-    breadth = min(varying, _LEAF_BITS)
+    breadth = min(depth, _LEAF_BITS)
     for t in range(breadth):
         # The F walks, then the H walks: row index = old row + (bit << t).
         up, dn = (x.reshape(-1, t + 2) for x in _coin_shift(up, dn, alphabet[:, None, None]))
@@ -331,31 +321,18 @@ def _tree_entropies(n, spinor, varying, high, out):
         if t == depth:
             features = _lag_features(up, dn, k)
             for c in range(offset, offset + rows, chunk):
-                # Every product has the same shape whatever the task split,
-                # so the rounding, and the report, do not depend on it.
                 z, x, y = (kmap @ features[:, c - offset : c - offset + chunk]).reshape(3, -1, chunk)
-                out[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
-        elif t < varying:
+                leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
+        else:
             for bit in (0, 1):
                 state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
                 descend(*state, t + 1, offset + (bit << t))
-        else:
-            state = _coin_shift(up, dn, alphabet[(high >> t) & 1], level[t + 1])
-            descend(*state, t + 1, offset)
 
     descend(up, dn, breadth, 0)
     # `descend` refers to itself through its closure; breaking that cycle
     # frees `level` by reference count instead of at the next garbage
     # collection, which repeated in-process sweeps would wait on.
     del descend
-
-
-def _tree_task(args):
-    """The (2^k, 2^varying) entropies of :func:`_tree_entropies` for one pool task."""
-    n, spinor, varying, high = args
-    out = np.empty((1 << min(_SUFFIX_BITS, n), 1 << varying))
-    _tree_entropies(n, spinor, varying, high, out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -396,19 +373,6 @@ def _sweep_edges(bins, threshold: float, workers: int) -> NDArray[np.float64]:
     if not finite or np.any(np.diff(edges) <= 0):
         raise ValueError("bin edges must be a finite, strictly increasing 1-D sequence")
     return edges
-
-
-def _run_tasks(fn, tasks, workers: int):
-    """Yield `fn` of each task in task order, on at most `workers` processes and the usable CPUs."""
-    # A forked pool starts all its processes at the first submit; past the
-    # usable CPUs they only wait.  One process runs the tasks without a pool.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(tasks), cpus or 1)
-    if workers == 1:
-        yield from map(fn, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, tasks)
 
 
 def _report(
@@ -476,13 +440,10 @@ def exhaustive_sweep(
         `fraction_above` reports the fraction of sequences with entropy
         strictly above this finite value.
     workers : int
-        Upper bound on the worker processes (>= 1), further capped at the
-        usable CPUs.  Below `_POOL_MIN_SEQUENCES` sequences, which today is
-        every n (two workers measured slower than one up to n = 24), the
-        sweep runs in process as one task whatever the value; above it the
-        work splits into one task per 2^17 sequences, a leaf block of 2^10
-        parents.  The report is bit-identical for any value: every product
-        has one shape, and sums add one sum per 2^14 batch, in order.
+        Checked (>= 1) and otherwise unused: the sweep runs in the calling
+        thread.  Split across workers, the prefix tree lost its shared
+        prefixes and ran slower at every n up to 24.  The option serves
+        :func:`sampled_sweep`.
 
     Returns
     -------
@@ -498,23 +459,9 @@ def exhaustive_sweep(
             f"{_EXHAUSTIVE_LIMIT}); use sampled_sweep instead"
         )
     edges = _sweep_edges(bins, threshold, workers)
-    if (1 << n) < _POOL_MIN_SEQUENCES:
-        workers = 1
-    spinor = init.spinor
     started = time.perf_counter()
-    depth = n - min(_SUFFIX_BITS, n)
-    leaf = min(depth, _LEAF_BITS)
     entropies = np.empty(1 << n)
-    # Sequence v = parent + (suffix << depth) lives at leaves[suffix, parent].
-    leaves = entropies.reshape(-1, 1 << depth)
-    if workers == 1 or depth == leaf:
-        _tree_entropies(n, spinor, depth, 0, leaves)
-    else:
-        # One task per leaf block, each part copied in as it arrives: this
-        # process holds a part or two beside the result, not a second result.
-        tasks = [(n, spinor, leaf, high) for high in range(0, 1 << depth, 1 << leaf)]
-        for i, part in enumerate(_run_tasks(_tree_task, tasks, workers)):
-            leaves[:, i << leaf : (i + 1) << leaf] = part
+    _tree_entropies(n, init.spinor, entropies)
     return _report(entropies, n, init, edges, threshold, started)
 
 
@@ -532,7 +479,12 @@ def sampled_sweep(
     Draws `samples` sequences i.i.d. uniformly (with replacement) from the
     2^n possibilities using the seeded PCG64 generator, so runs reproduce
     bit for bit.  The report carries the standard error of the mean.  The
-    other parameters, and the 2^14-sample batches, are as in the exhaustive sweep.
+    samples run in batches of 2^14, each stepped from the origin into its own
+    slice of one result array, on up to `workers` threads (>= 1), further
+    capped at the batch count and the usable CPUs; one worker starts no
+    thread.  numpy releases the GIL in the kernel, so the threads overlap.
+    The report is bit-identical for any worker count.  The other parameters
+    are as in the exhaustive sweep.
     """
     if not 1 <= n <= 62:
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
@@ -544,11 +496,22 @@ def sampled_sweep(
     ints = np.random.default_rng(seed).integers(
         0, 1 << n, size=samples, dtype=np.uint64
     )
-    batches = [
-        (ints[start : start + _BATCH_SIZE], n, spinor)
-        for start in range(0, samples, _BATCH_SIZE)
-    ]
-    entropies = np.concatenate(list(_run_tasks(_sampled_batch, batches, workers)))
+    entropies = np.empty(samples)
+    starts = range(0, samples, _BATCH_SIZE)
+
+    def batch(start):
+        stop = start + _BATCH_SIZE
+        _sampled_batch(ints[start:stop], n, spinor, entropies[start:stop])
+
+    # Threads past the usable CPUs or the batch count would only wait.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(starts), cpus or 1)
+    if workers == 1:
+        for start in starts:
+            batch(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(batch, starts))
     return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 

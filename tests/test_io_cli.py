@@ -528,6 +528,16 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_multiprocessing():
+    # Sweeps run in one process, on threads: nothing imports a process pool.
+    env = dict(os.environ, PYTHONPATH=str(Path(dtqw.__file__).parents[1]))
+    code = "import sys, dtqw.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_cli_fit_requires_one_source(tmp_path, capsys):
     assert run_cli("fit", "--out", str(tmp_path / "f")) == 1
     capsys.readouterr()

@@ -211,23 +211,12 @@ def _assert_same_report(a, b):
             )
 
 
-def _assert_worker_counts_agree():
-    # n = 10 is one leaf block, run in process; n = 18 and 19 split into
-    # two and four tasks, one per leaf block of 2^10 parents, which reach
-    # the pool where `_POOL_MIN_SEQUENCES` lets them.
+def test_exhaustive_worker_counts_agree_bit_for_bit():
+    # n = 10 is one leaf block of parents; n = 18 and 19 are two and four.
     for n, counts in ((10, (2, 8)), (18, (2, 3)), (19, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
             _assert_same_report(exhaustive_sweep(INIT, n, workers=w), base)
-
-
-def test_exhaustive_worker_counts_agree_bit_for_bit():
-    _assert_worker_counts_agree()
-
-
-def test_exhaustive_pool_path_agrees_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
-    _assert_worker_counts_agree()
 
 
 def test_sampled_worker_counts_agree_bit_for_bit():
@@ -239,7 +228,7 @@ def test_sampled_worker_counts_agree_bit_for_bit():
 
 
 class SerialPool:
-    """Records each pool's size and maps in process, lazily, starting no processes."""
+    """Records each pool's size and maps in the calling thread, lazily, starting no threads."""
 
     sizes: list[int] = []
 
@@ -257,53 +246,33 @@ class SerialPool:
 
 
 def test_worker_pool_is_capped_at_usable_cpus(monkeypatch):
-    monkeypatch.setattr(sequences, "ProcessPoolExecutor", SerialPool)
+    batches = []
+    monkeypatch.setattr(sequences, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
-    base = exhaustive_sweep(INIT, 19)
+    # The cap is under test, not the kernel: each batch records its size only.
+    monkeypatch.setattr(sequences, "_sampled_batch", lambda ints, n, spinor, out: batches.append(out.size))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    # Four tasks of one leaf block, and five sample batches, on three CPUs.
-    _assert_same_report(exhaustive_sweep(INIT, 19, workers=1000), base)
+    # Five sample batches on three CPUs.
     sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
-    assert SerialPool.sizes == [3, 3]
+    assert SerialPool.sizes == [3]
+    assert batches == [1 << 14] * 4 + [1]
     # Without CPU affinity the CPU count caps the pool; one CPU starts none.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    exhaustive_sweep(INIT, 19, workers=1000)
-    for cpus in (1, None):
+    for cpus in (2, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        _assert_same_report(exhaustive_sweep(INIT, 19, workers=1000), base)
-    assert SerialPool.sizes == [3, 3, 2]
+        sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
+    assert SerialPool.sizes == [3, 2]
+    assert len(batches) == 4 * 5
 
 
-def test_multi_task_exhaustive_sweep_holds_one_result(monkeypatch):
-    # Sixteen leaf-block tasks on two workers: each part goes into the one
-    # result array as it arrives, so no second copy of the result builds up.
-    monkeypatch.setattr(sequences, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(sequences, "_POOL_MIN_SEQUENCES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    exhaustive_sweep(INIT, 12)  # builds the suffix map outside the trace
-    tracemalloc.start()
-    try:
-        report = exhaustive_sweep(INIT, 21, workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert SerialPool.sizes == [2]
-    assert peak < 1.5 * report.entropies.nbytes
-
-
-def test_small_exhaustive_sweep_starts_no_pool(monkeypatch):
+def test_exhaustive_sweep_starts_no_executor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    assert (1 << 16) < sequences._POOL_MIN_SEQUENCES
-    base = exhaustive_sweep(INIT, 16, workers=1)
-    monkeypatch.setattr(sequences, "ProcessPoolExecutor", refuse)
-    report = exhaustive_sweep(INIT, 16, workers=2)
-    np.testing.assert_array_equal(report.entropies, base.entropies)
-    assert report.mean_entropy == base.mean_entropy
+    bases = {n: exhaustive_sweep(INIT, n, workers=1) for n in (16, 19)}
+    monkeypatch.setattr(sequences, "ThreadPoolExecutor", refuse)
+    for n, base in bases.items():
+        _assert_same_report(exhaustive_sweep(INIT, n, workers=2), base)
 
 
 def test_exhaustive_sweep_leaves_no_reference_cycles():
