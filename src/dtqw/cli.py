@@ -45,6 +45,7 @@ from .walk import (
     _dense,
     _propagate,
     _second_moment,
+    _site_squares,
     final_state,
     initial_state,
     plan_coins,
@@ -347,8 +348,9 @@ def cmd_walk(cfg: dict) -> _Outputs:
     def trajectory():
         nonlocal state
         yield io.trajectory_columns(state)
+        squares = _site_squares(steps)
         for up, dn in _propagate(plan, init.spinor):
-            m2.append(_second_moment(up, dn))
+            m2.append(_second_moment(up, dn, squares))
             state = _dense(up, dn)
             yield io.trajectory_columns(state)
 

@@ -167,9 +167,9 @@ def coin_density_curve(
     plan = plan_coins(policy, steps)
     spinor = init.spinor
     rho = np.empty((steps + 1, 2, 2), dtype=np.complex128)
-    rho[0] = _coin_density(spinor[:1], spinor[1:])
+    _coin_density(spinor[:1], spinor[1:], rho[0])
     for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
-        rho[t] = _coin_density(up, dn)
+        _coin_density(up, dn, rho[t])
     norm = rho[:, 0, 0].real + rho[:, 1, 1].real
     worst = norm[np.argmax(np.abs(norm - 1.0))]
     if abs(worst - 1.0) > 1e-6:

@@ -221,8 +221,9 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
 
 def _sampled_batch(ints, n, spinor, out):
     """Write the final entropies of packed sequences `ints`, each stepped from the origin, into `out`."""
-    # Bit k of each integer is the coin of step k+1; the batch runs as one kernel call.
-    bits = (ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    # Bit k of each integer (< 2^62) is the coin of step k+1, as the transpose
+    # of (n, walks) indices so that each step's bits are contiguous.
+    bits = ((ints.astype(np.intp) >> np.arange(n)[:, None]) & 1).T
     for up, dn in _propagate(_sequence_plan(bits), spinor):
         pass
     out[...] = _entropy_bits(_coin_density(up, dn))
@@ -248,9 +249,9 @@ def _suffix_map(k):
     plan = _sequence_plan((suffixes[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1))
     blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
     for e, spinor in enumerate(np.eye(2, dtype=np.complex128)):
-        for up, dn in _propagate(plan, spinor):
+        for phi in _propagate(plan, spinor):
             pass
-        blocks[..., 0, e], blocks[..., 1, e] = up, dn
+        blocks[..., e] = phi.T
     # coef[part, d, c, e, s, a, b]: rho_ab of suffix s per unit real (part 0)
     # or imaginary (part 1) part of R(d)[c, e].  Lag d pairs T_{m+d} with
     # T_m; lag -d enters as the adjoint of R(d), with c and e swapped.
@@ -270,17 +271,16 @@ def _suffix_map(k):
     return kmap
 
 
-def _lag_features(up, dn, k):
+def _lag_features(phi, k):
     """Lag blocks R(d) = sum_c phi(c) phi(c + d)^dagger, d = 0..k, of each walk, as real columns.
 
-    `up`, `dn` are (rows, width) parity-compressed states.  Column r of the
-    (8(k+1), rows) result holds the real parts of R(d)[c, e] in (d, c, e)
-    order, then the imaginary parts.
+    `phi` is a kernel block [c, column, walk], so each sum runs over whole
+    rows of walks.  Column r of the (8(k+1), rows) result holds the real
+    parts of R(d)[c, e] in (d, c, e) order, then the imaginary parts.
     """
-    phi = np.stack([up.T, dn.T])  # [c, column, walk]: each sum runs over whole rows of walks
-    width = len(up.T)
+    _, width, rows = phi.shape
     conj = phi.conj()
-    lags = np.zeros((k + 1, 2, 2, len(up)), dtype=np.complex128)
+    lags = np.zeros((k + 1, 2, 2, rows), dtype=np.complex128)
     for d in range(min(k, width - 1) + 1):
         np.einsum("csr,esr->cer", phi[:, : width - d], conj[:, d:], out=lags[d])
     return np.concatenate([lags.real, lags.imag]).reshape(8 * (k + 1), -1)
@@ -300,35 +300,37 @@ def _tree_entropies(n, spinor, out):
     k = min(_SUFFIX_BITS, n)
     depth = n - k
     kmap = _suffix_map(k)
-    alphabet = _sequence_alphabet()
+    coins = _sequence_alphabet().transpose(1, 2, 0)[:, :, None, :, None]  # [i, j, site, bit, walk]
     leaves = out.reshape(1 << k, -1)
-    up = np.full((1, 1), spinor[0], dtype=np.complex128)
-    dn = np.full((1, 1), spinor[1], dtype=np.complex128)
     breadth = min(depth, _LEAF_BITS)
+    phi = np.reshape(spinor, (2, 1, 1))
     for t in range(breadth):
-        # The F walks, then the H walks: row index = old row + (bit << t).
-        up, dn = (x.reshape(-1, t + 2) for x in _coin_shift(up, dn, alphabet[:, None, None]))
+        # The F walks, then the H walks: walk index = old walk + (bit << t).
+        block = np.empty((2, t + 2, 2, 1 << t), dtype=np.complex128)
+        phi = _coin_shift(phi[:, :, None], coins, block, np.empty_like(block[:, 1:]))
+        phi = phi.reshape(2, t + 2, -1)
 
     # One state buffer per depth, which its two children fill in turn: leaf
     # states allocated and freed on every step made malloc return memory to
     # the system and fault it in again, which about doubled the first sweep
     # in a fresh process.
-    rows = len(up)
+    rows = phi.shape[2]
     chunk = min(_CHUNK, rows)
-    level = {t: np.empty((2, rows, t + 1), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
+    level = {t: np.empty((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
+    scratch = np.empty((2, depth, rows), dtype=np.complex128)
 
-    def descend(up, dn, t, offset):
+    def descend(phi, t, offset):
         if t == depth:
-            features = _lag_features(up, dn, k)
+            features = _lag_features(phi, k)
             for c in range(offset, offset + rows, chunk):
                 z, x, y = (kmap @ features[:, c - offset : c - offset + chunk]).reshape(3, -1, chunk)
                 leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         else:
             for bit in (0, 1):
-                state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
-                descend(*state, t + 1, offset + (bit << t))
+                child = _coin_shift(phi, coins[:, :, :, bit], level[t + 1], scratch[:, : t + 1])
+                descend(child, t + 1, offset + (bit << t))
 
-    descend(up, dn, breadth, 0)
+    descend(phi, breadth, 0)
     # `descend` refers to itself through its closure; breaking that cycle
     # frees `level` by reference count instead of at the next garbage
     # collection, which repeated in-process sweeps would wait on.

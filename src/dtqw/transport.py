@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .walk import CoinPlan, CoinPolicy, DynamicRandom, InitialCoin, WalkState
-from .walk import _propagate, _second_moment, plan_coins
+from .walk import _check_buffers, _propagate, _second_moment, _site_squares, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -89,7 +89,8 @@ def second_moment(dist: PositionDistribution) -> float:
 
 def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float64]:
     """m2 after each step of every walk of `plan`, shape (steps, ...)."""
-    return np.array([_second_moment(up, dn) for up, dn in _propagate(plan, spinor)])
+    squares = _site_squares(plan.steps)
+    return np.array([_second_moment(up, dn, squares) for up, dn in _propagate(plan, spinor)])
 
 
 def moment_series(init: InitialCoin, policy: CoinPolicy, steps: int) -> MomentSeries:
@@ -103,14 +104,14 @@ def ensemble_moment_series(
 ) -> MomentSeries:
     """Second moment averaged over `n_seeds` fresh random coin sequences.
 
-    Seeds are base_seed .. base_seed + n_seeds - 1, so the ensemble is
-    reproducible; all walks advance together as one batch of the walk kernel.
+    Seeds base_seed .. base_seed + n_seeds - 1 make the ensemble reproducible;
+    all walks advance as one kernel batch, its size checked before any draw.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    _check_buffers(steps, n_seeds)
     plans = [plan_coins(DynamicRandom(seed=base_seed + k), steps) for k in range(n_seeds)]
-    bits = np.stack([p.step_bits for p in plans])
-    batch = CoinPlan(steps, alphabet=plans[0].alphabet, step_bits=bits)
+    batch = CoinPlan(steps, plans[0].alphabet, step_bits=np.stack([p.step_bits for p in plans]))
     m2 = np.mean(_moments(batch, init.spinor), axis=1)
     return MomentSeries(times=np.arange(1, steps + 1), m2=m2)
 

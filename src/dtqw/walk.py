@@ -4,16 +4,17 @@ The walker lives on the integer lattice with a two-level internal coin.  One
 step applies a 2x2 coin to every site's spinor and then shifts the |up>
 component to j+1 and the |down> component to j-1, so an n-step walk consumes
 exactly n coins.  A single kernel does all stepping.  It stores parity-compressed
-amplitudes ``up``, ``dn`` of shape (..., t+1), column m holding site j = 2m - t
-(the only sites that can carry amplitude), and treats leading axes as
-independent walks: one walk, a batch of coin sequences, or a random ensemble.
-The kernel owns its buffers and allocates nothing per step: two flat arrays
-alternate as each step's output and a third holds the coin products, every
-step using a reshaped prefix of them, and per-site coins are resolved once
-into tables that each step slices.  A yielded step therefore lives for two
-steps.  The per-step reductions live beside it, the reduced coin matrix and the
+amplitudes as a block [up, dn] of shape (2, t+1, ...), row m holding site
+j = 2m - t (the only sites that can carry amplitude), and treats trailing
+axes as independent walks: one walk, a batch of coin sequences, or a random
+ensemble.  With the walks innermost, a step is three ufunc calls into one
+contiguous part of its output.  The kernel owns its buffers, checked against
+a size limit first: two flat arrays alternate as each step's output and a
+third holds the coin products, and per-site coins are resolved once into
+tables that each step slices.  A yielded step therefore lives for two steps.
+The per-step reductions live beside it, the reduced coin matrix and the
 second moment about the origin, and read those arrays as they stream; this
-module alone knows the column-to-site map.  :class:`WalkState` is the dense
+module alone knows the row-to-site map.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 expands every step to it and `final_state` only the last.
@@ -201,28 +202,27 @@ class CoinPlan:
         self.alphabet = alphabet
         self.site_bits = site_bits
         self.step_bits = step_bits
-        # Coins resolved once per site of the light cone, row b holding
-        # alphabet[site_bits ^ b]; without site bits, one column that
-        # broadcasts over every site.
-        if site_bits is None:
-            self._table = alphabet[:, None]
-        else:
-            self._table = alphabet[site_bits ^ np.arange(1 if step_bits is None else 2)[:, None]]
+        # Coins resolved once per site of the light cone as an (i, j, site, b)
+        # table, [..., b] holding alphabet[site_bits ^ b]; without site bits,
+        # one site that broadcasts over every site.
+        rows = np.arange(1 if step_bits is None else 2)
+        table = alphabet[None] if site_bits is None else alphabet[site_bits[:, None] ^ rows]
+        self._table = np.ascontiguousarray(table.transpose(2, 3, 0, 1))
 
     def coins(self, t: int) -> NDArray[np.complex128]:
-        """Coins of step t at sites -t, -t+2, .., t.
+        """Coins of step t at sites -t, -t+2, .., t, as [i, j, site, ...] with 1 or t+1 sites.
 
-        Broadcasts as (..., 2, 2) against (..., t+1) amplitudes: one coin, one
-        per walk, one per site, or both.  For a single walk this is a view.
+        Trailing axes index the walks: a batch gathers them along the table's
+        last axis, fastest from contiguous intp bits, and one walk gets a view.
         """
         table = self._table
         if self.site_bits is not None:
             lo = self.steps - t  # site -t in a table that starts at site -steps
-            table = table[:, lo : lo + 2 * t + 1 : 2]
+            table = table[:, :, lo : lo + 2 * t + 1 : 2]
         if self.step_bits is None:
-            return table[0]
+            return table[..., 0]
         bits = self.step_bits[..., t]
-        return table[bits] if bits.ndim else table[int(bits)]  # an int index keeps the view
+        return np.take(table, bits, axis=-1) if bits.ndim else table[..., int(bits)]  # a view
 
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
@@ -282,87 +282,96 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     )
 
 
-def _coin_shift(up, dn, c, out=None, scratch=None):
+_BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers (a sampled sweep's batch needs 99 MB)
+
+
+def _check_buffers(steps: int, walks: int) -> None:
+    """Raise ValueError before `walks` walks of `steps` steps allocate buffers past the limit."""
+    if (size := 3 * 2 * walks * (steps + 1) * 16) > _BUFFER_LIMIT:
+        raise ValueError(f"{walks} walks of steps={steps} need {size} bytes, over {_BUFFER_LIMIT}")
+
+
+def _coin_shift(phi, c, out, scratch):
     """One step of parity-compressed walks: coin `c` on every site, then the shift.
 
-    `c` broadcasts as (..., 2, 2): its leading axes broadcast against those
-    of `up`/`dn` (..., t+1), one coin per walk, per site, or a single coin.
-    Writes into `out`, a (2, ..., t+2) array, and returns its two rows:
-    |up> moves one column right and |down> stays, which is j -> j+1 and
-    j -> j-1 on the lattice.  `scratch`, a (2, ..., t+1) array, holds the
-    coin products, which are summed in place and then copied into `out`.
-    Both are allocated when not given.
+    `phi` is the (2, width, ...) block [up, dn] and `c` [i, j, site, ...] from
+    `CoinPlan.coins`.  Writes into `out`, a C-contiguous (2, width+1, ...)
+    array, and returns it: |up> moves one row down (j -> j+1) and |down>
+    stays (j -> j-1), so their destinations are one contiguous block, which
+    takes the |up> coin products; the |down> ones go to `scratch` and are added.
     """
-    if out is None:
-        shape = np.broadcast_shapes(up.shape, c.shape[:-2])
-        out = np.empty((2,) + shape[:-1] + (shape[-1] + 1,), dtype=np.complex128)
-    if scratch is None:
-        scratch = np.empty(out[:, ..., 1:].shape, dtype=np.complex128)
-
-    def row(i, dest):
-        np.multiply(c[..., i, 0], up, out=scratch[0])
-        np.multiply(c[..., i, 1], dn, out=scratch[1])
-        np.add(scratch[0], scratch[1], out=scratch[0])
-        dest[...] = scratch[0]
-
-    row(0, out[0, ..., 1:])
-    out[0, ..., 0] = 0
-    row(1, out[1, ..., :-1])
-    out[1, ..., -1] = 0
-    return out[0], out[1]
+    width = phi.shape[1]
+    walks = out.size // (2 * width + 2)
+    block = out.reshape(-1)[walks : walks * (2 * width + 1)].reshape((2, width) + out.shape[2:])
+    np.multiply(c[:, 0], phi[0], out=block)
+    np.multiply(c[:, 1], phi[1], out=scratch)
+    np.add(block, scratch, out=block)
+    out[0, 0] = 0
+    out[1, -1] = 0
+    return out
 
 
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
-    """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
+    """Run every walk of `plan` from `spinor` at the origin; yield the block [up, dn] after each step.
 
-    After step t the arrays have shape (..., t+1), leading axes those of
-    ``plan.step_bits[..., 0]``, and column m holds site j = 2m - t.  The
-    kernel allocates its buffers once: two flat ones that alternate as each
-    step's output and one scratch, whose reshaped prefixes serve every step.
-    A yielded pair is therefore overwritten two steps later; reduce or copy
-    it before then.
+    After step t the (2, t+1, ...) block has trailing axes those of
+    ``plan.step_bits[..., 0]``, and row m holds site j = 2m - t.  The buffers
+    are allocated once, or ValueError raised if they would pass
+    :data:`_BUFFER_LIMIT`: two flat ones alternate as each step's output and
+    one holds scratch, so a yielded block is overwritten two steps later;
+    reduce or copy it before then.
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
-    column = 2 * math.prod(batch)  # elements per column of a (2, ..., width) array
-    buffers = np.empty((3, column * (plan.steps + 1)), dtype=np.complex128)
-    up = np.full(batch + (1,), spinor[0], dtype=np.complex128)
-    dn = np.full(batch + (1,), spinor[1], dtype=np.complex128)
+    walks = math.prod(batch)
+    _check_buffers(plan.steps, walks)
+    buffers = np.empty((3, 2 * walks * (plan.steps + 1)), dtype=np.complex128)
+    phi = np.empty((2, 1) + batch, dtype=np.complex128)
+    phi[0], phi[1] = spinor
     for t in range(plan.steps):
-        out = buffers[t % 2, : column * (t + 2)].reshape((2,) + batch + (t + 2,))
-        scratch = buffers[2, : column * (t + 1)].reshape((2,) + batch + (t + 1,))
-        up, dn = _coin_shift(up, dn, plan.coins(t), out, scratch)
-        yield up, dn
+        out = buffers[t % 2, : 2 * walks * (t + 2)].reshape((2, t + 2) + batch)
+        scratch = buffers[2, : 2 * walks * (t + 1)].reshape((2, t + 1) + batch)
+        phi = _coin_shift(phi, plan.coins(t), out, scratch)
+        yield phi
 
 
-def _coin_density(up, dn):
-    """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the last axis.
+def _coin_density(up, dn, out=None):
+    """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the first axis.
 
-    Works on dense rows and on parity-compressed ones alike; leading axes
+    Works on dense rows and on parity-compressed ones alike; trailing axes
     carry through to a (..., 2, 2) result.  One walk reduces with three
-    BLAS dot products.
+    BLAS dot products into `out`, a (2, 2) array allocated when not given.
     """
     if up.ndim == 1:
-        r01 = np.vdot(dn, up)
-        return np.array([[np.vdot(up, up).real, r01], [np.conj(r01), np.vdot(dn, dn).real]])
-    r00 = np.sum(np.abs(up) ** 2, axis=-1)
-    r01 = np.sum(up * np.conj(dn), axis=-1)
-    r11 = np.sum(np.abs(dn) ** 2, axis=-1)
+        out = np.empty((2, 2), dtype=np.complex128) if out is None else out
+        out[0, 0], out[0, 1], out[1, 1] = np.vdot(up, up).real, np.vdot(dn, up), np.vdot(dn, dn).real
+        out[1, 0] = np.conj(out[0, 1])
+        return out
+    r00 = np.sum(np.abs(up) ** 2, axis=0)
+    r01 = np.sum(up * np.conj(dn), axis=0)
+    r11 = np.sum(np.abs(dn) ** 2, axis=0)
     return np.stack([r00, r01, np.conj(r01), r11], axis=-1).reshape(r01.shape + (2, 2))
 
 
-def _second_moment(up, dn):
+def _site_squares(steps: int) -> NDArray[np.float64]:
+    """Squared sites j^2 up to `steps`: row r holds j = r - steps, r - steps + 2, .., r + steps."""
+    return np.ascontiguousarray((np.arange(-steps, steps + 2.0) ** 2).reshape(-1, 2).T)
+
+
+def _second_moment(up, dn, squares):
     """Second moment sum_j (|a_j|^2 + |b_j|^2) j^2 of parity-compressed walks.
 
-    Column m of the (..., t+1) arrays holds site j = 2m - t; leading axes
-    carry through.
+    Row m of the (t+1,) or (t+1, walks) arrays holds site j = 2m - t; the
+    weights j^2 are a run of row (steps - t) % 2 of `_site_squares(steps)`.
     """
-    t = up.shape[-1] - 1
-    return (np.abs(up) ** 2 + np.abs(dn) ** 2) @ np.arange(-t, t + 1, 2.0) ** 2
+    t = len(up) - 1
+    rest = squares.shape[1] - 1 - t  # steps - t
+    weights = squares[rest % 2, rest // 2 : rest // 2 + t + 1]
+    return weights @ (np.abs(up) ** 2 + np.abs(dn) ** 2)
 
 
 def _dense(up, dn):
     """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays."""
-    t = up.shape[-1] - 1
+    t = len(up) - 1
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     amps[0, ::2] = up
     amps[1, ::2] = dn

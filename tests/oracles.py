@@ -30,7 +30,9 @@ from dtqw.walk import (
     WalkState,
     _coin_density,
     _coin_shift,
+    _propagate,
     _sequence_alphabet,
+    _sequence_plan,
     plan_coins,
 )
 
@@ -153,31 +155,33 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     """Final entropies of all {H, F} sequences of each length t = 0..n, stepping each to its end.
 
     Entry t holds the 2^t sequences of length t, sequence v at index v (first
-    coin in the least significant bit).  The first 10 coins are stepped
-    breadth-first, both branches at once, into a leaf block of walks; every
-    later coin is stepped depth-first on that block, and each node writes
+    coin in the least significant bit).  The first 10 coins are stepped as
+    one kernel batch of every prefix, a leaf block of walks; every later
+    coin is stepped depth-first on that block, and each node writes
     the slice of the enumeration that its coins select.  Every entry is
     what the exhaustive sweep of its length computed before the closed form.
     """
-    alphabet = _sequence_alphabet()
+    coins = _sequence_alphabet().transpose(1, 2, 0)[:, :, None, None]  # [i, j, site, walk, bit]
     out = [np.empty(1 << t) for t in range(n + 1)]
-    up = np.full((1, 1), spinor[0], dtype=np.complex128)
-    dn = np.full((1, 1), spinor[1], dtype=np.complex128)
     breadth = min(n, 10)
-    for t in range(breadth):
-        out[t][:] = _entropy_bits(_coin_density(up, dn))
-        # The F walks, then the H walks: row index = old row + (bit << t).
-        up, dn = (x.reshape(-1, t + 2) for x in _coin_shift(up, dn, alphabet[:, None, None]))
+    # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
+    ints = np.arange(1 << breadth, dtype=np.uint64)
+    plan = _sequence_plan((ints[:, None] >> np.arange(breadth, dtype=np.uint64)) & np.uint64(1))
+    phi = np.reshape(spinor, (2, 1, 1))
+    out[0][:] = _entropy_bits(_coin_density(*phi))
+    for t, phi in enumerate(_propagate(plan, spinor), 1):
+        out[t][:] = _entropy_bits(_coin_density(*phi[..., : 1 << t]))
     # One state buffer per depth, which its two children fill in turn.
-    level = {t: np.empty((2, len(up), t + 1), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+    level = {t: np.empty((2, t + 1, phi.shape[2]), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+    scratch = np.empty((2, n, phi.shape[2]), dtype=np.complex128)
 
-    def descend(up, dn, t, offset):
-        out[t][offset : offset + len(up)] = _entropy_bits(_coin_density(up, dn))
+    def descend(phi, t, offset):
+        out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi))
         for bit in (0, 1) if t < n else ():
-            state = _coin_shift(up, dn, alphabet[bit], level[t + 1])
-            descend(*state, t + 1, offset + (bit << t))
+            child = _coin_shift(phi, coins[..., bit], level[t + 1], scratch[:, : t + 1])
+            descend(child, t + 1, offset + (bit << t))
 
-    descend(up, dn, breadth, 0)
+    descend(phi, breadth, 0)
     del descend
     return out
 

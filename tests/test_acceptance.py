@@ -8,7 +8,6 @@ loosened, and the assertion messages state the measured values.  The
 analysis lives in the project notes.
 """
 
-import multiprocessing
 import time
 
 import numpy as np
@@ -47,7 +46,6 @@ from oracles import dense_trajectory, embed_state, random_density, random_unitar
 
 INIT = InitialCoin(51, 0)
 ORDERED_H = Ordered(hadamard_coin())
-WORKERS = min(4, multiprocessing.cpu_count())
 
 
 def check(num: str, ok: bool, detail: str) -> None:
@@ -103,7 +101,7 @@ def test_2_enhancer_sequence_beats_ordered_walk_for_all_inits():
 
 def test_3_exhaustive_sequence_statistics():
     started = time.perf_counter()
-    report = exhaustive_sweep(INIT, 20, workers=WORKERS)
+    report = exhaustive_sweep(INIT, 20)
     elapsed = time.perf_counter() - started
 
     mean_ok = abs(report.mean_entropy - 0.924) <= 0.005
@@ -113,11 +111,10 @@ def test_3_exhaustive_sequence_statistics():
         "3 [statistics]",
         mean_ok and frac_ok and runtime_ok,
         f"mean = {report.mean_entropy:.4f} (0.924 +- 0.005), fraction above "
-        f"0.9 = {report.fraction_above:.4f} (0.73 +- 0.02), {elapsed:.1f}s on "
-        f"{WORKERS} workers",
+        f"0.9 = {report.fraction_above:.4f} (0.73 +- 0.02), {elapsed:.1f}s",
     )
 
-    again = exhaustive_sweep(INIT, 20, workers=1)
+    again = exhaustive_sweep(INIT, 20, workers=2)
     identical = (
         again.mean_entropy == report.mean_entropy
         and again.std_entropy == report.std_entropy
@@ -130,7 +127,7 @@ def test_3_exhaustive_sequence_statistics():
     check(
         "3 [determinism]",
         identical,
-        f"reports identical bit for bit across worker counts (1 vs {WORKERS})",
+        "two runs (workers=1 and workers=2) give reports identical bit for bit",
     )
 
     e_enhancer = entropy_of_sequence(INIT, ENHANCER_20)

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -203,6 +204,19 @@ def test_ensemble_moment_series_deterministic_and_subballistic():
     np.testing.assert_array_equal(a.m2, b.m2)
     fit = fit_power_law(a)
     assert 1.0 < fit.exponent < 2.0
+
+
+def test_ensemble_moment_series_refuses_oversized_batch_before_drawing_plans():
+    # 2^22 seeds of 100 steps would need 40 GB of kernel buffers, and the
+    # plans alone would take minutes to draw.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4194304 walks of steps=100 need"):
+            ensemble_moment_series(InitialCoin(51, 0), 100, n_seeds=1 << 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ensemble_moment_series_is_mean_of_per_seed_series():

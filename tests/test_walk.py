@@ -18,6 +18,7 @@ from dtqw.walk import (
     _coin_density,
     _propagate,
     _second_moment,
+    _site_squares,
     evolve,
     final_state,
     initial_state,
@@ -130,8 +131,9 @@ def test_streamed_reductions_carry_batch_axes():
     init = InitialCoin(51, 30)
     batch = dynamic_batch(20)
     walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
+    squares = _site_squares(20)
     for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1):
-        rho, m2 = _coin_density(up, dn), _second_moment(up, dn)
+        rho, m2 = _coin_density(up, dn), _second_moment(up, dn, squares)
         assert rho.shape == (4, 2, 2) and m2.shape == (4,)
         for k, states in enumerate(walks):
             np.testing.assert_allclose(rho[k], reduced_coin_density(states[t]), rtol=0, atol=1e-12)
@@ -161,8 +163,9 @@ def test_kernel_matches_reference_bit_for_bit(plan):
     # Compare before advancing: the kernel overwrites a yielded pair two steps later.
     kernel, reference = _propagate(plan, spinor), reference_propagate(plan, spinor)
     for (up, dn), (ref_up, ref_dn) in zip(kernel, reference):
-        np.testing.assert_array_equal(up, ref_up)
-        np.testing.assert_array_equal(dn, ref_dn)
+        # The kernel keeps the walks innermost; the reference keeps them first.
+        np.testing.assert_array_equal(np.moveaxis(up, 0, -1), ref_up)
+        np.testing.assert_array_equal(np.moveaxis(dn, 0, -1), ref_dn)
         steps += 1
     assert steps == plan.steps
 
@@ -177,6 +180,59 @@ def test_evolve_matches_reference_bit_for_bit(policy):
         assert not state.amps[:, 1::2].any()
 
 
+@pytest.mark.parametrize("batch", [dynamic_batch(20), static_batch(20)], ids=["batch", "static-batch"])
+def test_batch_walks_equal_single_walks_bit_for_bit(batch):
+    """Walk k of a batch, the trailing axis, equals the single-walk kernel run of its bits."""
+    spinor = InitialCoin(51, 30).spinor
+    walks = batch.step_bits.shape[0]
+    singles = [
+        _propagate(CoinPlan(batch.steps, batch.alphabet, batch.site_bits, batch.step_bits[k]), spinor)
+        for k in range(walks)
+    ]
+    steps = 0
+    for (up, dn), *single in zip(_propagate(batch, spinor), *singles, strict=True):
+        for k, (one_up, one_dn) in enumerate(single):
+            np.testing.assert_array_equal(up[:, k], one_up)
+            np.testing.assert_array_equal(dn[:, k], one_dn)
+        steps += 1
+    assert steps == batch.steps
+
+
+def test_batched_kernel_allocates_nothing_per_step():
+    # Its three step buffers and one step's gathered coins, with slack for
+    # numpy's two ufunc buffers (which a product of small broadcast operands
+    # fills) and for views and scalars; anything kept per step would add
+    # 256 steps' worth.
+    walks, steps = 256, 256
+    plan = dynamic_batch(steps, walks)
+    buffers = 3 * 2 * walks * (steps + 1) * 16
+    tracemalloc.start()
+    try:
+        for _ in _propagate(plan, InitialCoin(51, 30).spinor):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 2 * np.getbufsize() * 16 + 2**16
+    assert peak < buffers + plan.coins(0).nbytes + slack
+
+
+def test_kernel_refuses_oversized_buffers_before_allocating():
+    # 2^20 walks of 100 steps would take 10 GB of buffers; the step bits
+    # are a broadcast view, so the plan itself takes no memory.
+    steps, walks = 100, 1 << 20
+    bits = np.broadcast_to(np.int64(0), (walks, steps))
+    plan = CoinPlan(steps, plan_coins(DynamicRandom(seed=0), steps).alphabet, step_bits=bits)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{walks} walks of steps={steps} need"):
+            next(_propagate(plan, InitialCoin(51, 30).spinor))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_single_walk_coin_density_matches_batched_rows():
     """One walk's rho_C (BLAS dot products) and its row of a batch agree at every step.
 
@@ -188,7 +244,7 @@ def test_single_walk_coin_density_matches_batched_rows():
     for t, (up, dn) in enumerate(_propagate(dynamic_batch(200), init.spinor), 1):
         rho = _coin_density(up, dn)
         for k, curve in enumerate(curves):
-            np.testing.assert_allclose(_coin_density(up[k], dn[k]), rho[k], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_coin_density(up[:, k], dn[:, k]), rho[k], rtol=0, atol=1e-15)
             np.testing.assert_allclose(curve[t], rho[k], rtol=0, atol=1e-15)
 
 
@@ -300,7 +356,8 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
         site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
         for t in range(steps):
             want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2]]
-            np.testing.assert_array_equal(np.broadcast_to(plan.coins(t), want.shape), want)
+            coins = np.moveaxis(plan.coins(t), -1, 0)  # (2, 2, S) -> (S, 2, 2)
+            np.testing.assert_array_equal(np.broadcast_to(coins, want.shape), want)
 
 
 def test_walk_state_validates_shape():
