@@ -4,7 +4,7 @@ A length-n coin sequence packs into an integer (H -> 1, F -> 0, first-applied
 symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
 every sequence into one array, and the report is computed once from it,
-summed in fixed batches of 2^14 sequences, so reports are bit-identical no
+summed in fixed blocks of 2^14 entries, so reports are bit-identical no
 matter how many worker threads share the job.
 
 The exhaustive sweep applies the last k = 7 coins of every sequence in
@@ -24,7 +24,9 @@ updates of a prefix tree that steps every sequence to the end.  The whole
 tree runs in the calling thread: split across workers it lost the shared
 prefixes and ran slower at every n up to 24.  Random sequences share no
 prefixes, so the sampled sweep steps each batch from the origin, on up to
-`workers` threads, each batch into its own slice of the result.
+`workers` threads, each batch into its own slice of the result; a batch
+holds as many walks as the kernel's row budget allows, so its buffers stay
+in cache.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -54,6 +56,7 @@ from .entanglement import (
 from .walk import (
     DynamicSequence,
     InitialCoin,
+    _batch_walks,
     _coin_density,
     _coin_shift,
     _propagate,
@@ -87,9 +90,10 @@ ENHANCER_20 = "FFHFHFHHFFFFFHFHHHHH"
 #: maximum are reported as maximizers, each once.
 ARGMAX_TOL = 1e-12
 
-#: Fixed work-unit size for sweeps, independent of the worker count: a
-#: sampled sweep's task is one batch, and the report sums one batch at a time.
-_BATCH_SIZE = 1 << 14
+#: Entries per partial sum of a sweep report, independent of the worker
+#: count and of the kernel's batches.  It fixes the summation order, so a
+#: different block would move reported means and stds in the last bit.
+_SUM_BLOCK = 1 << 14
 
 #: The exhaustive sweep applies the last _SUFFIX_BITS coins of every
 #: sequence in closed form, from its parent's lag features.
@@ -382,14 +386,14 @@ def _report(
 ) -> SweepReport:
     """The report of a sweep's final entropies; `ints[i]` packs sequence i (None: i itself)."""
     count = entropies.size
-    # One float sum per 2^14-entry batch, added in batch order, keeps the
-    # reported mean and std bit for bit; one np.sum of the array rounds
-    # differently (from n = 17 on).
+    # One float sum per block, added in block order, keeps the reported mean
+    # and std bit for bit; one np.sum of the array rounds differently (from
+    # n = 17 on).
     total = total_sq = 0.0
-    for k in range(0, count, _BATCH_SIZE):
-        batch = entropies[k : k + _BATCH_SIZE]
-        total += float(np.sum(batch))
-        total_sq += float(np.sum(batch**2))
+    for k in range(0, count, _SUM_BLOCK):
+        block = entropies[k : k + _SUM_BLOCK]
+        total += float(np.sum(block))
+        total_sq += float(np.sum(block**2))
     mean = total / count
     std = float(np.sqrt(max(total_sq / count - mean * mean, 0.0)))
     top = float(entropies.max())
@@ -481,12 +485,12 @@ def sampled_sweep(
     Draws `samples` sequences i.i.d. uniformly (with replacement) from the
     2^n possibilities using the seeded PCG64 generator, so runs reproduce
     bit for bit.  The report carries the standard error of the mean.  The
-    samples run in batches of 2^14, each stepped from the origin into its own
-    slice of one result array, on up to `workers` threads (>= 1), further
-    capped at the batch count and the usable CPUs; one worker starts no
-    thread.  numpy releases the GIL in the kernel, so the threads overlap.
-    The report is bit-identical for any worker count.  The other parameters
-    are as in the exhaustive sweep.
+    samples run in batches of one kernel row budget, 2^14 // (n + 1) walks,
+    each stepped from the origin into its own slice of one result array, on
+    up to `workers` threads (>= 1), further capped at the batch count and
+    the usable CPUs; one worker starts no thread.  numpy releases the GIL in
+    the kernel, so the threads overlap.  The report is bit-identical for any
+    worker count.  The other parameters are as in the exhaustive sweep.
     """
     if not 1 <= n <= 62:
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
@@ -499,10 +503,11 @@ def sampled_sweep(
         0, 1 << n, size=samples, dtype=np.uint64
     )
     entropies = np.empty(samples)
-    starts = range(0, samples, _BATCH_SIZE)
+    size = _batch_walks(n)
+    starts = range(0, samples, size)
 
     def batch(start):
-        stop = start + _BATCH_SIZE
+        stop = start + size
         _sampled_batch(ints[start:stop], n, spinor, entropies[start:stop])
 
     # Threads past the usable CPUs or the batch count would only wait.

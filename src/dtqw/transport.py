@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .walk import CoinPlan, CoinPolicy, DynamicRandom, InitialCoin, WalkState
-from .walk import _check_buffers, _propagate, _second_moment, _site_squares, plan_coins
+from .walk import CoinPlan, CoinPolicy, InitialCoin, WalkState
+from .walk import _batch_walks, _propagate, _random_alphabet, _random_bits
+from .walk import _second_moment, _site_squares, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -104,16 +105,23 @@ def ensemble_moment_series(
 ) -> MomentSeries:
     """Second moment averaged over `n_seeds` fresh random coin sequences.
 
-    Seeds base_seed .. base_seed + n_seeds - 1 make the ensemble reproducible;
-    all walks advance as one kernel batch, its size checked before any draw.
+    Seeds base_seed .. base_seed + n_seeds - 1 make the ensemble reproducible:
+    seed s drives the walk of ``plan_coins(DynamicRandom(s), steps)``.  The
+    seeds stream in groups of one kernel row budget, each group's m2 summed
+    over its walks, so memory stays bounded whatever `n_seeds` is.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    _check_buffers(steps, n_seeds)
-    plans = [plan_coins(DynamicRandom(seed=base_seed + k), steps) for k in range(n_seeds)]
-    batch = CoinPlan(steps, plans[0].alphabet, step_bits=np.stack([p.step_bits for p in plans]))
-    m2 = np.mean(_moments(batch, init.spinor), axis=1)
-    return MomentSeries(times=np.arange(1, steps + 1), m2=m2)
+    alphabet = _random_alphabet()
+    group = _batch_walks(steps)
+    stop = base_seed + n_seeds
+    total = np.zeros(steps)
+    for first in range(base_seed, stop, group):
+        bits = np.stack([_random_bits(seed, steps) for seed in range(first, min(first + group, stop))])
+        total += np.sum(_moments(CoinPlan(steps, alphabet, step_bits=bits), init.spinor), axis=1)
+    return MomentSeries(times=np.arange(1, steps + 1), m2=total / n_seeds)
 
 
 def classical_baseline(steps: int) -> MomentSeries:

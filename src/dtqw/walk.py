@@ -7,7 +7,9 @@ exactly n coins.  A single kernel does all stepping.  It stores parity-compresse
 amplitudes as a block [up, dn] of shape (2, t+1, ...), row m holding site
 j = 2m - t (the only sites that can carry amplitude), and treats trailing
 axes as independent walks: one walk, a batch of coin sequences, or a random
-ensemble.  With the walks innermost, a step is three ufunc calls into one
+ensemble.  Callers with many walks step them in batches of one budget of
+amplitude rows, walks x (steps + 1), so that a batch's buffers stay in a
+core's cache.  With the walks innermost, a step is three ufunc calls into one
 contiguous part of its output.  The kernel owns its buffers, checked against
 a size limit first: two flat arrays alternate as each step's output and a
 third holds the coin products, and per-site coins are resolved once into
@@ -265,30 +267,40 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
 
     if not isinstance(policy, (DynamicRandom, StaticRandom, StaticAndDynamic)):
         raise TypeError(f"unsupported coin policy: {policy!r}")
-    alphabet = np.stack([hadamard_coin(), fourier_coin()])  # bit 0 -> H, bit 1 -> F
-
-    def bits(seed: int, size: int) -> NDArray[np.int64]:
-        return np.random.default_rng(seed).integers(0, 2, size=size)
-
+    alphabet = _random_alphabet()
     if isinstance(policy, DynamicRandom):
-        return CoinPlan(steps, alphabet, step_bits=bits(policy.seed, steps))
+        return CoinPlan(steps, alphabet, step_bits=_random_bits(policy.seed, steps))
     if isinstance(policy, StaticRandom):
-        return CoinPlan(steps, alphabet, site_bits=bits(policy.seed, 2 * steps + 1))
+        return CoinPlan(steps, alphabet, site_bits=_random_bits(policy.seed, 2 * steps + 1))
     return CoinPlan(
         steps,
         alphabet,
-        site_bits=bits(policy.static_seed, 2 * steps + 1),
-        step_bits=bits(policy.dynamic_seed, steps),
+        site_bits=_random_bits(policy.static_seed, 2 * steps + 1),
+        step_bits=_random_bits(policy.dynamic_seed, steps),
     )
 
 
-_BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers (a sampled sweep's batch needs 99 MB)
+def _random_alphabet() -> NDArray[np.complex128]:
+    """The coins of the random policies indexed by bit: H -> 0, F -> 1."""
+    return np.stack([hadamard_coin(), fourier_coin()])
 
 
-def _check_buffers(steps: int, walks: int) -> None:
-    """Raise ValueError before `walks` walks of `steps` steps allocate buffers past the limit."""
-    if (size := 3 * 2 * walks * (steps + 1) * 16) > _BUFFER_LIMIT:
-        raise ValueError(f"{walks} walks of steps={steps} need {size} bytes, over {_BUFFER_LIMIT}")
+def _random_bits(seed: int, size: int) -> NDArray[np.int64]:
+    """The `size` uniform coin bits a random policy draws from `seed`."""
+    return np.random.default_rng(seed).integers(0, 2, size=size)
+
+
+_BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers
+
+#: Amplitude rows, walks x (steps + 1), in one batch of the batched callers
+#: (sampled sweeps, random ensembles).  A batch's three buffers then take
+#: 96 B per row, 1.5 MB, and stay in a core's cache as they stream.
+_BATCH_ROWS = 1 << 14
+
+
+def _batch_walks(steps: int) -> int:
+    """Walks of `steps` steps per batch: one budget of rows, and at least one walk."""
+    return max(1, _BATCH_ROWS // (steps + 1))
 
 
 def _coin_shift(phi, c, out, scratch):
@@ -323,7 +335,8 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
     walks = math.prod(batch)
-    _check_buffers(plan.steps, walks)
+    if (size := 3 * 2 * walks * (plan.steps + 1) * 16) > _BUFFER_LIMIT:
+        raise ValueError(f"{walks} walks of steps={plan.steps} need {size} bytes, over {_BUFFER_LIMIT}")
     buffers = np.empty((3, 2 * walks * (plan.steps + 1)), dtype=np.complex128)
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor

@@ -29,7 +29,7 @@ from dtqw.sequences import (
     to_bits,
     vocabulary,
 )
-from dtqw.walk import InitialCoin, Ordered, _propagate, _sequence_plan, final_state
+from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _propagate, _sequence_plan, final_state
 from dtqw.coins import hadamard_coin
 from oracles import extended_entropies, kaspar_schuster_complexity, prefix_tree_entropies
 
@@ -220,8 +220,9 @@ def test_exhaustive_worker_counts_agree_bit_for_bit():
 
 
 def test_sampled_worker_counts_agree_bit_for_bit():
-    # Four batches, the last of 5 samples, on one, two and three workers.
-    samples = 3 * (1 << 14) + 5
+    # Three full batches of the kernel's row budget and a fourth of 5
+    # samples, on one, two and three workers.
+    samples = 3 * (_BATCH_ROWS // 25) + 5
     base = sampled_sweep(INIT, 24, samples, seed=5, workers=1)
     for w in (2, 3):
         _assert_same_report(sampled_sweep(INIT, 24, samples, seed=5, workers=w), base)
@@ -252,17 +253,20 @@ def test_worker_pool_is_capped_at_usable_cpus(monkeypatch):
     # The cap is under test, not the kernel: each batch records its size only.
     monkeypatch.setattr(sequences, "_sampled_batch", lambda ints, n, spinor, out: batches.append(out.size))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    # Five sample batches on three CPUs.
-    sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
+    # Five sample batches on three CPUs: four full ones of the row budget,
+    # 2^14 // 31 walks of 30 steps, and one of a single sample.
+    full = _BATCH_ROWS // 31
+    sampled_sweep(INIT, 30, samples=4 * full + 1, seed=0, workers=1000)
     assert SerialPool.sizes == [3]
-    assert batches == [1 << 14] * 4 + [1]
+    assert batches == [full] * 4 + [1]
     # Without CPU affinity the CPU count caps the pool; one CPU starts none.
+    # The batches stay the same whatever the pool size.
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for cpus in (2, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sampled_sweep(INIT, 30, samples=4 * (1 << 14) + 1, seed=0, workers=1000)
+        sampled_sweep(INIT, 30, samples=4 * full + 1, seed=0, workers=1000)
     assert SerialPool.sizes == [3, 2]
-    assert len(batches) == 4 * 5
+    assert batches == ([full] * 4 + [1]) * 4
 
 
 def test_exhaustive_sweep_starts_no_executor(monkeypatch):
@@ -409,6 +413,25 @@ def test_single_task_exhaustive_sweep_does_not_copy_its_entropies():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * report.entropies.nbytes
+
+
+def test_sampled_sweep_memory_is_one_batch_beside_its_results():
+    # 2^13 samples of n = 62 run as batches of 2^14 // 63 = 260 walks; one
+    # batch of all of them would take 50 MB of buffers.
+    n, samples = 62, 1 << 13
+    walks = _BATCH_ROWS // (n + 1)
+    tracemalloc.start()
+    try:
+        sampled_sweep(INIT, n, samples, seed=3, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = 3 * 2 * walks * (n + 1) * 16  # the kernel's three buffers
+    results = 2 * samples * 8  # the packed sequences and their entropies
+    bits = 2 * walks * n * 8  # a batch's bit table, shifted and then masked
+    # The last step's up * conj(dn) with its conj, and numpy's two ufunc buffers.
+    slack = 2 * walks * (n + 1) * 16 + 2 * np.getbufsize() * 16 + 2**16
+    assert peak < buffers + results + bits + slack
 
 
 def test_sampled_sweep_deterministic_under_seed():

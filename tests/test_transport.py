@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from dtqw import transport
+from dtqw import transport, walk
 from dtqw.coins import hadamard_coin
 from dtqw.transport import (
     MomentSeries,
@@ -17,6 +18,7 @@ from dtqw.transport import (
     second_moment,
 )
 from dtqw.walk import (
+    CoinPlan,
     DynamicRandom,
     DynamicSequence,
     InitialCoin,
@@ -25,6 +27,7 @@ from dtqw.walk import (
     StaticRandom,
     final_state,
     initial_state,
+    plan_coins,
 )
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
@@ -206,22 +209,44 @@ def test_ensemble_moment_series_deterministic_and_subballistic():
     assert 1.0 < fit.exponent < 2.0
 
 
-def test_ensemble_moment_series_refuses_oversized_batch_before_drawing_plans():
-    # 2^22 seeds of 100 steps would need 40 GB of kernel buffers, and the
-    # plans alone would take minutes to draw.
+def test_ensemble_moment_series_streams_its_seeds_in_bounded_memory():
+    # 1024 seeds of 200 steps run as 13 groups of up to 2^14 // 201 = 81
+    # walks; one batch of all of them would take 19.8 MB of buffers.
+    steps, n_seeds = 200, 1024
+    group = walk._BATCH_ROWS // (steps + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="4194304 walks of steps=100 need"):
-            ensemble_moment_series(InitialCoin(51, 0), 100, n_seeds=1 << 22)
+        ensemble_moment_series(InitialCoin(51, 0), steps, n_seeds=n_seeds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    buffers = 3 * 2 * group * (steps + 1) * 16  # the kernel's three buffers
+    rows = 2 * 2 * group * steps * 8  # m2 rows and step bits, each also in a list while stacked
+    # numpy's two ufunc buffers, and one step's |a|^2 + |b|^2 temporaries.
+    slack = 2 * np.getbufsize() * 16 + 3 * group * (steps + 1) * 8 + 2**16
+    assert peak < buffers + rows + slack
+
+
+def test_ensemble_moment_series_draws_each_seed_as_its_dynamic_random_plan():
+    # One group (64 seeds of 100 steps, as in the bench) keeps the summation
+    # order of one batch over every seed, so the mean agrees bit for bit.
+    init, steps, n_seeds, base_seed = InitialCoin(51, 30), 100, 64, 7
+    assert n_seeds <= walk._BATCH_ROWS // (steps + 1)
+    bits = np.stack([plan_coins(DynamicRandom(base_seed + k), steps).step_bits for k in range(n_seeds)])
+    plan = CoinPlan(steps, plan_coins(DynamicRandom(base_seed), steps).alphabet, step_bits=bits)
+    expected = np.mean(transport._moments(plan, init.spinor), axis=1)
+    ensemble = ensemble_moment_series(init, steps, n_seeds=n_seeds, base_seed=base_seed)
+    np.testing.assert_array_equal(ensemble.m2, expected)
 
 
 def test_ensemble_moment_series_is_mean_of_per_seed_series():
     init = InitialCoin(33, 120)
-    ensemble = ensemble_moment_series(init, 15, n_seeds=9, base_seed=4)
-    per_seed = [moment_series(init, DynamicRandom(seed=4 + k), 15).m2 for k in range(9)]
-    np.testing.assert_array_equal(ensemble.times, np.arange(1, 16))
-    np.testing.assert_allclose(ensemble.m2, np.mean(per_seed, axis=0), rtol=0, atol=1e-12)
+    # One batch of seeds, and three (268, 268 and 64 walks of 60 steps).
+    for steps, n_seeds in ((15, 9), (60, 600)):
+        ensemble = ensemble_moment_series(init, steps, n_seeds=n_seeds, base_seed=4)
+        per_seed = [moment_series(init, DynamicRandom(seed=4 + k), steps).m2 for k in range(n_seeds)]
+        # Correctly rounded sums: np.mean over 600 rows adds them one at a
+        # time, and its own rounding reaches 1.7e-12 at t = 43.
+        mean = np.array([math.fsum(m2) for m2 in zip(*per_seed)]) / n_seeds
+        np.testing.assert_array_equal(ensemble.times, np.arange(1, steps + 1))
+        np.testing.assert_allclose(ensemble.m2, mean, rtol=0, atol=1e-12)
