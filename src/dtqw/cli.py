@@ -42,13 +42,10 @@ from .walk import (
     Ordered,
     StaticAndDynamic,
     StaticRandom,
-    _dense,
-    _propagate,
     _second_moment,
     _site_squares,
+    evolve,
     final_state,
-    initial_state,
-    plan_coins,
 )
 
 __all__ = ["main"]
@@ -337,21 +334,19 @@ def cmd_walk(cfg: dict) -> _Outputs:
             f"steps={steps} would export (steps + 1)^2 = {(steps + 1) ** 2} trajectory rows, "
             f"more than the limit of {TRAJECTORY_ROW_LIMIT}"
         )
-    init = _initial_coin(cfg)
-    plan = plan_coins(_policy(cfg), steps)
+    states = evolve(_initial_coin(cfg), _policy(cfg), steps)
     out = _Outputs(cfg, _tables("trajectory", "distribution", "moments"))
 
-    # One propagation streams the trajectory, a block per step, and leaves
+    # One pass over the trajectory streams it, a state per step, and leaves
     # the last state and the second moments of every step behind.
-    state, m2 = initial_state(init), []
+    state, m2 = None, []
 
     def trajectory():
         nonlocal state
-        yield io.trajectory_columns(state)
         squares = _site_squares(steps)
-        for up, dn in _propagate(plan, init.spinor):
-            m2.append(_second_moment(up, dn, squares))
-            state = _dense(up, dn)
+        for state in states:
+            if state.t:
+                m2.append(_second_moment(state.amps[0, ::2], state.amps[1, ::2], squares))
             yield io.trajectory_columns(state)
 
     out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())

@@ -19,7 +19,10 @@ second moment about the origin, and read those arrays as they stream; this
 module alone knows the row-to-site map.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
-expands every step to it and `final_state` only the last.
+returns a trajectory whose states are expanded to this view as they are
+read, so a walk costs O(steps) memory however much of it is read; reading
+step t by index re-runs the walk up to t, so a caller that needs many
+states iterates.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
 sequence, and randomly drawn coins, H (bit 0) or F (bit 1), that vary per
@@ -31,6 +34,7 @@ runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -396,8 +400,40 @@ def initial_state(init: InitialCoin) -> WalkState:
     return WalkState(t=0, amps=init.spinor.reshape(2, 1))
 
 
-def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]:
-    """Run the walk and return the whole trajectory.
+class _Trajectory(Sequence):
+    """The states t = 0 .. steps of one walk, expanded from a kernel run as they are read; none is kept."""
+
+    def __init__(self, init: InitialCoin, plan: CoinPlan) -> None:
+        self._init = init
+        self._plan = plan
+
+    def __len__(self) -> int:
+        return self._plan.steps + 1
+
+    def _states(self, ts: range) -> Iterator[tuple[int, WalkState]]:
+        """(t, state) for every t of `ts`, ascending, from one kernel run up to max(ts)."""
+        if 0 in ts:
+            yield 0, initial_state(self._init)
+        blocks = _propagate(self._plan, self._init.spinor)
+        for t, (up, dn) in zip(range(1, max(ts, default=0) + 1), blocks):
+            if t in ts:
+                yield t, _dense(up, dn)
+
+    def __iter__(self) -> Iterator[WalkState]:
+        for _, state in self._states(range(len(self))):
+            yield state
+
+    def __getitem__(self, index):
+        ts = range(len(self))[index]  # IndexError out of range; negative indices count from the end
+        if isinstance(ts, int):
+            ((_, state),) = self._states(range(ts, ts + 1))
+            return state
+        states = dict(self._states(ts))
+        return [states[t] for t in ts]
+
+
+def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> Sequence[WalkState]:
+    """Run the walk and return its trajectory, the states t = 0 .. steps.
 
     Parameters
     ----------
@@ -413,21 +449,21 @@ def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> list[WalkState]
 
     Returns
     -------
-    list[WalkState]
-        States for t = 0 .. steps.
+    Sequence[WalkState]
+        A read-only sequence of ``steps + 1`` states, computed as they are
+        read; memory stays O(steps).  Iterating runs the walk once and
+        yields a new state per step.  An index (negative ones too) re-runs
+        the walk up to that step, and a slice returns a list of the states
+        it selects, so a caller that needs many states should iterate.
+
+    Raises
+    ------
+    ValueError
+        At the call, as :func:`plan_coins` does for a bad `steps` or sequence.
     """
-    trajectory = [initial_state(init)]
-    for up, dn in _propagate(plan_coins(policy, steps), init.spinor):
-        trajectory.append(_dense(up, dn))
-    return trajectory
+    return _Trajectory(init, plan_coins(policy, steps))
 
 
 def final_state(init: InitialCoin, policy: CoinPolicy, steps: int) -> WalkState:
-    """The state after `steps` steps, equal to ``evolve(init, policy, steps)[-1]``.
-
-    Only the last step is expanded to the dense view, so memory stays
-    O(steps) instead of the trajectory's O(steps^2).
-    """
-    for up, dn in _propagate(plan_coins(policy, steps), init.spinor):
-        pass
-    return _dense(up, dn)
+    """The state after `steps` steps, ``evolve(init, policy, steps)[-1]``; O(steps) memory."""
+    return evolve(init, policy, steps)[-1]

@@ -12,7 +12,9 @@ The prefix-tree oracle is the exhaustive sweep before its last coins were
 applied in closed form: it steps every sequence to depth n with the kernel,
 so the closed form is checked against a route with another summation order,
 and `reference_propagate` also runs in np.clongdouble to give entropies
-with rounding far below float64's.
+with rounding far below float64's.  `evolve` is the eager trajectory, every
+state of one kernel run kept in a list, that the library's lazy one must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from dtqw.walk import (
     WalkState,
     _coin_density,
     _coin_shift,
+    _dense,
     _propagate,
     _sequence_alphabet,
     _sequence_plan,
+    initial_state,
     plan_coins,
 )
 
@@ -112,6 +116,12 @@ def dense_trajectory(init: InitialCoin, policy, steps: int) -> list[np.ndarray]:
         vec = shift @ (dense_coin_block(plan, t, w) @ vec)
         out.append(vec)
     return out
+
+
+def evolve(init: InitialCoin, policy, steps: int) -> list[WalkState]:
+    """The eager trajectory: the states t = 0 .. steps of one kernel run, all kept in a list."""
+    blocks = _propagate(plan_coins(policy, steps), init.spinor)
+    return [initial_state(init)] + [_dense(up, dn) for up, dn in blocks]
 
 
 def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):

@@ -25,6 +25,7 @@ from dtqw.walk import (
     plan_coins,
 )
 from oracles import dense_trajectory, embed_state, reference_propagate
+from oracles import evolve as eager_evolve
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
@@ -178,6 +179,56 @@ def test_evolve_matches_reference_bit_for_bit(policy):
     for state, (up, dn) in zip(states[1:], reference, strict=True):
         np.testing.assert_array_equal(state.amps[:, ::2], np.stack([up, dn]))
         assert not state.amps[:, 1::2].any()
+
+
+def assert_same_states(got, expected):
+    assert len(got) == len(expected)
+    for state, want in zip(got, expected):
+        assert state.t == want.t
+        np.testing.assert_array_equal(state.amps, want.amps)
+
+
+@pytest.mark.parametrize("policy", FIVE_POLICIES, ids=KERNEL_IDS)
+def test_lazy_trajectory_equals_eager_list_bit_for_bit(policy):
+    init, steps = InitialCoin(33, 120), 20
+    trajectory, eager = evolve(init, policy, steps), eager_evolve(init, policy, steps)
+    n = len(trajectory)
+    assert n == steps + 1
+    kept = []
+    for state in trajectory:
+        kept.append(state)
+    # Compared only after the loop: a kept state is never overwritten by later steps.
+    assert_same_states(kept, eager)
+    assert_same_states([trajectory[t] for t in range(n)], eager)
+    assert_same_states([trajectory[-t] for t in range(1, n + 1)], [eager[-t] for t in range(1, n + 1)])
+    for index in (slice(1, None), slice(None, None, 3), slice(3, 1)):
+        assert_same_states(trajectory[index], eager[index])
+    assert trajectory[3:1] == []
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trajectory[index]
+
+
+def _read_last(trajectory):
+    trajectory[-1]
+
+
+def _read_all(trajectory):
+    for state in trajectory:
+        pass
+
+
+@pytest.mark.parametrize("read", [_read_last, _read_all], ids=["index", "iterate"])
+def test_evolve_memory_stays_linear(read):
+    # Indexing and iterating keep at most two dense states, O(steps); the
+    # eager list of all 2049 states took about 134 MB.
+    tracemalloc.start()
+    try:
+        read(evolve(InitialCoin(51, 0), DynamicRandom(seed=1), 2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("batch", [dynamic_batch(20), static_batch(20)], ids=["batch", "static-batch"])
