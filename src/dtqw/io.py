@@ -5,9 +5,11 @@ digits in both formats.  JSON payloads mirror the CSV data and additionally
 carry a schema version and, when written by the CLI, the full resolved
 configuration of the run.  A table is written by `write_table` from column
 blocks, one sequence or array per header field, so a caller can stream it
-block by block (the walk trajectory, one step per block) and the writer
-formats each column once; `write_csv` and `write_json` take whole rows and
-payloads for the small files.  Both routes give the same bytes.
+block by block (the walk trajectory, one step per block).  The writer
+formats each column in bulk, derives a float's JSON token from its CSV text
+by a string rule (see `_tokens`), and writes each block to each file in one
+call.  `write_csv` and `write_json` take whole rows and payloads for the
+small files.  Both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -112,31 +114,76 @@ def write_json(path: Path | str, payload: dict) -> None:
 
 #: JSON tokens of the non-finite floats, whose 12-digit text is nan, inf or -inf.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: Characters that make `csv.writer` (excel dialect) quote a field.
+_CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _tokens(column, with_json: bool) -> tuple[list, list[str] | None]:
+def _json_float(text: str) -> str:
+    """``repr(float(text))`` in JSON spelling for the 12-digit `text` of a nonzero float."""
+    _, e, exponent = text.partition("e")
+    if not e:
+        if "." in text:
+            return text
+        if text[-1].isdigit():
+            return text + ".0"
+    elif exponent[0] == "-" and int(exponent) > -308:
+        return text
+    return _JSON_NONFINITE.get(text) or repr(float(text))
+
+
+def _float_tokens(x: np.ndarray, with_json: bool) -> tuple[list[str], list[str] | None]:
+    """CSV and JSON tokens of a float array: exact +0.0 costs no formatting."""
+    nonzero = np.flatnonzero((x != 0) | np.signbit(x))
+    digits = list(map("{:.12g}".format, x[nonzero].tolist()))
+    text = np.full(len(x), "0", dtype=object)
+    text[nonzero] = digits
+    if not with_json:
+        return text.tolist(), None
+    mirror = np.full(len(x), "0.0", dtype=object)
+    mirror[nonzero] = list(map(_json_float, digits))
+    return text.tolist(), mirror.tolist()
+
+
+def _csv_field(value) -> str:
+    """A non-float cell as `csv.writer` writes it: quoted if it holds , " or a line break."""
+    text = str(value)
+    return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _tokens(column, with_json: bool) -> tuple[list[str], list[str] | None]:
     """CSV and JSON tokens of one column of ints, floats and strings.
 
     The tokens are those `write_csv` and `write_json` print for the same
-    values.  A column of one numeric type is formatted in one pass; JSON
-    float tokens are computed only `with_json`.
+    values, csv quoting included, so a record is its tokens joined.  A
+    column of one numeric type is formatted in bulk: floats with 12
+    significant digits, except exact +0.0, whose tokens are ``0`` and
+    ``0.0``.  A float's JSON token is then its CSV token when that has a
+    point and no exponent, or an exponent from -307 to -5: a normal float
+    in at most 12 digits reads back as the same shortest digits.  An
+    integer-like token gains ``.0``.  Only subnormals, 1e12 and up and the
+    non-finite values are parsed back (`_json_float`).  JSON tokens are
+    computed only `with_json`.  Other columns go cell by cell.
     """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return _float_tokens(column, with_json)
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     kinds = set(map(type, values))
     if kinds <= {int}:
         text = list(map(str, values))
         return text, text
     if kinds == {float}:
-        text = list(map("{:.12g}".format, values))
-        if not with_json:
-            return text, None
-        mirror = list(map(repr, map(float, text)))
-        if not _JSON_NONFINITE.keys().isdisjoint(text):
-            mirror = [_JSON_NONFINITE.get(v, v) for v in mirror]
-        return text, mirror
-    # A mixed column, such as lz's expected counts with blanks: cell by cell.
-    text = [fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in values]
+        return _float_tokens(np.array(values), with_json)
+    # Strings, or a mixed column such as lz's expected counts with blanks.
+    text = [fmt_float(v) if isinstance(v, (float, np.floating)) else _csv_field(v) for v in values]
     return text, [json.dumps(jsonable(v)) for v in values]
+
+
+def _csv_lines(texts: Sequence[list[str]]) -> str:
+    """The CSV records of token columns, each ended by CR LF as `csv.writer` ends them."""
+    lines = list(map(",".join, zip(*texts)))
+    if len(texts) == 1:  # csv.writer quotes a record that would be empty
+        lines = [line or '""' for line in lines]
+    return "\r\n".join(lines) + "\r\n" if lines else ""
 
 
 def write_table(
@@ -154,29 +201,29 @@ def write_table(
     mirror is `head`, then ``columns`` and ``records``, laid out as
     ``json.dump(..., indent=2)`` lays out the whole payload: both files are
     byte for byte what `write_csv` and `write_json` write for the same rows.
-    A path of None skips that file; the blocks are consumed either way.
+    Each block goes to each file in one write.  A path of None skips that
+    file; the blocks are consumed either way.
     """
     with contextlib.ExitStack() as files:
-        csv_rows = json_fh = None
+        csv_fh = json_fh = None
         if csv_path is not None:
-            csv_rows = csv.writer(files.enter_context(open(csv_path, "w", newline="")))
-            csv_rows.writerow(header)
+            csv_fh = files.enter_context(open(csv_path, "w", newline=""))
+            csv_fh.write(_csv_lines([_tokens([name], False)[0] for name in header]))
         if json_path is not None:
             json_fh = files.enter_context(open(json_path, "w"))
             text = json.dumps(jsonable({**head, "columns": header, "records": []}), indent=2)
             json_fh.write(text[: -len("[]\n}")] + "[")
-        # Every record starts with the comma that follows the record before it.
-        record = ",\n    [\n      " + ",\n      ".join(["{}"] * len(header)) + "\n    ]"
         first = True
         for block in blocks:
             columns = [_tokens(column, json_fh is not None) for column in block]
-            if csv_rows is not None:
-                csv_rows.writerows(zip(*(text for text, _ in columns)))
+            if csv_fh is not None:
+                csv_fh.write(_csv_lines([text for text, _ in columns]))
             if json_fh is not None:
-                chunk = "".join(map(record.format, *(tokens for _, tokens in columns)))
-                if first and chunk:
-                    chunk, first = chunk[1:], False
-                json_fh.write(chunk)
+                records = list(map(",\n      ".join, zip(*(tokens for _, tokens in columns))))
+                if records:  # a comma goes between the blocks' records
+                    json_fh.write(("" if first else ",") + "\n    [\n      "
+                                  + "\n    ],\n    [\n      ".join(records) + "\n    ]")
+                    first = False
         if json_fh is not None:
             json_fh.write("]\n}\n" if first else "\n  ]\n}\n")
 

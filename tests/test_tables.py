@@ -5,6 +5,7 @@ write for the same rows (`oracles.reference_table`), and every table of a
 CLI command must equal the one built from `evolve` and the library calls.
 """
 
+import json
 import sys
 import tracemalloc
 
@@ -22,14 +23,18 @@ from dtqw.walk import DynamicSequence, InitialCoin, Ordered, StaticRandom, evolv
 
 from oracles import reference_counts_rows, reference_table, reference_trajectory_rows
 
-FLOATS = [0.0, -0.0, 1 / 3, 1e-5, 5e-324, 123.0, 1e12, 1.5e15, float("nan"), float("inf"),
-          float("-inf")]
+SMALLEST_NORMAL = 2.2250738585072014e-308
+#: Floats at the edges of the 12-digit text and of its JSON spelling.
+BOUNDARY_FLOATS = [0.0, -0.0, SMALLEST_NORMAL, float(np.nextafter(SMALLEST_NORMAL, 0)), 1e-308,
+                   1e-307, 999999999999.0, 1e12, 1e15, 1e16, -7.0, float("nan"), float("inf"),
+                   float("-inf")]
+FLOATS = [1 / 3, 1e-5, 5e-324, 123.0, 1.5e15] + BOUNDARY_FLOATS
 N = len(FLOATS)
 HEADER = ("i", "name", "expected", "x", "x_array", "x_scalars")
 COLUMNS = (
     np.arange(-3, N - 3),
-    ["plain", "a,b", 'say "hi"', "", "HFH"] + ["s"] * (N - 5),
-    [4, "", 7, 0, "", 12, -1, "", 3, 5, ""],  # lz `expected`: blank where none is given
+    ["plain", "a,b", 'say "hi"', "", "HFH", "cr\rlf\n"] + ["s"] * (N - 6),
+    ([4, "", 7, 0, "", 12, -1, "", 3, 5, ""] * 2)[:N],  # lz `expected`: blank where none is given
     FLOATS,
     np.array(FLOATS),
     [np.float64(x) for x in FLOATS],
@@ -50,6 +55,39 @@ def test_write_table_matches_the_row_route(tmp_path, cuts):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
     if not rows:
         assert (got / "t.json").read_text().endswith('"records": []\n}\n')
+
+
+def test_one_column_table_quotes_an_empty_cell(tmp_path):
+    """csv.writer writes a record of one empty field as "", so that it is not a blank line."""
+    header, blocks = ("name",), [(["", "a", ""],), ([],), (["b,c"],)]
+    rows = [row for block in blocks for row in zip(*block)]
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir(), want.mkdir()
+    io.write_table(got / "t.csv", got / "t.json", header, blocks, {})
+    reference_table(want, "t", header, rows, {})
+    for name in ("t.csv", "t.json"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    assert (got / "t.csv").read_bytes() == b'name\r\n""\r\na\r\n""\r\n"b,c"\r\n'
+
+
+def test_float_tokens_match_the_cell_route():
+    """`_tokens`' bulk CSV text and its string-rule JSON tokens, against one cell at a time.
+
+    Random bit patterns cover every exponent, subnormals and NaN payloads;
+    the boundaries add both zeros, the normal/subnormal edge, the 1e12 and
+    1e16 switches of the two spellings, an integer and the non-finite values.
+    """
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, size=500_000, dtype=np.uint64)
+    subnormals = rng.uniform(-1, 1, size=1000) * SMALLEST_NORMAL
+    x = np.concatenate([BOUNDARY_FLOATS, bits.view(np.float64), subnormals])
+    assert np.isnan(x).sum() > 100 and (np.abs(x) < SMALLEST_NORMAL).sum() > 1000
+    text, mirror = io._tokens(x, True)
+    assert text == [io.fmt_float(v) for v in x.tolist()]
+    assert mirror == json.dumps(io.jsonable(x))[1:-1].split(", ")
+    boundary = io._tokens(np.array(BOUNDARY_FLOATS), True)
+    assert io._tokens(BOUNDARY_FLOATS, True) == boundary
+    assert io._tokens(BOUNDARY_FLOATS, False) == (boundary[0], None)
 
 
 # --- every table of a command against the oracle ------------------------------
