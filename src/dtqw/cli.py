@@ -125,7 +125,6 @@ _OPTIONS = (
     _Option("threshold", float, 0.9, ("sweep",), "entropy threshold of the reported fraction"),
     _Option("samples", int, None, ("sweep",), "sample count (Monte Carlo sweep)"),
     _Option("seed", _parse_seed, 0, ("sweep", "tomo"), "seed of the samples or of the counts"),
-    _Option("workers", int, 1, ("sweep",), "most threads a sampled sweep uses"),
     _Option("total_counts", int, None, ("tomo",), "total number of counts"),
     _Option("noiseless", _parse_bool, False, ("tomo",),
             "use exact expected counts instead of a multinomial draw"),
@@ -394,7 +393,6 @@ def cmd_sweep(cfg: dict) -> _Outputs:
             seed=cfg["seed"],
             bins=cfg["bins"],
             threshold=cfg["threshold"],
-            workers=cfg["workers"],
         )
     else:
         report = exhaustive_sweep(
@@ -402,7 +400,6 @@ def cmd_sweep(cfg: dict) -> _Outputs:
             cfg["n"],
             bins=cfg["bins"],
             threshold=cfg["threshold"],
-            workers=cfg["workers"],
         )
 
     out.json("sweep_report.json", io.sweep_report_dict(report))

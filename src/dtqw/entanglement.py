@@ -41,13 +41,15 @@ DENSITY_ATOL = 1e-8
 
 
 def check_density_matrix(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD within :data:`DENSITY_ATOL`.
+    """Validate a 2x2 density matrix: finite, Hermitian, unit trace, PSD within :data:`DENSITY_ATOL`.
 
     Returns the matrix as complex128; raises ValueError otherwise.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL or abs(np.trace(rho).imag) > DENSITY_ATOL:
@@ -94,10 +96,6 @@ class SiteDecomposition:
     sites: NDArray[np.int64]
     probabilities: NDArray[np.float64]
     local_states: NDArray[np.complex128]  # (n_sites, 2, 2)
-
-    def reconstruct(self) -> NDArray[np.complex128]:
-        """Mix the local states back together: sum_j p_j rho_j."""
-        return np.einsum("j,jkl->kl", self.probabilities, self.local_states)
 
 
 def site_decomposition(state: WalkState) -> SiteDecomposition:

@@ -5,7 +5,7 @@ symbol in the least significant bit), which makes exhausting all 2^n length-n
 sequences cheap.  Sweeps evaluate the final-step entanglement entropy of
 every sequence into one array, and the report is computed once from it,
 summed in fixed blocks of 2^14 entries, so reports are bit-identical no
-matter how many worker threads share the job.
+matter how the kernel batches the walks.
 
 The exhaustive sweep applies the last k = 7 coins of every sequence in
 closed form.  Those coins depend only on the step, so they act on the state
@@ -20,13 +20,11 @@ prefix tree: the first 10 coins breadth-first, both branches at once, into
 a leaf block of 2^10 walks, and the later parent coins depth-first on that
 block.  Per sequence this costs 24(k+1) multiply-adds of the product and
 about 2(n-k+1)/2^k site updates of the tree, against about 2(n+1) site
-updates of a prefix tree that steps every sequence to the end.  The whole
-tree runs in the calling thread: split across workers it lost the shared
-prefixes and ran slower at every n up to 24.  Random sequences share no
-prefixes, so the sampled sweep steps each batch from the origin, on up to
-`workers` threads, each batch into its own slice of the result; a batch
-holds as many walks as the kernel's row budget allows, so its buffers stay
-in cache.
+updates of a prefix tree that steps every sequence to the end.  Random
+sequences share no prefixes, so the sampled sweep steps each batch from the
+origin into its own slice of the result; a batch holds as many walks as the
+kernel's row budget allows, so its buffers stay in cache.  Both sweeps run
+in the calling thread.
 
 Sequence complexity uses the classic left-to-right vocabulary parse: a word
 keeps growing while it still occurs as a substring of the sequence read so
@@ -38,9 +36,7 @@ a still-reproducible tail counts as a final word.
 from __future__ import annotations
 
 import functools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -90,9 +86,9 @@ ENHANCER_20 = "FFHFHFHHFFFFFHFHHHHH"
 #: maximum are reported as maximizers, each once.
 ARGMAX_TOL = 1e-12
 
-#: Entries per partial sum of a sweep report, independent of the worker
-#: count and of the kernel's batches.  It fixes the summation order, so a
-#: different block would move reported means and stds in the last bit.
+#: Entries per partial sum of a sweep report, independent of the kernel's
+#: batches.  It fixes the summation order, so a different block would move
+#: reported means and stds in the last bit.
 _SUM_BLOCK = 1 << 14
 
 #: The exhaustive sweep applies the last _SUFFIX_BITS coins of every
@@ -132,18 +128,9 @@ class CoinSequence:
     def __iter__(self):
         return iter(self.text)
 
-    @property
-    def bits(self) -> NDArray[np.int64]:
-        """Symbols as bits, H -> 1 and F -> 0, in application order."""
-        return np.fromiter((1 if c == "H" else 0 for c in self.text), dtype=np.int64)
-
-    def to_int(self) -> int:
-        """Bit-packed form: first-applied symbol in the least significant bit."""
-        return int(sum(b << k for k, b in enumerate(self.bits)))
-
     @classmethod
     def from_int(cls, value: int, n: int) -> "CoinSequence":
-        """Inverse of :meth:`to_int` for a length-n sequence."""
+        """The length-n sequence packed in `value`, first-applied symbol in bit 0."""
         if not 0 <= value < (1 << n):
             raise ValueError(f"value {value} does not fit in {n} bits")
         return cls("".join("H" if (value >> k) & 1 else "F" for k in range(n)))
@@ -447,9 +434,7 @@ def exhaustive_sweep(
         strictly above this finite value.
     workers : int
         Checked (>= 1) and otherwise unused: the sweep runs in the calling
-        thread.  Split across workers, the prefix tree lost its shared
-        prefixes and ran slower at every n up to 24.  The option serves
-        :func:`sampled_sweep`.
+        thread.
 
     Returns
     -------
@@ -485,12 +470,10 @@ def sampled_sweep(
     Draws `samples` sequences i.i.d. uniformly (with replacement) from the
     2^n possibilities using the seeded PCG64 generator, so runs reproduce
     bit for bit.  The report carries the standard error of the mean.  The
-    samples run in batches of one kernel row budget, 2^14 // (n + 1) walks,
-    each stepped from the origin into its own slice of one result array, on
-    up to `workers` threads (>= 1), further capped at the batch count and
-    the usable CPUs; one worker starts no thread.  numpy releases the GIL in
-    the kernel, so the threads overlap.  The report is bit-identical for any
-    worker count.  The other parameters are as in the exhaustive sweep.
+    samples run in the calling thread, in batches of one kernel row budget,
+    2^14 // (n + 1) walks, each stepped from the origin into its own slice
+    of one result array.  `workers` is checked (>= 1) and otherwise unused.
+    The other parameters are as in the exhaustive sweep.
     """
     if not 1 <= n <= 62:
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
@@ -504,21 +487,9 @@ def sampled_sweep(
     )
     entropies = np.empty(samples)
     size = _batch_walks(n)
-    starts = range(0, samples, size)
-
-    def batch(start):
+    for start in range(0, samples, size):
         stop = start + size
         _sampled_batch(ints[start:stop], n, spinor, entropies[start:stop])
-
-    # Threads past the usable CPUs or the batch count would only wait.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(starts), cpus or 1)
-    if workers == 1:
-        for start in starts:
-            batch(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(batch, starts))
     return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 

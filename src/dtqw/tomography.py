@@ -179,6 +179,8 @@ def fidelity(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
 def similarity(p_exp: PositionDistribution, p_th: PositionDistribution) -> float:
     """Bhattacharyya coefficient sum_x sqrt(p_exp(x) p_th(x)) over the support union."""
     for name, dist in (("first", p_exp), ("second", p_th)):
+        if not np.all(np.isfinite(dist.probabilities)):
+            raise ValueError(f"{name} distribution has a non-finite entry")
         total = float(np.sum(dist.probabilities))
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"{name} distribution is not normalized (sum = {total})")

@@ -90,12 +90,6 @@ class WalkState:
         """Lattice sites j = -t .. t in ascending order."""
         return np.arange(-self.t, self.t + 1)
 
-    def spinor(self, j: int) -> NDArray[np.complex128]:
-        """(a(j), b(j)) at site j; zero outside the support window."""
-        if abs(j) > self.t:
-            return np.zeros(2, dtype=np.complex128)
-        return self.amps[:, j + self.t].copy()
-
     def probabilities(self) -> NDArray[np.float64]:
         """Per-site probabilities |a(j)|^2 + |b(j)|^2, ascending j."""
         return np.sum(np.abs(self.amps) ** 2, axis=0)

@@ -206,6 +206,11 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
+def packed(text: str) -> int:
+    """A coin sequence's packed integer: bit k is 1 where symbol k is H."""
+    return sum(1 << k for k, symbol in enumerate(text) if symbol == "H")
+
+
 def kaspar_schuster_complexity(bits: str) -> int:
     """Lempel-Ziv (1976) complexity by the Kaspar-Schuster scan, PRA 36, 842 (1987).
 

@@ -72,9 +72,8 @@ def test_site_decomposition_one_hadamard_step():
 def test_site_decomposition_reconstructs_reduced_density():
     state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     dec = site_decomposition(state)
-    np.testing.assert_allclose(
-        dec.reconstruct(), reduced_coin_density(state), atol=1e-12
-    )
+    mixed = np.einsum("j,jkl->kl", dec.probabilities, dec.local_states)
+    np.testing.assert_allclose(mixed, reduced_coin_density(state), atol=1e-12)
     assert abs(dec.probabilities.sum() - 1.0) < 1e-10
 
 
@@ -101,6 +100,10 @@ def test_entropy_rejects_invalid_matrices():
         von_neumann_entropy(np.diag([0.3, 0.8]).astype(complex))
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([1.2, -0.2]).astype(complex))
+    # Every comparison with NaN is false: only a finiteness check stops these.
+    for rho in (np.full((2, 2), np.nan), [[0.5, np.nan], [np.nan, 0.5]], [[0.5, 1j * np.nan], [0, 0.5]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            von_neumann_entropy(np.asarray(rho, dtype=complex))
 
 
 def test_closed_form_eigenvalues_match_solver_oracle(rng):
@@ -114,7 +117,7 @@ def test_closed_form_eigenvalues_match_solver_oracle(rng):
 def test_entropy_from_decomposition_matches_reduced(rng):
     state = random_walk_state(rng, 12)
     dec = site_decomposition(state)
-    s_mix = von_neumann_entropy(dec.reconstruct())
+    s_mix = von_neumann_entropy(np.einsum("j,jkl->kl", dec.probabilities, dec.local_states))
     assert abs(s_mix - state_entropy(state)) < 1e-12
 
 

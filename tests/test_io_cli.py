@@ -316,8 +316,8 @@ CLI_KEYS = {
              "static_seed", "out", "format", "force"},
     "entropy": {"theta", "phi", "steps", "ordered", "sequence", "dynamic_seed",
                 "static_seed", "eigenvalues", "out", "format", "force"},
-    "sweep": {"theta", "phi", "n", "bins", "threshold", "samples", "seed", "workers",
-              "out", "format", "force"},
+    "sweep": {"theta", "phi", "n", "bins", "threshold", "samples", "seed", "out", "format",
+              "force"},
     "lz": {"input", "sequence", "out", "format", "force"},
     "fit": {"input", "classical", "t_min", "t_max", "out", "format", "force"},
     "tomo": {"theta", "phi", "steps", "ordered", "sequence", "dynamic_seed",
@@ -327,10 +327,9 @@ CLI_KEYS = {
 SAMPLE_TEXT = {
     "theta": "51", "phi": "0,90", "steps": "7", "ordered": "H", "sequence": "HFH",
     "dynamic_seed": "3", "static_seed": "4", "n": "5", "bins": "0,0.5,1",
-    "threshold": "0.8", "samples": "9", "seed": "2", "workers": "2",
-    "total_counts": "900", "noiseless": None, "eigenvalues": None, "t_min": "2",
-    "t_max": "6", "input": "in.csv", "classical": "20", "out": "o", "format": "csv",
-    "force": None,
+    "threshold": "0.8", "samples": "9", "seed": "2", "total_counts": "900",
+    "noiseless": None, "eigenvalues": None, "t_min": "2", "t_max": "6", "input": "in.csv",
+    "classical": "20", "out": "o", "format": "csv", "force": None,
 }
 
 
@@ -529,13 +528,17 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_multiprocessing():
-    # Sweeps run in one process, on threads: nothing imports a process pool.
+    # Sweeps run in the calling thread: nothing imports a process or thread
+    # pool, nor the logging that concurrent.futures pulls in.
     env = dict(os.environ, PYTHONPATH=str(Path(dtqw.__file__).parents[1]))
-    code = "import sys, dtqw.cli; print('multiprocessing' in sys.modules)"
+    code = (
+        "import sys, dtqw.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_fit_requires_one_source(tmp_path, capsys):
@@ -550,20 +553,11 @@ def test_cli_rejected_run_leaves_no_output_directory(tmp_path, capsys):
         ("fit",),
         ("tomo", *init, "--steps", "0", "--total-counts", "1000", "--ordered", "H"),
         ("sweep", *init, "--n", "25"),
-        ("sweep", *init, "--n", "3", "--workers", "0"),
+        ("sweep", *init, "--n", "3", "--workers", "2"),
     ):
         assert run_cli(*argv, "--out", str(out)) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not out.exists()
-
-
-def test_cli_sweep_rejects_nonpositive_workers(tmp_path, capsys):
-    for workers in ("0", "-1"):
-        code = run_cli("sweep", "--theta", "51", "--phi", "0", "--n", "3",
-                       "--workers", workers, "--out", str(tmp_path / "s"))
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "config", "message": f"workers must be >= 1, got {workers}"}
 
 
 @pytest.mark.parametrize("samples", [(), ("--samples", "10")])

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import os
 import pickle
 import tracemalloc
 from dataclasses import fields
@@ -31,7 +30,7 @@ from dtqw.sequences import (
 )
 from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _propagate, _sequence_plan, final_state
 from dtqw.coins import hadamard_coin
-from oracles import extended_entropies, kaspar_schuster_complexity, prefix_tree_entropies
+from oracles import extended_entropies, kaspar_schuster_complexity, packed, prefix_tree_entropies
 
 INIT = InitialCoin(51, 0)
 
@@ -71,13 +70,13 @@ def test_parse_rejects_illegal_symbol_with_position():
 def test_text_roundtrip(text):
     seq = parse_sequence(text)
     assert seq.text == text
-    assert CoinSequence.from_int(seq.to_int(), len(seq)).text == text
+    assert CoinSequence.from_int(packed(seq.text), len(seq)).text == text
 
 
 def test_bit_packing_is_lsb_first():
-    assert CoinSequence("HF").to_int() == 1
-    assert CoinSequence("FH").to_int() == 2
-    assert CoinSequence("HHH").to_int() == 7
+    assert CoinSequence.from_int(1, 2).text == "HF"
+    assert CoinSequence.from_int(2, 2).text == "FH"
+    assert CoinSequence.from_int(7, 3).text == "HHH"
     assert CoinSequence.from_int(4, 3).text == "FFH"
 
 
@@ -212,71 +211,19 @@ def _assert_same_report(a, b):
 
 
 def test_exhaustive_worker_counts_agree_bit_for_bit():
-    # n = 10 is one leaf block of parents; n = 18 and 19 are two and four.
+    # Both sweeps run in the calling thread whatever `workers` says.
+    # Exhaustive: n = 10 is one leaf block of parents; n = 18 and 19 are two
+    # and four.
     for n, counts in ((10, (2, 8)), (18, (2, 3)), (19, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
             _assert_same_report(exhaustive_sweep(INIT, n, workers=w), base)
-
-
-def test_sampled_worker_counts_agree_bit_for_bit():
-    # Three full batches of the kernel's row budget and a fourth of 5
-    # samples, on one, two and three workers.
+    # Sampled: three full batches of the kernel's row budget and a fourth of
+    # 5 samples.
     samples = 3 * (_BATCH_ROWS // 25) + 5
     base = sampled_sweep(INIT, 24, samples, seed=5, workers=1)
     for w in (2, 3):
         _assert_same_report(sampled_sweep(INIT, 24, samples, seed=5, workers=w), base)
-
-
-class SerialPool:
-    """Records each pool's size and maps in the calling thread, lazily, starting no threads."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-def test_worker_pool_is_capped_at_usable_cpus(monkeypatch):
-    batches = []
-    monkeypatch.setattr(sequences, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    # The cap is under test, not the kernel: each batch records its size only.
-    monkeypatch.setattr(sequences, "_sampled_batch", lambda ints, n, spinor, out: batches.append(out.size))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    # Five sample batches on three CPUs: four full ones of the row budget,
-    # 2^14 // 31 walks of 30 steps, and one of a single sample.
-    full = _BATCH_ROWS // 31
-    sampled_sweep(INIT, 30, samples=4 * full + 1, seed=0, workers=1000)
-    assert SerialPool.sizes == [3]
-    assert batches == [full] * 4 + [1]
-    # Without CPU affinity the CPU count caps the pool; one CPU starts none.
-    # The batches stay the same whatever the pool size.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for cpus in (2, 1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sampled_sweep(INIT, 30, samples=4 * full + 1, seed=0, workers=1000)
-    assert SerialPool.sizes == [3, 2]
-    assert batches == ([full] * 4 + [1]) * 4
-
-
-def test_exhaustive_sweep_starts_no_executor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    bases = {n: exhaustive_sweep(INIT, n, workers=1) for n in (16, 19)}
-    monkeypatch.setattr(sequences, "ThreadPoolExecutor", refuse)
-    for n, base in bases.items():
-        _assert_same_report(exhaustive_sweep(INIT, n, workers=2), base)
 
 
 def test_exhaustive_sweep_leaves_no_reference_cycles():

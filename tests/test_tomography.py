@@ -199,6 +199,10 @@ def test_similarity_is_one_only_for_equal_distributions():
 def test_fidelity_rejects_invalid_input():
     with pytest.raises(ValueError):
         fidelity(np.diag([0.7, 0.7]).astype(complex), np.eye(2, dtype=complex) / 2)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    for a, b in ((nan, np.eye(2) / 2), (np.eye(2) / 2, nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity(a, b)
 
 
 def test_similarity_identical_and_disjoint():
@@ -217,6 +221,11 @@ def test_similarity_symmetric_and_validates(rng):
     assert similarity(a, b) == pytest.approx(similarity(b, a), abs=1e-15)
     with pytest.raises(ValueError):
         similarity(dist({0: 0.5}), b)
+    for p in (dist({0: np.nan, 1: 1.0}), dist({0: 0.3, 1: 0.7, 2: np.nan})):
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity(p, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity(a, p)
 
 
 # --- end-to-end ----------------------------------------------------------------
@@ -266,7 +275,7 @@ def test_vectorized_sites_match_per_site_references():
                     rho = rho + 0.5 * (c[plus] - c[plus + 1]) / (c[plus] + c[plus + 1]) * sigma
             rho = project_to_physical(rho)
             np.testing.assert_allclose(result.rho_hat[row], rho, rtol=0, atol=1e-12)
-            spinor = state.spinor(int(result.sites[row]))
+            spinor = state.amps[:, result.sites[row] + state.t]
             truth = np.outer(spinor, spinor.conj()) / np.vdot(spinor, spinor).real
             assert abs(result.site_fidelities[row] - fidelity(rho, truth)) < 1e-8
 

@@ -65,14 +65,14 @@ def test_initial_coin_rejects_out_of_range(theta, phi):
 
 def test_step_hadamard_from_origin():
     out = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
-    np.testing.assert_allclose(out.spinor(1), [1 / np.sqrt(2), 0], atol=1e-15)
-    np.testing.assert_allclose(out.spinor(-1), [0, 1 / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(out.amps[:, 2], [1 / np.sqrt(2), 0], atol=1e-15)  # site 1
+    np.testing.assert_allclose(out.amps[:, 0], [0, 1 / np.sqrt(2)], atol=1e-15)  # site -1
 
 
 def test_step_fourier_from_origin():
     out = final_state(InitialCoin(0, 0), Ordered(fourier_coin()), 1)
-    np.testing.assert_allclose(out.spinor(1), [1 / np.sqrt(2), 0], atol=1e-15)
-    np.testing.assert_allclose(out.spinor(-1), [0, 1j / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(out.amps[:, 2], [1 / np.sqrt(2), 0], atol=1e-15)  # site 1
+    np.testing.assert_allclose(out.amps[:, 0], [0, 1j / np.sqrt(2)], atol=1e-15)  # site -1
 
 
 def test_step_rejects_non_unitary_coin():
@@ -318,7 +318,7 @@ def test_final_state_memory_stays_linear_for_static_plans(policy, steps):
 def test_evolve_identity_coin_marches_right():
     states = evolve(InitialCoin(0, 0), Ordered(identity_coin()), 7)
     final = states[-1]
-    np.testing.assert_allclose(final.spinor(7), [1, 0], atol=1e-15)
+    np.testing.assert_allclose(final.amps[:, -1], [1, 0], atol=1e-15)  # site 7
     assert final.probabilities()[-1] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -326,8 +326,8 @@ def test_evolve_identity_coin_never_splits():
     init = InitialCoin(51, 120)
     final = evolve(init, Ordered(identity_coin()), 5)[-1]
     a0, b0 = init.spinor
-    assert final.spinor(5)[0] == pytest.approx(a0, abs=1e-15)
-    assert final.spinor(-5)[1] == pytest.approx(b0, abs=1e-15)
+    assert final.amps[0, -1] == pytest.approx(a0, abs=1e-15)  # site 5
+    assert final.amps[1, 0] == pytest.approx(b0, abs=1e-15)  # site -5
     assert np.count_nonzero(final.probabilities() > 1e-14) == 2
 
 
