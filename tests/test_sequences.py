@@ -211,15 +211,17 @@ def _assert_same_report(a, b):
 
 
 def test_exhaustive_worker_counts_agree_bit_for_bit():
-    # Both sweeps run in the calling thread whatever `workers` says.
-    # Exhaustive: n = 10 is one leaf block of parents; n = 18 and 19 are two
-    # and four.
+    # The sweep runs in the calling thread whatever `workers` says.
+    # n = 10 is one leaf block of parents; n = 18 and 19 are two and four.
     for n, counts in ((10, (2, 8)), (18, (2, 3)), (19, (2, 3, 4))):
         base = exhaustive_sweep(INIT, n, workers=1)
         for w in counts:
             _assert_same_report(exhaustive_sweep(INIT, n, workers=w), base)
-    # Sampled: three full batches of the kernel's row budget and a fourth of
-    # 5 samples.
+
+
+def test_sampled_worker_counts_agree_bit_for_bit():
+    # The sweep runs in the calling thread whatever `workers` says: three full
+    # batches of the kernel's row budget and a fourth of 5 samples.
     samples = 3 * (_BATCH_ROWS // 25) + 5
     base = sampled_sweep(INIT, 24, samples, seed=5, workers=1)
     for w in (2, 3):
