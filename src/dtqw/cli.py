@@ -296,8 +296,9 @@ class _Outputs:
     def _head(self, **payload) -> dict:
         return {"schema_version": io.SCHEMA_VERSION, "config": dict(self.cfg), **payload}
 
-    def csv(self, name: str, header, rows) -> None:
-        self._write(name, lambda path: io.write_csv(path, header, rows))
+    def csv(self, name: str, header, columns) -> None:
+        """The CSV `name` of one block of `columns`, without a JSON mirror."""
+        self._write(name, lambda path: io.write_table(path, None, header, [columns], {}))
 
     def json(self, name: str, payload: dict) -> None:
         self._write(name, lambda path: io.write_json(path, self._head(**payload)))
@@ -403,13 +404,9 @@ def cmd_sweep(cfg: dict) -> _Outputs:
         )
 
     out.json("sweep_report.json", io.sweep_report_dict(report))
-    rows = [
-        (float(lo), float(hi), int(c))
-        for lo, hi, c in zip(
-            report.bin_edges[:-1], report.bin_edges[1:], report.bin_counts
-        )
-    ]
-    out.csv("sweep_histogram.csv", ("bin_low", "bin_high", "count"), rows)
+    edges = report.bin_edges
+    out.csv("sweep_histogram.csv", ("bin_low", "bin_high", "count"),
+            (edges[:-1], edges[1:], report.bin_counts))
     return out
 
 
@@ -455,7 +452,7 @@ def cmd_fit(cfg: dict) -> _Outputs:
     fit = fit_power_law(series, t_min=cfg["t_min"], t_max=cfg.get("t_max"))
 
     out.json("fit.json", io.fit_dict(fit))
-    out.csv("fit.csv", io.FIT_HEADER, [tuple(getattr(fit, f) for f in io.FIT_HEADER)])
+    out.csv("fit.csv", io.FIT_HEADER, [[getattr(fit, f)] for f in io.FIT_HEADER])
     return out
 
 
@@ -474,7 +471,7 @@ def cmd_tomo(cfg: dict) -> _Outputs:
     )
     out.table("counts", io.COUNTS_HEADER, [io.counts_columns(result.counts)])
     fields = io.TOMOGRAPHY_SUMMARY_HEADER
-    out.csv("tomography_summary.csv", fields, [tuple(getattr(result, f) for f in fields)])
+    out.csv("tomography_summary.csv", fields, [[getattr(result, f)] for f in fields])
     out.json("tomography.json", io.tomography_dict(result))
     return out
 

@@ -8,8 +8,9 @@ blocks, one sequence or array per header field, so a caller can stream it
 block by block (the walk trajectory, one step per block).  The writer
 formats each column in bulk, derives a float's JSON token from its CSV text
 by a string rule (see `_tokens`), and writes each block to each file in one
-call.  `write_csv` and `write_json` take whole rows and payloads for the
-small files.  Both routes give the same bytes.
+call.  It is the one CSV writer: the CSV dialect (quoting, CR LF record
+ends) is decided in `_tokens` and `_csv_lines` alone.  `write_json` writes
+the payloads that are not tables.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "fmt_float",
     "jsonable",
-    "write_csv",
     "write_json",
     "write_table",
     "trajectory_columns",
@@ -95,17 +95,6 @@ def jsonable(obj):
     return obj
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows under a fixed header, formatting floats with 12 digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
-
-
 def write_json(path: Path | str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(jsonable(payload), fh, indent=2)
@@ -114,7 +103,7 @@ def write_json(path: Path | str, payload: dict) -> None:
 
 #: JSON tokens of the non-finite floats, whose 12-digit text is nan, inf or -inf.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-#: Characters that make `csv.writer` (excel dialect) quote a field.
+#: Characters that make a CSV field quoted (the excel dialect of Python's csv module).
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
@@ -145,7 +134,7 @@ def _float_tokens(x: np.ndarray, with_json: bool) -> tuple[list[str], list[str] 
 
 
 def _csv_field(value) -> str:
-    """A non-float cell as `csv.writer` writes it: quoted if it holds , " or a line break."""
+    """A non-float cell's CSV text: quoted, quotes doubled, if it holds , " or a line break."""
     text = str(value)
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
@@ -153,16 +142,17 @@ def _csv_field(value) -> str:
 def _tokens(column, with_json: bool) -> tuple[list[str], list[str] | None]:
     """CSV and JSON tokens of one column of ints, floats and strings.
 
-    The tokens are those `write_csv` and `write_json` print for the same
-    values, csv quoting included, so a record is its tokens joined.  A
-    column of one numeric type is formatted in bulk: floats with 12
-    significant digits, except exact +0.0, whose tokens are ``0`` and
-    ``0.0``.  A float's JSON token is then its CSV token when that has a
-    point and no exponent, or an exponent from -307 to -5: a normal float
-    in at most 12 digits reads back as the same shortest digits.  An
-    integer-like token gains ``.0``.  Only subnormals, 1e12 and up and the
-    non-finite values are parsed back (`_json_float`).  JSON tokens are
-    computed only `with_json`.  Other columns go cell by cell.
+    A CSV token is the cell's text, quoted where the excel dialect quotes
+    it, so a record is its tokens joined; a JSON token is the value as
+    `write_json` prints it.  A column of one numeric type is formatted in
+    bulk: floats with 12 significant digits, except exact +0.0, whose
+    tokens are ``0`` and ``0.0``.  A float's JSON token is then its CSV
+    token when that has a point and no exponent, or an exponent from -307
+    to -5: a normal float in at most 12 digits reads back as the same
+    shortest digits.  An integer-like token gains ``.0``.  Only subnormals,
+    1e12 and up and the non-finite values are parsed back (`_json_float`).
+    JSON tokens are computed only `with_json`.  Other columns go cell by
+    cell.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return _float_tokens(column, with_json)
@@ -179,9 +169,9 @@ def _tokens(column, with_json: bool) -> tuple[list[str], list[str] | None]:
 
 
 def _csv_lines(texts: Sequence[list[str]]) -> str:
-    """The CSV records of token columns, each ended by CR LF as `csv.writer` ends them."""
+    """The CSV records of token columns, each ended by CR LF."""
     lines = list(map(",".join, zip(*texts)))
-    if len(texts) == 1:  # csv.writer quotes a record that would be empty
+    if len(texts) == 1:  # a record that would be empty is quoted, not a blank line
         lines = [line or '""' for line in lines]
     return "\r\n".join(lines) + "\r\n" if lines else ""
 
@@ -198,9 +188,11 @@ def write_table(
     Each block holds one sequence or array per `header` field, and the
     blocks' records follow one another in the table.  Ints are printed with
     ``str``, floats with 12 significant digits, strings as they are.  The
-    mirror is `head`, then ``columns`` and ``records``, laid out as
-    ``json.dump(..., indent=2)`` lays out the whole payload: both files are
-    byte for byte what `write_csv` and `write_json` write for the same rows.
+    CSV is in the excel dialect of Python's csv module (quoted fields, CR LF
+    record ends), so it reads back with `csv.reader`.  The mirror is
+    `head`, then ``columns`` and ``records``, laid out as
+    ``json.dump(..., indent=2)`` lays out the whole payload, so it is byte
+    for byte what `write_json` writes for it with the records as rows.
     Each block goes to each file in one write.  A path of None skips that
     file; the blocks are consumed either way.
     """

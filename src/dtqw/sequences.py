@@ -104,7 +104,9 @@ _LEAF_BITS = 10
 #: which keeps each product's leaves small beside the sweep's result.
 _CHUNK = 128
 
-_EXHAUSTIVE_LIMIT = 24
+#: A sweep holds at most 2^_SWEEP_BITS entropies: all 2^n sequences for
+#: n <= _SWEEP_BITS, or as many samples.
+_SWEEP_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,6 @@ class CoinSequence:
     def __len__(self) -> int:
         return len(self.text)
 
-    def __iter__(self):
-        return iter(self.text)
-
     @classmethod
     def from_int(cls, value: int, n: int) -> "CoinSequence":
         """The length-n sequence packed in `value`, first-applied symbol in bit 0."""
@@ -142,8 +141,6 @@ def parse_sequence(text: str) -> CoinSequence:
     The first character is the coin applied on step 1.  Raises ValueError
     naming the offending position for any other character.
     """
-    if not text:
-        raise ValueError("coin sequence must contain at least one symbol")
     return CoinSequence(text.upper())
 
 
@@ -444,10 +441,10 @@ def exhaustive_sweep(
     """
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    if n > _EXHAUSTIVE_LIMIT:
+    if n > _SWEEP_BITS:
         raise ValueError(
             f"exhaustive enumeration of 2^{n} sequences refused (limit n <= "
-            f"{_EXHAUSTIVE_LIMIT}); use sampled_sweep instead"
+            f"{_SWEEP_BITS}); use sampled_sweep instead"
         )
     edges = _sweep_edges(bins, threshold, workers)
     started = time.perf_counter()
@@ -469,16 +466,18 @@ def sampled_sweep(
 
     Draws `samples` sequences i.i.d. uniformly (with replacement) from the
     2^n possibilities using the seeded PCG64 generator, so runs reproduce
-    bit for bit.  The report carries the standard error of the mean.  The
-    samples run in the calling thread, in batches of one kernel row budget,
-    2^14 // (n + 1) walks, each stepped from the origin into its own slice
-    of one result array.  `workers` is checked (>= 1) and otherwise unused.
+    bit for bit.  The report carries the standard error of the mean.
+    `samples` must lie in [1, 2^24], the most entropies an exhaustive sweep
+    holds; a larger count is refused before any draw.  The samples run in
+    the calling thread, in batches of one kernel row budget, 2^14 // (n + 1)
+    walks, each stepped from the origin into its own slice of one result
+    array.  `workers` is checked (>= 1) and otherwise unused.
     The other parameters are as in the exhaustive sweep.
     """
     if not 1 <= n <= 62:
         raise ValueError(f"sequence length must lie in [1, 62], got {n}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= 1 << _SWEEP_BITS:
+        raise ValueError(f"samples must lie in [1, 2^{_SWEEP_BITS}], got {samples}")
     edges = _sweep_edges(bins, threshold, workers)
     spinor = init.spinor
     started = time.perf_counter()

@@ -37,6 +37,8 @@ __all__ = [
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "L", "R")
 BASIS_PAIRS = (("H", "V"), ("D", "A"), ("L", "R"))
+#: Largest photon budget: numpy's multinomial draw takes an int64 count.
+_MAX_COUNTS = 2**63 - 1
 
 
 def _joint_probabilities(state: WalkState) -> NDArray[np.float64]:
@@ -82,10 +84,10 @@ def simulate_counts(
     Raises
     ------
     ValueError
-        If `total_counts` < 1.
+        If `total_counts` lies outside [1, 2^63 - 1], in either mode.
     """
-    if total_counts < 1:
-        raise ValueError(f"total_counts must be >= 1, got {total_counts}")
+    if not 1 <= total_counts <= _MAX_COUNTS:
+        raise ValueError(f"total_counts must lie in [1, {_MAX_COUNTS}], got {total_counts}")
     probs = _joint_probabilities(state)
     n_sites = probs.shape[0]
     budgets = [total_counts // 3] * 3

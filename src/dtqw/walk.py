@@ -243,11 +243,13 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     Raises
     ------
     ValueError
-        If a prescribed sequence length differs from `steps` or an ordered
-        coin is not unitary.
+        If a prescribed sequence length differs from `steps`, an ordered
+        coin is not unitary, or one walk of `steps` steps would pass the
+        kernel's buffer limit; the last is checked before any coin is drawn.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_buffers(1, steps)
 
     if isinstance(policy, Ordered):
         return CoinPlan(steps, alphabet=require_unitary(policy.coin)[None])
@@ -289,6 +291,13 @@ def _random_bits(seed: int, size: int) -> NDArray[np.int64]:
 
 
 _BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers
+
+
+def _check_buffers(walks: int, steps: int) -> None:
+    """Raise ValueError if `walks` walks of `steps` steps would pass :data:`_BUFFER_LIMIT`."""
+    if (size := 3 * 2 * walks * (steps + 1) * 16) > _BUFFER_LIMIT:
+        raise ValueError(f"{walks} walks of steps={steps} need {size} bytes, over {_BUFFER_LIMIT}")
+
 
 #: Amplitude rows, walks x (steps + 1), in one batch of the batched callers
 #: (sampled sweeps, random ensembles).  A batch's three buffers then take
@@ -333,8 +342,7 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
     walks = math.prod(batch)
-    if (size := 3 * 2 * walks * (plan.steps + 1) * 16) > _BUFFER_LIMIT:
-        raise ValueError(f"{walks} walks of steps={plan.steps} need {size} bytes, over {_BUFFER_LIMIT}")
+    _check_buffers(walks, plan.steps)
     buffers = np.empty((3, 2 * walks * (plan.steps + 1)), dtype=np.complex128)
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor

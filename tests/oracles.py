@@ -4,9 +4,9 @@ The dense oracle materializes the full one-step operator on a truncated
 lattice (shift matrix times block-diagonal coin) and evolves by explicit
 matrix-vector products, sharing nothing with the engine's sliced stepping
 except the resolved coin plan.  The table oracle writes a CLI table row by
-row, through `io.write_csv` and `io.write_json`, from rows built one tuple
-at a time: the route the column-wise `io.write_table` must reproduce byte
-for byte.  The Kaspar-Schuster counter reaches the Lempel-Ziv complexity by
+row, the CSV through `csv.writer` (`reference_csv`) and the JSON mirror
+through `io.write_json`, from rows built one tuple at a time: the route the
+column-wise `io.write_table` must reproduce byte for byte.  The Kaspar-Schuster counter reaches the Lempel-Ziv complexity by
 pointer arithmetic, sharing nothing with the library's substring parse.
 The prefix-tree oracle is the exhaustive sweep before its last coins were
 applied in closed form: it steps every sequence to depth n with the kernel,
@@ -19,6 +19,7 @@ equal bit for bit.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -272,12 +273,23 @@ def dephased_limit_entropy(spinor: np.ndarray, n_momenta: int = 2001) -> float:
     return float(-sum(x * np.log2(x) for x in lam if x > 0.0))
 
 
+def reference_csv(path: Path, header, rows) -> None:
+    """Write rows under a header with `csv.writer` (excel dialect), floats in 12 digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [io.fmt_float(v) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+
+
 def reference_table(
     directory: Path, stem: str, header, rows: list[tuple], head: dict, kept=("csv", "json")
 ) -> None:
     """Write ``stem.csv`` and ``stem.json`` (those whose suffix is `kept`) from whole rows."""
     if "csv" in kept:
-        io.write_csv(directory / f"{stem}.csv", header, rows)
+        reference_csv(directory / f"{stem}.csv", header, rows)
     if "json" in kept:
         io.write_json(directory / f"{stem}.json", {**head, "columns": header, "records": rows})
 

@@ -33,7 +33,7 @@ def read_csv(path):
 
 def test_float_formatting_uses_12_significant_digits(tmp_path):
     path = tmp_path / "x.csv"
-    io.write_csv(path, ("a",), [(1.0 / 3.0,)])
+    io.write_table(path, None, ("a",), [([1.0 / 3.0],)], {})
     header, rows = read_csv(path)
     assert rows[0][0] == "0.333333333333"
     assert io.jsonable(np.float64(2.0) / 3.0) == float("0.666666666667")
@@ -472,10 +472,7 @@ def test_cli_fit_rejects_fractional_times(tmp_path, capsys):
 def test_cli_fit_from_series_file(tmp_path):
     series_path = tmp_path / "m2.csv"
     t = np.arange(1, 21)
-    io.write_csv(
-        series_path, io.MOMENT_HEADER,
-        [(int(x), float(2.5 * x**1.7)) for x in t],
-    )
+    io.write_table(series_path, None, io.MOMENT_HEADER, [(t, 2.5 * t**1.7)], {})
     out = tmp_path / "fit"
     assert run_cli("fit", "--input", str(series_path), "--out", str(out)) == 0
     fit = json.loads((out / "fit.json").read_text())
@@ -554,6 +551,9 @@ def test_cli_rejected_run_leaves_no_output_directory(tmp_path, capsys):
         ("tomo", *init, "--steps", "0", "--total-counts", "1000", "--ordered", "H"),
         ("sweep", *init, "--n", "25"),
         ("sweep", *init, "--n", "3", "--workers", "2"),
+        ("tomo", *init, "--steps", "4", "--ordered", "H", "--total-counts", str(10**23)),
+        ("tomo", *init, "--steps", str(10**30), "--ordered", "H", "--total-counts", "10"),
+        ("sweep", *init, "--n", "40", "--samples", str(2**24 + 1)),
     ):
         assert run_cli(*argv, "--out", str(out)) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config"

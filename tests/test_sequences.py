@@ -201,6 +201,22 @@ def test_exhaustive_refuses_oversized_enumeration():
         exhaustive_sweep(INIT, 0)
 
 
+def test_sampled_sweep_refuses_more_samples_than_a_sweep_holds(monkeypatch):
+    monkeypatch.setattr(sequences, "_SWEEP_BITS", 4)
+    assert sampled_sweep(INIT, 30, samples=16, seed=0).count == 16
+    with pytest.raises(ValueError, match="samples must lie in"):
+        sampled_sweep(INIT, 30, samples=17, seed=0)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="samples must lie in"):
+            sampled_sweep(INIT, 40, samples=2**24 + 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _assert_same_report(a, b):
     """Every field but the wall time agrees bit for bit (and in type)."""
     for field in fields(SweepReport):

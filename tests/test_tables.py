@@ -1,11 +1,12 @@
 """CLI tables against the row route: the column-wise writer and the streamed walk.
 
-`io.write_table` must write the bytes that `io.write_csv` plus `io.write_json`
-write for the same rows (`oracles.reference_table`), and every table of a
+`io.write_table` must write the bytes that `csv.writer` plus `io.write_json`
+write for the same rows (`oracles.reference_table`), and every file of a
 CLI command must equal the one built from `evolve` and the library calls.
 """
 
 import json
+import re
 import sys
 import tracemalloc
 
@@ -16,12 +17,19 @@ from dtqw import io, walk
 from dtqw.cli import build_parser, main, resolve_config
 from dtqw.coins import hadamard_coin
 from dtqw.entanglement import coin_density_curve, density_eigenvalues, entropy_curve
-from dtqw.sequences import lz_complexity, parse_sequence_lines, reference_sequences
+from dtqw.sequences import (
+    exhaustive_sweep,
+    lz_complexity,
+    parse_sequence_lines,
+    reference_sequences,
+    sampled_sweep,
+)
 from dtqw.tomography import tomographic_entropy
-from dtqw.transport import moment_series, position_distribution
+from dtqw.transport import classical_baseline, fit_power_law, moment_series, position_distribution
 from dtqw.walk import DynamicSequence, InitialCoin, Ordered, StaticRandom, evolve, final_state
 
-from oracles import reference_counts_rows, reference_table, reference_trajectory_rows
+from oracles import reference_counts_rows, reference_csv, reference_table
+from oracles import reference_trajectory_rows
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
 #: Floats at the edges of the 12-digit text and of its JSON spelling.
@@ -140,10 +148,31 @@ def tomo_reference(out, head, kept):
                     head, kept)
     fields = io.TOMOGRAPHY_SUMMARY_HEADER
     if "csv" in kept:
-        io.write_csv(out / "tomography_summary.csv", fields,
-                     [tuple(getattr(result, f) for f in fields)])
+        reference_csv(out / "tomography_summary.csv", fields,
+                      [tuple(getattr(result, f) for f in fields)])
     if "json" in kept:
         io.write_json(out / "tomography.json", {**head, **io.tomography_dict(result)})
+
+
+def sweep_reference(sweep):
+    def write(out, head, kept):
+        report = sweep()
+        io.write_json(out / "sweep_report.json", {**head, **io.sweep_report_dict(report)})
+        if "csv" in kept:
+            edges = report.bin_edges
+            rows = [(float(lo), float(hi), int(c))
+                    for lo, hi, c in zip(edges[:-1], edges[1:], report.bin_counts)]
+            reference_csv(out / "sweep_histogram.csv", ("bin_low", "bin_high", "count"), rows)
+    return write
+
+
+def fit_reference(out, head, kept):
+    fit = fit_power_law(classical_baseline(50), t_min=1)
+    if "csv" in kept:
+        reference_csv(out / "fit.csv", io.FIT_HEADER,
+                      [tuple(getattr(fit, f) for f in io.FIT_HEADER)])
+    if "json" in kept:
+        io.write_json(out / "fit.json", {**head, **io.fit_dict(fit)})
 
 
 CASES = {
@@ -158,6 +187,12 @@ CASES = {
                  lz_reference(lambda: parse_sequence_lines(LZ_FILE, "seqs.txt"))),
     "tomo": (["tomo", *INIT, "--steps", "12", "--static-seed", "2", "--total-counts", "5000",
               "--seed", "4"], tomo_reference),
+    "sweep": (["sweep", *INIT, "--n", "8"],
+              sweep_reference(lambda: exhaustive_sweep(InitialCoin(51.0, 30.0), 8))),
+    "sweep sampled": (["sweep", *INIT, "--samples", "300", "--n", "30", "--bins=0,0.25,1"],
+                      sweep_reference(lambda: sampled_sweep(
+                          InitialCoin(51.0, 30.0), 30, samples=300, seed=0, bins=[0, 0.25, 1]))),
+    "fit": (["fit", "--classical", "50"], fit_reference),
 }
 
 
@@ -177,7 +212,12 @@ def test_cli_files_match_the_row_route(tmp_path, capsys, case, fmt):
     names = sorted(p.name for p in want.iterdir())
     assert sorted(p.name for p in got.iterdir()) == names
     for name in names:
-        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+        assert unclocked(got / name) == unclocked(want / name), name
+
+
+def unclocked(path):
+    """The bytes of a file without the sweep report's `wall_time_s` line, which no run repeats."""
+    return re.sub(rb'\n  "wall_time_s": [^\n]*', b"", path.read_bytes())
 
 
 def test_walk_streams_from_one_propagation_in_bounded_memory(tmp_path, monkeypatch, capsys):

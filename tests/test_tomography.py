@@ -91,8 +91,11 @@ def test_multinomial_counts_near_expectation():
 
 
 def test_counts_reject_empty_budget():
-    with pytest.raises(ValueError):
-        simulate_counts(UP_STATE, 0)
+    """An empty budget, and one past the multinomial's int64 range, in both modes."""
+    for total_counts in (0, 2**63):
+        for noiseless in (False, True):
+            with pytest.raises(ValueError, match="total_counts must lie in"):
+                simulate_counts(UP_STATE, total_counts, noiseless=noiseless)
 
 
 def test_pair_totals_estimate_site_weight():

@@ -284,6 +284,26 @@ def test_kernel_refuses_oversized_buffers_before_allocating():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [DynamicRandom(seed=0), StaticRandom(seed=0), StaticAndDynamic(static_seed=0, dynamic_seed=1)],
+    ids=["dynamic", "static", "both"],
+)
+def test_plan_refuses_a_walk_past_the_buffer_limit_before_drawing(policy):
+    # 2,796,201 steps is the longest walk whose three kernel buffers fit in
+    # 256 MiB; one step more is refused before its coins are drawn.
+    steps = 2_796_202
+    plan_coins(Ordered(hadamard_coin()), steps - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"1 walks of steps={steps} need"):
+            plan_coins(policy, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_single_walk_coin_density_matches_batched_rows():
     """One walk's rho_C (BLAS dot products) and its row of a batch agree at every step.
 
