@@ -33,7 +33,7 @@ from .sequences import (
     reference_sequences,
     sampled_sweep,
 )
-from .tomography import tomographic_entropy
+from .tomography import _check_total_counts, tomographic_entropy
 from .transport import MomentSeries, classical_baseline, fit_power_law, position_distribution
 from .walk import (
     DynamicRandom,
@@ -339,14 +339,15 @@ def cmd_walk(cfg: dict) -> _Outputs:
 
     # One pass over the trajectory streams it, a state per step, and leaves
     # the last state and the second moments of every step behind.
-    state, m2 = None, []
+    state, m2 = None, np.empty(steps)
 
     def trajectory():
         nonlocal state
         squares = _site_squares(steps)
         for state in states:
             if state.t:
-                m2.append(_second_moment(state.amps[0, ::2], state.amps[1, ::2], squares))
+                # moment_series' reduction, on a contiguous copy of the occupied sites.
+                m2[state.t - 1] = _second_moment(*np.ascontiguousarray(state.amps[:, ::2]), squares)
             yield io.trajectory_columns(state)
 
     out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())
@@ -355,7 +356,7 @@ def cmd_walk(cfg: dict) -> _Outputs:
         io.DISTRIBUTION_HEADER,
         [io.distribution_columns(position_distribution(state))],
     )
-    series = MomentSeries(times=np.arange(1, steps + 1), m2=np.array(m2))
+    series = MomentSeries(times=np.arange(1, steps + 1), m2=m2)
     out.table("moments", io.MOMENT_HEADER, [io.moment_columns(series)])
     return out
 
@@ -459,6 +460,7 @@ def cmd_fit(cfg: dict) -> _Outputs:
 def cmd_tomo(cfg: dict) -> _Outputs:
     """simulated tomography of the final state"""
     _require(cfg, "steps", "total_counts")
+    _check_total_counts(cfg["total_counts"])  # before the walk, which may take seconds
     init = _initial_coin(cfg)
     policy = _policy(cfg)
     out = _Outputs(cfg, [*_tables("counts"), "tomography_summary.csv", "tomography.json"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .walk import CoinPolicy, InitialCoin, WalkState, _coin_density, _propagate, plan_coins
+from .walk import CoinPolicy, InitialCoin, WalkState, _coin_density, _coin_dots, _propagate, plan_coins
 
 __all__ = [
     "SiteDecomposition",
@@ -164,10 +164,14 @@ def coin_density_curve(
     """
     plan = plan_coins(policy, steps)
     spinor = init.spinor
-    rho = np.empty((steps + 1, 2, 2), dtype=np.complex128)
-    _coin_density(spinor[:1], spinor[1:], rho[0])
+    # Flat rows (rho00, rho01, rho10, rho11): a step stores its three dot
+    # products, and rho10 = conj(rho01) is filled in once at the end.
+    flat = np.empty((steps + 1, 4), dtype=np.complex128)
+    flat[0, 0], flat[0, 1], flat[0, 3] = _coin_dots(spinor[:1], spinor[1:])
     for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
-        _coin_density(up, dn, rho[t])
+        flat[t, 0], flat[t, 1], flat[t, 3] = _coin_dots(up, dn)
+    np.conjugate(flat[:, 1], out=flat[:, 2])
+    rho = flat.reshape(steps + 1, 2, 2)
     norm = rho[:, 0, 0].real + rho[:, 1, 1].real
     worst = norm[np.argmax(np.abs(norm - 1.0))]
     if abs(worst - 1.0) > 1e-6:

@@ -55,6 +55,7 @@ from .walk import (
     _batch_walks,
     _coin_density,
     _coin_shift,
+    _destination,
     _propagate,
     _sequence_alphabet,
     _sequence_plan,
@@ -237,9 +238,9 @@ def _suffix_map(k):
     plan = _sequence_plan((suffixes[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1))
     blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
     for e, spinor in enumerate(np.eye(2, dtype=np.complex128)):
-        for phi in _propagate(plan, spinor):
+        for up, dn in _propagate(plan, spinor):
             pass
-        blocks[..., e] = phi.T
+        blocks[..., e] = np.stack([up, dn]).T
     # coef[part, d, c, e, s, a, b]: rho_ab of suffix s per unit real (part 0)
     # or imaginary (part 1) part of R(d)[c, e].  Lag d pairs T_{m+d} with
     # T_m; lag -d enters as the adjoint of R(d), with c and e swapped.
@@ -288,23 +289,25 @@ def _tree_entropies(n, spinor, out):
     k = min(_SUFFIX_BITS, n)
     depth = n - k
     kmap = _suffix_map(k)
-    coins = _sequence_alphabet().transpose(1, 2, 0)[:, :, None, :, None]  # [i, j, site, bit, walk]
+    c0, c1 = _sequence_alphabet().transpose(2, 1, 0)[:, :, None, :, None]  # [j][i, site, bit, walk]
     leaves = out.reshape(1 << k, -1)
     breadth = min(depth, _LEAF_BITS)
     phi = np.reshape(spinor, (2, 1, 1))
     for t in range(breadth):
         # The F walks, then the H walks: walk index = old walk + (bit << t).
-        block = np.empty((2, t + 2, 2, 1 << t), dtype=np.complex128)
-        phi = _coin_shift(phi[:, :, None], coins, block, np.empty_like(block[:, 1:]))
-        phi = phi.reshape(2, t + 2, -1)
+        block = np.zeros((2, t + 2, 2, 1 << t), dtype=np.complex128)
+        _coin_shift(*phi[:, :, None], c0, c1, _destination(block), np.empty_like(block[:, 1:]))
+        phi = block.reshape(2, t + 2, -1)
 
-    # One state buffer per depth, which its two children fill in turn: leaf
-    # states allocated and freed on every step made malloc return memory to
-    # the system and fault it in again, which about doubled the first sweep
-    # in a fresh process.
+    # One zeroed state buffer per depth, which its two children fill in
+    # turn: leaf states allocated and freed on every step made malloc
+    # return memory to the system and fault it in again, which about
+    # doubled the first sweep in a fresh process.
     rows = phi.shape[2]
     chunk = min(_CHUNK, rows)
-    level = {t: np.empty((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
+    level = {t: np.zeros((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
+    dests = {t: _destination(block) for t, block in level.items()}
+    columns = [(c0[:, :, bit], c1[:, :, bit]) for bit in (0, 1)]
     scratch = np.empty((2, depth, rows), dtype=np.complex128)
 
     def descend(phi, t, offset):
@@ -315,8 +318,8 @@ def _tree_entropies(n, spinor, out):
                 leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         else:
             for bit in (0, 1):
-                child = _coin_shift(phi, coins[:, :, :, bit], level[t + 1], scratch[:, : t + 1])
-                descend(child, t + 1, offset + (bit << t))
+                _coin_shift(phi[0], phi[1], *columns[bit], dests[t + 1], scratch[:, : t + 1])
+                descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)
     # `descend` refers to itself through its closure; breaking that cycle

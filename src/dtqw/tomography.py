@@ -71,6 +71,12 @@ class ProjectionCounts:
     counts: NDArray[np.float64]
 
 
+def _check_total_counts(total_counts: int) -> None:
+    """Raise ValueError unless the photon budget lies in [1, 2^63 - 1]."""
+    if not 1 <= total_counts <= _MAX_COUNTS:
+        raise ValueError(f"total_counts must lie in [1, {_MAX_COUNTS}], got {total_counts}")
+
+
 def simulate_counts(
     state: WalkState, total_counts: int, seed: int = 0, noiseless: bool = False
 ) -> ProjectionCounts:
@@ -86,8 +92,7 @@ def simulate_counts(
     ValueError
         If `total_counts` lies outside [1, 2^63 - 1], in either mode.
     """
-    if not 1 <= total_counts <= _MAX_COUNTS:
-        raise ValueError(f"total_counts must lie in [1, {_MAX_COUNTS}], got {total_counts}")
+    _check_total_counts(total_counts)
     probs = _joint_probabilities(state)
     n_sites = probs.shape[0]
     budgets = [total_counts // 3] * 3
@@ -179,7 +184,11 @@ def fidelity(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
 
 
 def similarity(p_exp: PositionDistribution, p_th: PositionDistribution) -> float:
-    """Bhattacharyya coefficient sum_x sqrt(p_exp(x) p_th(x)) over the support union."""
+    """Bhattacharyya coefficient sum_x sqrt(p_exp(x) p_th(x)) over the support union.
+
+    A site listed by one distribution only adds 0, so the sum runs over the
+    sites both list, each site taken to be listed once.
+    """
     for name, dist in (("first", p_exp), ("second", p_th)):
         if not np.all(np.isfinite(dist.probabilities)):
             raise ValueError(f"{name} distribution has a non-finite entry")
@@ -188,12 +197,10 @@ def similarity(p_exp: PositionDistribution, p_th: PositionDistribution) -> float
             raise ValueError(f"{name} distribution is not normalized (sum = {total})")
         if np.any(dist.probabilities < -1e-12):
             raise ValueError(f"{name} distribution has negative entries")
-    a = p_exp.as_dict()
-    b = p_th.as_dict()
-    overlap = 0.0
-    for site in set(a) | set(b):
-        overlap += np.sqrt(max(a.get(site, 0.0), 0.0) * max(b.get(site, 0.0), 0.0))
-    return float(min(overlap, 1.0))
+    _, i, j = np.intersect1d(p_exp.sites, p_th.sites, assume_unique=True, return_indices=True)
+    a = np.maximum(p_exp.probabilities[i], 0.0)
+    b = np.maximum(p_th.probabilities[j], 0.0)
+    return float(min(np.sum(np.sqrt(a * b)), 1.0))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,10 @@ def second_moment(dist: PositionDistribution) -> float:
 def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float64]:
     """m2 after each step of every walk of `plan`, shape (steps, ...)."""
     squares = _site_squares(plan.steps)
-    return np.array([_second_moment(up, dn, squares) for up, dn in _propagate(plan, spinor)])
+    m2 = np.empty((plan.steps,) + plan.batch)
+    for t, (up, dn) in enumerate(_propagate(plan, spinor)):
+        m2[t] = _second_moment(up, dn, squares)
+    return m2
 
 
 def moment_series(init: InitialCoin, policy: CoinPolicy, steps: int) -> MomentSeries:

@@ -4,19 +4,23 @@ The walker lives on the integer lattice with a two-level internal coin.  One
 step applies a 2x2 coin to every site's spinor and then shifts the |up>
 component to j+1 and the |down> component to j-1, so an n-step walk consumes
 exactly n coins.  A single kernel does all stepping.  It stores parity-compressed
-amplitudes as a block [up, dn] of shape (2, t+1, ...), row m holding site
+amplitudes as rows up and dn of shape (t+1, ...), row m holding site
 j = 2m - t (the only sites that can carry amplitude), and treats trailing
 axes as independent walks: one walk, a batch of coin sequences, or a random
 ensemble.  Callers with many walks step them in batches of one budget of
 amplitude rows, walks x (steps + 1), so that a batch's buffers stay in a
-core's cache.  With the walks innermost, a step is three ufunc calls into one
-contiguous part of its output.  The kernel owns its buffers, checked against
-a size limit first: two flat arrays alternate as each step's output and a
-third holds the coin products, and per-site coins are resolved once into
-tables that each step slices.  A yielded step therefore lives for two steps.
-The per-step reductions live beside it, the reduced coin matrix and the
-second moment about the origin, and read those arrays as they stream; this
-module alone knows the row-to-site map.  :class:`WalkState` is the dense
+core's cache.  A step is three ufunc calls: the |up> coin products into the
+shifted destination, the |down> ones into scratch, and one add.  All else a
+step needs is resolved once per run: the coin columns (for one walk, copies
+per coin bit and site parity that a step slices; a batch gathers its coins
+each step) and three zeroed buffers, checked against a size limit first,
+with their views.  Two buffers alternate as each step's output, and their
+edge rows stay zero because no step writes them; the third holds scratch.
+The kernel yields views (up, dn), 1-D and contiguous for one walk, that
+live for two steps.  The per-step reductions live beside it, the reduced
+coin matrix (three BLAS dot products for one walk) and the second moment
+about the origin (float-view squares and one dot product), and read those
+arrays as they stream; this module alone knows the row-to-site map.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 returns a trajectory whose states are expanded to this view as they are
@@ -209,6 +213,41 @@ class CoinPlan:
         table = alphabet[None] if site_bits is None else alphabet[site_bits[:, None] ^ rows]
         self._table = np.ascontiguousarray(table.transpose(2, 3, 0, 1))
 
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """Shape of the walk axes: those of ``step_bits[..., 0]``, () for one walk."""
+        return () if self.step_bits is None else self.step_bits.shape[:-1]
+
+    def columns(self) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
+        """Yield the coins of each step t = 0 .. steps-1 as the columns (c[:, 0], c[:, 1]) of `coins`.
+
+        Column 0 multiplies |up> and column 1 |down>; each is [i, site,
+        ...].  A batch gathers every step's coins with :meth:`coins`.  One
+        walk reads its columns from copies resolved here, per bit and, with
+        site bits, per parity of the first site's table index, so that a
+        step's columns are two contiguous slices.
+        """
+        if self.batch:
+            for t in range(self.steps):
+                c = self.coins(t)
+                yield c[:, 0], c[:, 1]
+            return
+        steps = self.steps
+        bits = [0] * steps if self.step_bits is None else self.step_bits.tolist()
+        by_bit = [self._table[..., b].transpose(1, 0, 2) for b in range(self._table.shape[-1])]  # [j, i, site]
+        if self.site_bits is None:
+            cols = [tuple(c) for c in by_bit]
+            for b in bits:
+                yield cols[b]
+            return
+        # Step t reads every other site of the table from index steps - t.
+        cols = [[tuple(np.ascontiguousarray(c[..., p::2])) for p in (0, 1)] for c in by_bit]
+        for t, b in enumerate(bits):
+            lo = steps - t
+            c0, c1 = cols[b][lo % 2]
+            sites = slice(lo // 2, lo // 2 + t + 1)
+            yield c0[:, sites], c1[:, sites]
+
     def coins(self, t: int) -> NDArray[np.complex128]:
         """Coins of step t at sites -t, -t+2, .., t, as [i, j, site, ...] with 1 or t+1 sites.
 
@@ -310,59 +349,104 @@ def _batch_walks(steps: int) -> int:
     return max(1, _BATCH_ROWS // (steps + 1))
 
 
-def _coin_shift(phi, c, out, scratch):
-    """One step of parity-compressed walks: coin `c` on every site, then the shift.
+def _destination(out):
+    """The (2, width - 1, ...) view of `out`, a C-contiguous (2, width, ...) block [up, dn], that a step writes.
 
-    `phi` is the (2, width, ...) block [up, dn] and `c` [i, j, site, ...] from
-    `CoinPlan.coins`.  Writes into `out`, a C-contiguous (2, width+1, ...)
-    array, and returns it: |up> moves one row down (j -> j+1) and |down>
-    stays (j -> j-1), so their destinations are one contiguous block, which
-    takes the |up> coin products; the |down> ones go to `scratch` and are added.
+    |up> moves one row down (j -> j+1) and |down> stays (j -> j-1), so the
+    destinations, |up> rows 1.. and |down> rows ..width-2, are one
+    contiguous run of `out`; only the edge rows, |up> row 0 and |down> row
+    width - 1, lie outside it.
     """
-    width = phi.shape[1]
-    walks = out.size // (2 * width + 2)
-    block = out.reshape(-1)[walks : walks * (2 * width + 1)].reshape((2, width) + out.shape[2:])
-    np.multiply(c[:, 0], phi[0], out=block)
-    np.multiply(c[:, 1], phi[1], out=scratch)
-    np.add(block, scratch, out=block)
-    out[0, 0] = 0
-    out[1, -1] = 0
-    return out
+    n = out[0, 0].size  # elements per amplitude row: one per walk
+    return out.reshape(-1)[n : out.size - n].reshape((2, out.shape[1] - 1) + out.shape[2:])
+
+
+def _coin_shift(up, dn, c0, c1, dest, scratch):
+    """One step of parity-compressed walks: coin on every site, then the shift.
+
+    `up` and `dn` are the (width, ...) amplitude rows, and `c0` and `c1`
+    the coin columns [i, site, ...] that multiply them (see
+    `CoinPlan.columns`).  The products c0 * up + c1 * dn are written into
+    `dest`, the (2, width, ...) `_destination` view of the next block, with
+    `scratch` holding the c1 products.  The edge rows are never written, so
+    a caller zeroes each output buffer once.
+    """
+    np.multiply(c0, up, out=dest)
+    np.multiply(c1, dn, out=scratch)
+    np.add(dest, scratch, out=dest)
+
+
+def _step_views(buffers, steps: int, batch: tuple[int, ...]):
+    """Yield, for each step t of `_propagate`, its views (dest, scratch, (up, dn)) of the kernel's buffers.
+
+    `dest` and `scratch` are the (2, t+1, ...) blocks `_coin_shift` writes
+    and (up, dn) the (t+2, ...) output rows, in `buffers[t % 2]`.  Numpy
+    buffers a ufunc's operands when their strides are not uniform over the
+    run it makes one inner loop.  One walk's output therefore keeps its
+    |up> and |down> rows steps + 1 elements apart, so that before the last
+    step a destination's two rows are not one run and its products are not
+    buffered: the views are slices of fixed views resolved here.  A batch's
+    broadcast coin product is buffered anyway, and its blocks are each one
+    contiguous run, reshaped per step, so that they need no buffer of their
+    own.
+    """
+    if not batch:
+        outs = [buffer.reshape(2, steps + 1) for buffer in buffers]
+        rows, dests = [tuple(out) for out in outs[:2]], [_destination(out) for out in outs[:2]]
+        for t in range(steps):
+            (up, dn), width = rows[t % 2], t + 1
+            yield dests[t % 2][:, :width], outs[2][:, :width], (up[: width + 1], dn[: width + 1])
+        return
+    walks = math.prod(batch)
+    for t in range(steps):
+        width = t + 1
+        out = buffers[t % 2, : 2 * (width + 1) * walks].reshape((2, width + 1) + batch)
+        scratch = buffers[2, : 2 * width * walks].reshape((2, width) + batch)
+        yield _destination(out), scratch, tuple(out)
 
 
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
-    """Run every walk of `plan` from `spinor` at the origin; yield the block [up, dn] after each step.
+    """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
 
-    After step t the (2, t+1, ...) block has trailing axes those of
-    ``plan.step_bits[..., 0]``, and row m holds site j = 2m - t.  The buffers
-    are allocated once, or ValueError raised if they would pass
-    :data:`_BUFFER_LIMIT`: two flat ones alternate as each step's output and
-    one holds scratch, so a yielded block is overwritten two steps later;
-    reduce or copy it before then.
+    After step t, `up` and `dn` are (t+2, ...) views with trailing axes
+    ``plan.batch``, row m holding site j = 2m - t; one walk's are 1-D and
+    contiguous.  Everything a step needs that does not depend on the
+    amplitudes is resolved once per run: the coin columns
+    (`CoinPlan.columns`) and three zeroed buffers with their views
+    (`_step_views`).  Two buffers alternate as each step's output [up, dn],
+    whose edge rows stay zero because no step writes them, and one holds
+    scratch, so a step is its three ufunc calls and a few slices.  The
+    yielded views are overwritten two steps later: reduce or copy them
+    before then.  The buffers are allocated once, or ValueError raised if
+    they would pass :data:`_BUFFER_LIMIT`.
     """
-    batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
-    walks = math.prod(batch)
-    _check_buffers(walks, plan.steps)
-    buffers = np.empty((3, 2 * walks * (plan.steps + 1)), dtype=np.complex128)
+    batch = plan.batch
+    _check_buffers(math.prod(batch), plan.steps)
+    buffers = np.zeros((3, 2 * (plan.steps + 1) * math.prod(batch)), dtype=np.complex128)
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor
-    for t in range(plan.steps):
-        out = buffers[t % 2, : 2 * walks * (t + 2)].reshape((2, t + 2) + batch)
-        scratch = buffers[2, : 2 * walks * (t + 1)].reshape((2, t + 1) + batch)
-        phi = _coin_shift(phi, plan.coins(t), out, scratch)
-        yield phi
+    up, dn = phi
+    for (c0, c1), (dest, scratch, out) in zip(plan.columns(), _step_views(buffers, plan.steps, batch)):
+        _coin_shift(up, dn, c0, c1, dest, scratch)
+        up, dn = out
+        yield out
 
 
-def _coin_density(up, dn, out=None):
+def _coin_dots(up, dn):
+    """The entries rho00, rho01, rho11 of one walk's reduced coin matrix, by three BLAS dot products."""
+    return np.vdot(up, up).real, np.vdot(dn, up), np.vdot(dn, dn).real
+
+
+def _coin_density(up, dn):
     """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the first axis.
 
     Works on dense rows and on parity-compressed ones alike; trailing axes
-    carry through to a (..., 2, 2) result.  One walk reduces with three
-    BLAS dot products into `out`, a (2, 2) array allocated when not given.
+    carry through to a (..., 2, 2) result.  One walk reduces with
+    `_coin_dots`.
     """
     if up.ndim == 1:
-        out = np.empty((2, 2), dtype=np.complex128) if out is None else out
-        out[0, 0], out[0, 1], out[1, 1] = np.vdot(up, up).real, np.vdot(dn, up), np.vdot(dn, dn).real
+        out = np.empty((2, 2), dtype=np.complex128)
+        out[0, 0], out[0, 1], out[1, 1] = _coin_dots(up, dn)
         out[1, 0] = np.conj(out[0, 1])
         return out
     r00 = np.sum(np.abs(up) ** 2, axis=0)
@@ -372,20 +456,37 @@ def _coin_density(up, dn, out=None):
 
 
 def _site_squares(steps: int) -> NDArray[np.float64]:
-    """Squared sites j^2 up to `steps`: row r holds j = r - steps, r - steps + 2, .., r + steps."""
-    return np.ascontiguousarray((np.arange(-steps, steps + 2.0) ** 2).reshape(-1, 2).T)
+    """Squared sites up to `steps`, each twice: row r holds j^2, j^2 for j = r - steps, r - steps + 2, .., r + steps.
+
+    Doubled, a run of a row lines up with the float view (re, im, re, im,
+    ..) of one walk's amplitudes.
+    """
+    squares = (np.arange(-steps, steps + 2.0) ** 2).reshape(-1, 2).T
+    return np.repeat(squares, 2, axis=1)
 
 
 def _second_moment(up, dn, squares):
     """Second moment sum_j (|a_j|^2 + |b_j|^2) j^2 of parity-compressed walks.
 
-    Row m of the (t+1,) or (t+1, walks) arrays holds site j = 2m - t; the
-    weights j^2 are a run of row (steps - t) % 2 of `_site_squares(steps)`.
+    Row m of the (t+1,) or (t+1, walks) arrays holds site j = 2m - t, and
+    their last axis must be contiguous.  Each amplitude's float view (re,
+    im) is squared, so no |z| = hypot(re, im) is taken and squared again,
+    and summed against a run of row (steps - t) % 2 of `_site_squares(steps)`
+    by one dot product.  One walk's floats pair up along the sites, which
+    the doubled weights take; a batch's pair up along its last axis, so
+    every other weight is taken there and each walk's two sums are added.
+    The result differs from the sum of |a_j|^2 + |b_j|^2 only in the last
+    bits.
     """
-    t = len(up) - 1
-    rest = squares.shape[1] - 1 - t  # steps - t
-    weights = squares[rest % 2, rest // 2 : rest // 2 + t + 1]
-    return weights @ (np.abs(up) ** 2 + np.abs(dn) ** 2)
+    n = len(up)
+    rest = squares.shape[1] // 2 - n  # steps - t
+    weights = squares[rest % 2, rest - rest % 2 : rest - rest % 2 + 2 * n]
+    sq = np.square(up.view(np.float64))
+    sq += np.square(dn.view(np.float64))
+    if sq.ndim == 1:
+        return weights @ sq
+    sums = weights[::2] @ sq
+    return sums[0::2] + sums[1::2]
 
 
 def _dense(up, dn):

@@ -14,7 +14,9 @@ so the closed form is checked against a route with another summation order,
 and `reference_propagate` also runs in np.clongdouble to give entropies
 with rounding far below float64's.  `evolve` is the eager trajectory, every
 state of one kernel run kept in a list, that the library's lazy one must
-equal bit for bit.
+equal bit for bit.  `reference_similarity` is the Bhattacharyya
+coefficient as a loop over the union of two supports, which the
+library's intersection of site arrays must match.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dtqw.walk import (
     _coin_density,
     _coin_shift,
     _dense,
+    _destination,
     _propagate,
     _sequence_alphabet,
     _sequence_plan,
@@ -172,29 +175,41 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     the slice of the enumeration that its coins select.  Every entry is
     what the exhaustive sweep of its length computed before the closed form.
     """
-    coins = _sequence_alphabet().transpose(1, 2, 0)[:, :, None, None]  # [i, j, site, walk, bit]
+    coins = _sequence_alphabet().transpose(2, 1, 0)[:, :, None, None]  # [j, i, site, walk, bit]
     out = [np.empty(1 << t) for t in range(n + 1)]
     breadth = min(n, 10)
     # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
     ints = np.arange(1 << breadth, dtype=np.uint64)
     plan = _sequence_plan((ints[:, None] >> np.arange(breadth, dtype=np.uint64)) & np.uint64(1))
-    phi = np.reshape(spinor, (2, 1, 1))
-    out[0][:] = _entropy_bits(_coin_density(*phi))
-    for t, phi in enumerate(_propagate(plan, spinor), 1):
-        out[t][:] = _entropy_bits(_coin_density(*phi[..., : 1 << t]))
-    # One state buffer per depth, which its two children fill in turn.
-    level = {t: np.empty((2, t + 1, phi.shape[2]), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
+    up, dn = np.reshape(spinor, (2, 1, 1))
+    out[0][:] = _entropy_bits(_coin_density(up, dn))
+    for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
+        out[t][:] = _entropy_bits(_coin_density(up[..., : 1 << t], dn[..., : 1 << t]))
+    phi = np.stack([up, dn])
+    # One zeroed state buffer per depth, which its two children fill in turn.
+    level = {t: np.zeros((2, t + 1, phi.shape[2]), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
     scratch = np.empty((2, n, phi.shape[2]), dtype=np.complex128)
 
     def descend(phi, t, offset):
         out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi))
         for bit in (0, 1) if t < n else ():
-            child = _coin_shift(phi, coins[..., bit], level[t + 1], scratch[:, : t + 1])
-            descend(child, t + 1, offset + (bit << t))
+            c0, c1 = coins[..., bit]
+            _coin_shift(*phi, c0, c1, _destination(level[t + 1]), scratch[:, : t + 1])
+            descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)
     del descend
     return out
+
+
+def reference_similarity(p_exp, p_th) -> float:
+    """Bhattacharyya coefficient by a Python loop over the union of the two supports, unvalidated."""
+    a = p_exp.as_dict()
+    b = p_th.as_dict()
+    overlap = 0.0
+    for site in set(a) | set(b):
+        overlap += np.sqrt(max(a.get(site, 0.0), 0.0) * max(b.get(site, 0.0), 0.0))
+    return float(min(overlap, 1.0))
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dtqw.cli import TRAJECTORY_ROW_LIMIT, CLIError, build_parser, main, resolve
 from dtqw.coins import hadamard_coin
 from dtqw.entanglement import density_eigenvalues, reduced_coin_density, state_entropy
 from dtqw.transport import MomentSeries
-from dtqw.walk import InitialCoin, Ordered, evolve
+from dtqw.walk import InitialCoin, Ordered, StaticAndDynamic, evolve
 
 
 def run_cli(*argv: str) -> int:
@@ -588,6 +588,47 @@ def test_cli_tomo(tmp_path):
     header, rows = read_csv(out / "counts.csv")
     assert header == list(io.COUNTS_HEADER)
     assert sum(float(r[3]) for r in rows) == pytest.approx(9000)
+
+
+@pytest.mark.parametrize("counts", ["0", str(2**63)])
+def test_cli_tomo_refuses_the_budget_before_the_walk(tmp_path, monkeypatch, capsys, counts):
+    def no_walk(plan, spinor):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(dtqw.walk, "_propagate", no_walk)
+    out = tmp_path / "tomo"
+    code = run_cli(
+        "tomo", "--theta", "51", "--phi", "0", "--steps", "20000", "--ordered", "H",
+        "--total-counts", counts, "--out", str(out),
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "total_counts must lie in" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "policy_args,policy",
+    [
+        (("--ordered", "H"), Ordered(hadamard_coin())),
+        (("--static-seed", "5", "--dynamic-seed", "6"), StaticAndDynamic(static_seed=5, dynamic_seed=6)),
+    ],
+    ids=["ordered", "both"],
+)
+def test_cli_walk_moments_equal_moment_series_bit_for_bit(tmp_path, monkeypatch, policy_args, policy):
+    written = []
+    columns = io.moment_columns
+    monkeypatch.setattr(io, "moment_columns", lambda series: written.append(series) or columns(series))
+    code = run_cli(
+        "walk", "--theta", "77", "--phi", "10", "--steps", "300", *policy_args,
+        "--out", str(tmp_path / "walk"), "--format", "csv",
+    )
+    assert code == 0
+    (series,) = written
+    expected = transport.moment_series(InitialCoin(77, 10), policy, 300)
+    np.testing.assert_array_equal(series.times, expected.times)
+    assert series.m2.tobytes() == expected.m2.tobytes()
 
 
 def test_cli_tomo_noiseless_matches_exact(tmp_path):

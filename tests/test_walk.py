@@ -100,6 +100,15 @@ FIVE_POLICIES = [
 ]
 
 
+#: The length of the bench's long walks, and their coin policies.
+LONG = 2048
+LONG_WALK_POLICIES = [p for p in FIVE_POLICIES if not isinstance(p, DynamicSequence)]
+#: FIVE_POLICIES for walks of LONG steps: the sequence is SC0 repeated.
+FIVE_LONG_POLICIES = [
+    DynamicSequence((SC0 * LONG)[:LONG]) if isinstance(p, DynamicSequence) else p for p in FIVE_POLICIES
+]
+
+
 @pytest.mark.parametrize("policy", FIVE_POLICIES)
 def test_final_state_equals_last_evolve_state_bit_for_bit(policy):
     init = InitialCoin(33, 120)
@@ -120,6 +129,23 @@ def test_streamed_reductions_equal_dense_states(policy):
         np.testing.assert_allclose(rho[t], reduced_coin_density(state), rtol=0, atol=1e-12)
     dense_m2 = [second_moment(position_distribution(s)) for s in states[1:]]
     np.testing.assert_allclose(moment_series(init, policy, 20).m2, dense_m2, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=[type(p).__name__ for p in FIVE_POLICIES])
+def test_long_moment_series_stays_near_extended_precision(policy):
+    """m2 over 2048 steps against the same walk stepped and reduced in np.clongdouble.
+
+    The |z|^2 route (np.abs(z) ** 2 summed against j^2) reads at most
+    2.73e-15 relative on these walks, under StaticRandom; the bound leaves
+    room for other summation orders only.
+    """
+    init = InitialCoin(51, 30)
+    reference = []
+    for up, dn in reference_propagate(plan_coins(policy, LONG), init.spinor, np.clongdouble):
+        j = np.arange(-(len(up) - 1), len(up), 2).astype(np.longdouble)
+        reference.append(np.sum(j * j * (np.abs(up) ** 2 + np.abs(dn) ** 2)))
+    m2 = moment_series(init, policy, LONG).m2
+    assert np.max(np.abs(m2 - np.array(reference)) / np.array(reference)) < 3e-15
 
 
 def dynamic_batch(steps: int, walks: int = 4) -> CoinPlan:
@@ -154,8 +180,10 @@ def static_batch(steps: int) -> CoinPlan:
 
 @pytest.mark.parametrize(
     "plan",
-    [plan_coins(p, 20) for p in FIVE_POLICIES] + [dynamic_batch(20), static_batch(20)],
-    ids=KERNEL_IDS + ["batch", "static-batch"],
+    [plan_coins(p, 20) for p in FIVE_POLICIES]
+    + [dynamic_batch(20), static_batch(20)]
+    + [plan_coins(p, LONG) for p in LONG_WALK_POLICIES],
+    ids=KERNEL_IDS + ["batch", "static-batch"] + [f"{type(p).__name__}-{LONG}" for p in LONG_WALK_POLICIES],
 )
 def test_kernel_matches_reference_bit_for_bit(plan):
     """The buffered kernel equals the allocate-per-step reference after every step."""
@@ -266,6 +294,25 @@ def test_batched_kernel_allocates_nothing_per_step():
         tracemalloc.stop()
     slack = 2 * np.getbufsize() * 16 + 2**16
     assert peak < buffers + plan.coins(0).nbytes + slack
+
+
+@pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=KERNEL_IDS)
+def test_single_walk_kernel_allocates_nothing_per_step(policy):
+    # Its three step buffers, the coin columns resolved once (per-parity
+    # copies of the site table and a list of the step bits) and the slack of
+    # the batched test above; anything kept per step would add 2048 steps'
+    # worth.
+    plan = plan_coins(policy, LONG)
+    buffers = 3 * 2 * (LONG + 1) * 16
+    tracemalloc.start()
+    try:
+        for _ in _propagate(plan, InitialCoin(51, 30).spinor):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 2 * np.getbufsize() * 16 + 2**16
+    assert peak < buffers + plan._table.nbytes + 8 * LONG + slack
 
 
 def test_kernel_refuses_oversized_buffers_before_allocating():
