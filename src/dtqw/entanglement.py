@@ -41,22 +41,31 @@ DENSITY_ATOL = 1e-8
 
 
 def check_density_matrix(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Validate a 2x2 density matrix: finite, Hermitian, unit trace, PSD within :data:`DENSITY_ATOL`.
+    """Validate (..., 2, 2) density matrices: finite, Hermitian, unit trace, PSD within :data:`DENSITY_ATOL`.
 
-    Returns the matrix as complex128; raises ValueError otherwise.
+    Returns `rho` as complex128; raises ValueError otherwise (a trace error names the worst trace).
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has a non-finite entry")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
+    if np.any(np.abs(rho - rho.conj().swapaxes(-1, -2)) > DENSITY_ATOL):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL or abs(np.trace(rho).imag) > DENSITY_ATOL:
-        raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
-    if min(density_eigenvalues(rho)) < -DENSITY_ATOL:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    error = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
+    if np.any(error > DENSITY_ATOL):
+        raise ValueError(f"density matrix trace {trace.flat[np.argmax(error)]} is not 1")
+    if np.any(density_eigenvalues(rho)[1] < -DENSITY_ATOL):
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return rho
+
+
+def _one_density_matrix(rho: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """:func:`check_density_matrix` for exactly one 2x2 matrix, the input of the scalar functions."""
+    if np.shape(rho) != (2, 2):
+        raise ValueError(f"density matrix must be 2x2, got shape {np.shape(rho)}")
+    return check_density_matrix(rho)
 
 
 def density_eigenvalues(rho: NDArray[np.complex128]) -> tuple[float, float]:
@@ -79,11 +88,10 @@ def reduced_coin_density(state: WalkState) -> NDArray[np.complex128]:
     ValueError
         If the state norm is off by more than 1e-6.
     """
-    a, b = state.amps
-    norm = float(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2))
+    norm = state.norm()
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm^2 = {norm})")
-    return _coin_density(a, b)
+    return _coin_density(*state.amps)
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ def von_neumann_entropy(rho: NDArray[np.complex128]) -> float:
     the logarithm (0 log 0 := 0).  Invalid input (non-Hermitian, trace far
     from 1, or significantly negative spectrum) raises ValueError.
     """
-    return float(_entropy_bits(check_density_matrix(rho)))
+    return float(_entropy_bits(_one_density_matrix(rho)))
 
 
 def state_entropy(state: WalkState) -> float:
@@ -159,8 +167,8 @@ def coin_density_curve(
     ------
     ValueError
         If a step's norm is off by more than 1e-6 (the check of
-        :func:`reduced_coin_density`) or its trace by more than 1e-8, or a
-        matrix has an eigenvalue below -1e-8.
+        :func:`reduced_coin_density`), or a step's matrix fails
+        :func:`check_density_matrix`.
     """
     plan = plan_coins(policy, steps)
     spinor = init.spinor
@@ -176,12 +184,7 @@ def coin_density_curve(
     worst = norm[np.argmax(np.abs(norm - 1.0))]
     if abs(worst - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm^2 = {worst})")
-    # The tolerances of check_density_matrix, which every entropy applies.
-    if abs(worst - 1.0) > DENSITY_ATOL:
-        raise ValueError(f"density matrix trace {worst} is not 1")
-    if np.min(density_eigenvalues(rho)[1]) < -DENSITY_ATOL:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-    return rho
+    return check_density_matrix(rho)
 
 
 def entropy_curve(

@@ -56,9 +56,9 @@ from .walk import (
     _coin_density,
     _coin_shift,
     _destination,
+    _packed_plan,
     _propagate,
     _sequence_alphabet,
-    _sequence_plan,
 )
 
 __all__ = [
@@ -210,10 +210,7 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
 
 def _sampled_batch(ints, n, spinor, out):
     """Write the final entropies of packed sequences `ints`, each stepped from the origin, into `out`."""
-    # Bit k of each integer (< 2^62) is the coin of step k+1, as the transpose
-    # of (n, walks) indices so that each step's bits are contiguous.
-    bits = ((ints.astype(np.intp) >> np.arange(n)[:, None]) & 1).T
-    for up, dn in _propagate(_sequence_plan(bits), spinor):
+    for up, dn in _propagate(_packed_plan(ints, n), spinor):
         pass
     out[...] = _entropy_bits(_coin_density(up, dn))
 
@@ -234,8 +231,7 @@ def _suffix_map(k):
     Re rho01, Im rho01 for o = 0, 1, 2.  It is read-only: every sweep of a
     process shares it.
     """
-    suffixes = np.arange(1 << k, dtype=np.uint64)
-    plan = _sequence_plan((suffixes[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1))
+    plan = _packed_plan(np.arange(1 << k), k)
     blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
     for e, spinor in enumerate(np.eye(2, dtype=np.complex128)):
         for up, dn in _propagate(plan, spinor):

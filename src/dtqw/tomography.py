@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import check_density_matrix, reduced_coin_density, von_neumann_entropy
+from .entanglement import _one_density_matrix, reduced_coin_density, von_neumann_entropy
 from .transport import PositionDistribution, position_distribution
 from .walk import WalkState
 
@@ -176,8 +176,8 @@ def fidelity(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> float:
     for 2x2 density matrices.  Symmetric, in [0, 1], and 1 exactly when the
     states coincide.
     """
-    a = check_density_matrix(a)
-    b = check_density_matrix(b)
+    a = _one_density_matrix(a)
+    b = _one_density_matrix(b)
     det_term = max(np.linalg.det(a).real, 0.0) * max(np.linalg.det(b).real, 0.0)
     value = np.trace(a @ b).real + 2.0 * np.sqrt(det_term)
     return float(np.clip(value, 0.0, 1.0))

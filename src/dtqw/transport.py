@@ -19,8 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .walk import CoinPlan, CoinPolicy, InitialCoin, WalkState
-from .walk import _batch_walks, _propagate, _random_alphabet, _random_bits
-from .walk import _second_moment, _site_squares, plan_coins
+from .walk import _batch_walks, _dynamic_plan, _propagate, _second_moment, _site_squares, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -49,9 +48,6 @@ class PositionDistribution:
     def __post_init__(self) -> None:
         if self.sites.shape != self.probabilities.shape:
             raise ValueError("sites and probabilities must have the same length")
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(j): float(p) for j, p in zip(self.sites, self.probabilities)}
 
 
 @dataclass(frozen=True)
@@ -117,13 +113,12 @@ def ensemble_moment_series(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    alphabet = _random_alphabet()
     group = _batch_walks(steps)
     stop = base_seed + n_seeds
     total = np.zeros(steps)
     for first in range(base_seed, stop, group):
-        bits = np.stack([_random_bits(seed, steps) for seed in range(first, min(first + group, stop))])
-        total += np.sum(_moments(CoinPlan(steps, alphabet, step_bits=bits), init.spinor), axis=1)
+        plan = _dynamic_plan(range(first, min(first + group, stop)), steps)
+        total += np.sum(_moments(plan, init.spinor), axis=1)
     return MomentSeries(times=np.arange(1, steps + 1), m2=total / n_seeds)
 
 

@@ -20,7 +20,10 @@ The kernel yields views (up, dn), 1-D and contiguous for one walk, that
 live for two steps.  The per-step reductions live beside it, the reduced
 coin matrix (three BLAS dot products for one walk) and the second moment
 about the origin (float-view squares and one dot product), and read those
-arrays as they stream; this module alone knows the row-to-site map.  :class:`WalkState` is the dense
+arrays as they stream.  Outside this module only the exhaustive sweep
+(:mod:`dtqw.sequences`) and ``dtqw walk``'s m2, from ``amps[:, ::2]``,
+read the row-to-site map.  Every coin plan is built here, and
+`CoinPlan.columns` alone resolves one into coins.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 returns a trajectory whose states are expanded to this view as they are
@@ -192,7 +195,8 @@ class CoinPlan:
     bit stream reads as 0, so a plan with neither applies ``alphabet[0]``
     everywhere.  Leading axes of `step_bits` index independent walks that
     share the alphabet and the site pattern.  All randomness is consumed at
-    construction, so applying the plan is deterministic.
+    construction, so applying the plan is deterministic.  Only this module
+    builds plans, and only :meth:`columns` turns their bits into coins.
     """
 
     def __init__(
@@ -219,20 +223,23 @@ class CoinPlan:
         return () if self.step_bits is None else self.step_bits.shape[:-1]
 
     def columns(self) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
-        """Yield the coins of each step t = 0 .. steps-1 as the columns (c[:, 0], c[:, 1]) of `coins`.
+        """Yield the coin columns (c0, c1) of each step t = 0 .. steps-1 at sites -t, -t+2, .., t.
 
         Column 0 multiplies |up> and column 1 |down>; each is [i, site,
-        ...].  A batch gathers every step's coins with :meth:`coins`.  One
-        walk reads its columns from copies resolved here, per bit and, with
-        site bits, per parity of the first site's table index, so that a
-        step's columns are two contiguous slices.
+        ...], with 1 or t+1 sites.  A batch gathers each step's coins from
+        the table, fastest from contiguous intp bits.  One walk reads its
+        columns from copies resolved here, per bit and, with site bits, per
+        parity of the first site's table index, so that a step's columns
+        are two contiguous slices.
         """
+        steps = self.steps
         if self.batch:
-            for t in range(self.steps):
-                c = self.coins(t)
+            for t in range(steps):
+                lo = steps - t  # site -t in a table that starts at site -steps
+                table = self._table if self.site_bits is None else self._table[:, :, lo : lo + 2 * t + 1 : 2]
+                c = np.take(table, self.step_bits[..., t], axis=-1)
                 yield c[:, 0], c[:, 1]
             return
-        steps = self.steps
         bits = [0] * steps if self.step_bits is None else self.step_bits.tolist()
         by_bit = [self._table[..., b].transpose(1, 0, 2) for b in range(self._table.shape[-1])]  # [j, i, site]
         if self.site_bits is None:
@@ -248,30 +255,16 @@ class CoinPlan:
             sites = slice(lo // 2, lo // 2 + t + 1)
             yield c0[:, sites], c1[:, sites]
 
-    def coins(self, t: int) -> NDArray[np.complex128]:
-        """Coins of step t at sites -t, -t+2, .., t, as [i, j, site, ...] with 1 or t+1 sites.
-
-        Trailing axes index the walks: a batch gathers them along the table's
-        last axis, fastest from contiguous intp bits, and one walk gets a view.
-        """
-        table = self._table
-        if self.site_bits is not None:
-            lo = self.steps - t  # site -t in a table that starts at site -steps
-            table = table[:, :, lo : lo + 2 * t + 1 : 2]
-        if self.step_bits is None:
-            return table[..., 0]
-        bits = self.step_bits[..., t]
-        return np.take(table, bits, axis=-1) if bits.ndim else table[..., int(bits)]  # a view
-
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
     """The {H, F} coins indexed by bit: F -> 0, H -> 1."""
     return np.stack([fourier_coin(), hadamard_coin()])
 
 
-def _sequence_plan(step_bits: NDArray[np.int64]) -> CoinPlan:
-    """Plan for (..., n) bit-packed {H, F} sequences: H -> 1, F -> 0, first coin in column 0."""
-    return CoinPlan(step_bits.shape[-1], alphabet=_sequence_alphabet(), step_bits=step_bits)
+def _packed_plan(ints: NDArray[np.integer], n: int) -> CoinPlan:
+    """Plan whose walk k runs the length-n sequence packed in ``ints[k]`` (< 2^62), unpacked step-major."""
+    bits = (ints.astype(np.intp) >> np.arange(n)[:, None]) & 1
+    return CoinPlan(n, _sequence_alphabet(), step_bits=bits.T)
 
 
 def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
@@ -302,7 +295,8 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
         bad = set(text) - {"H", "F"}
         if bad:
             raise ValueError(f"sequence contains symbols outside {{H, F}}: {sorted(bad)}")
-        return _sequence_plan(np.array([c == "H" for c in text], dtype=np.int64))
+        bits = np.array([c == "H" for c in text], dtype=np.int64)
+        return CoinPlan(steps, _sequence_alphabet(), step_bits=bits)
 
     if not isinstance(policy, (DynamicRandom, StaticRandom, StaticAndDynamic)):
         raise TypeError(f"unsupported coin policy: {policy!r}")
@@ -327,6 +321,12 @@ def _random_alphabet() -> NDArray[np.complex128]:
 def _random_bits(seed: int, size: int) -> NDArray[np.int64]:
     """The `size` uniform coin bits a random policy draws from `seed`."""
     return np.random.default_rng(seed).integers(0, 2, size=size)
+
+
+def _dynamic_plan(seeds: Sequence[int], steps: int) -> CoinPlan:
+    """Plan whose walk k is ``plan_coins(DynamicRandom(seeds[k]), steps)``, stacked on the walk axis."""
+    bits = np.stack([_random_bits(seed, steps) for seed in seeds])
+    return CoinPlan(steps, _random_alphabet(), step_bits=bits)
 
 
 _BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers

@@ -37,9 +37,9 @@ from dtqw.walk import (
     _coin_shift,
     _dense,
     _destination,
+    _packed_plan,
     _propagate,
     _sequence_alphabet,
-    _sequence_plan,
     initial_state,
     plan_coins,
 )
@@ -179,8 +179,7 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     out = [np.empty(1 << t) for t in range(n + 1)]
     breadth = min(n, 10)
     # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
-    ints = np.arange(1 << breadth, dtype=np.uint64)
-    plan = _sequence_plan((ints[:, None] >> np.arange(breadth, dtype=np.uint64)) & np.uint64(1))
+    plan = _packed_plan(np.arange(1 << breadth), breadth)
     up, dn = np.reshape(spinor, (2, 1, 1))
     out[0][:] = _entropy_bits(_coin_density(up, dn))
     for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
@@ -202,10 +201,15 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def as_dict(dist) -> dict[int, float]:
+    """A position distribution as {site: probability}."""
+    return {int(j): float(p) for j, p in zip(dist.sites, dist.probabilities)}
+
+
 def reference_similarity(p_exp, p_th) -> float:
     """Bhattacharyya coefficient by a Python loop over the union of the two supports, unvalidated."""
-    a = p_exp.as_dict()
-    b = p_th.as_dict()
+    a = as_dict(p_exp)
+    b = as_dict(p_th)
     overlap = 0.0
     for site in set(a) | set(b):
         overlap += np.sqrt(max(a.get(site, 0.0), 0.0) * max(b.get(site, 0.0), 0.0))

@@ -7,6 +7,7 @@ import dtqw.entanglement
 from dtqw.coins import hadamard_coin
 from dtqw.entanglement import (
     asymptotic_entropy,
+    check_density_matrix,
     coin_density_curve,
     density_eigenvalues,
     entropy_curve,
@@ -100,10 +101,30 @@ def test_entropy_rejects_invalid_matrices():
         von_neumann_entropy(np.diag([0.3, 0.8]).astype(complex))
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([1.2, -0.2]).astype(complex))
+    with pytest.raises(ValueError, match=r"must be 2x2, got shape \(3, 2, 2\)"):
+        von_neumann_entropy(np.stack([np.eye(2) / 2] * 3))
     # Every comparison with NaN is false: only a finiteness check stops these.
     for rho in (np.full((2, 2), np.nan), [[0.5, np.nan], [np.nan, 0.5]], [[0.5, 1j * np.nan], [0, 0.5]]):
         with pytest.raises(ValueError, match="non-finite"):
             von_neumann_entropy(np.asarray(rho, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian"),
+        (np.diag([0.3, 0.8]), r"trace \(1\.1\+0j\) is not 1"),
+        (np.diag([1.2, -0.2]), "negative eigenvalue"),
+        ([[0.5, np.nan], [np.nan, 0.5]], "non-finite"),
+    ],
+    ids=["hermitian", "trace", "eigenvalue", "nan"],
+)
+def test_check_density_matrix_refuses_a_stack_for_one_bad_matrix(rng, bad, message):
+    stack = np.stack([random_density(rng) for _ in range(12)]).reshape(3, 4, 2, 2)
+    np.testing.assert_array_equal(check_density_matrix(stack), stack)
+    stack[2, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        check_density_matrix(stack)
 
 
 def test_closed_form_eigenvalues_match_solver_oracle(rng):
@@ -139,11 +160,16 @@ def test_entropy_bounds_on_random_states(rng):
         assert 0.0 <= s <= 1.0
 
 
-@pytest.mark.parametrize("scale,message", [(0.9, "not normalized"), (1 + 1e-7, "trace")])
+@pytest.mark.parametrize(
+    "scale,message", [(0.9, "not normalized"), (1 + 1e-7, "trace"), (np.nan, "non-finite")]
+)
 def test_coin_density_curve_rejects_unnormalized_steps(monkeypatch, scale, message):
+    # A nan scale fills only the |up> rows.  Its norm is nan, which passes
+    # the norm check (every comparison with nan is false), so the matrix
+    # check must refuse it.
     def leaky(plan, spinor):
         for up, dn in _propagate(plan, spinor):
-            yield scale * up, scale * dn
+            yield scale * up, dn if np.isnan(scale) else scale * dn
 
     monkeypatch.setattr(dtqw.entanglement, "_propagate", leaky)
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
-"""A public name stays public only while something outside the tests uses it.
+"""A public name stays public only while something outside the tests uses it,
+and coin plans are built in one module.
 
 A name in a ``dtqw`` module's ``__all__`` counts as used when code names it
 (an identifier, an attribute or an import; docstrings and comments do not
@@ -7,6 +8,11 @@ definition, in a demo, in the acceptance suite, or in the benchmark's
 workloads.  The package ``__init__`` only re-exports, so it uses nothing.
 A name that only tests use belongs in the tests (``tests/oracles.py`` for
 references); the few kept public for the paper's sake are listed below.
+
+Which walk a policy, a seed or a packed sequence stands for is decided in
+``walk.py`` alone: no other ``dtqw`` module calls ``CoinPlan(...)`` or the
+random policies' coin draw, ``_random_alphabet`` and ``_random_bits``, or
+imports the last two.
 """
 
 import ast
@@ -87,3 +93,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not KEPT.keys() - unused, (
         f"kept names that now have a caller: {sorted(KEPT.keys() - unused)}; drop them from KEPT"
     )
+
+
+PLAN_BUILDERS = {"CoinPlan", "_random_alphabet", "_random_bits"}
+
+
+def plan_builders_outside_walk() -> list[str]:
+    """``module:line name`` for each call of a plan builder, or import of a coin draw, outside ``walk.py``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "walk.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+                if name == "CoinPlan":  # the type, named in annotations
+                    continue
+            else:
+                continue
+            if name in PLAN_BUILDERS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_only_walk_builds_coin_plans():
+    found = plan_builders_outside_walk()
+    assert not found, f"coin plans built outside walk.py: {found}; add a plan builder to walk.py"

@@ -28,7 +28,7 @@ from dtqw.sequences import (
     to_bits,
     vocabulary,
 )
-from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _propagate, _sequence_plan, final_state
+from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _packed_plan, _propagate, final_state
 from dtqw.coins import hadamard_coin
 from oracles import extended_entropies, kaspar_schuster_complexity, packed, prefix_tree_entropies
 
@@ -259,8 +259,7 @@ def test_exhaustive_sweep_leaves_no_reference_cycles():
 
 def _batch_plan(n, first, size):
     """The sequence plan of the `size` sequences packed as first, first + 1, ..."""
-    ints = np.arange(first, first + size, dtype=np.uint64)
-    return _sequence_plan((ints[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1))
+    return _packed_plan(np.arange(first, first + size), n)
 
 
 def test_exhaustive_tree_matches_batch_propagation():

@@ -16,7 +16,7 @@ from dtqw.tomography import (
 )
 from dtqw.transport import PositionDistribution
 from dtqw.walk import DynamicSequence, InitialCoin, Ordered, WalkState, final_state, initial_state
-from oracles import project_to_physical, random_density, reference_similarity
+from oracles import as_dict, project_to_physical, random_density, reference_similarity
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 UP_STATE = initial_state(InitialCoin(0, 0))
@@ -204,6 +204,8 @@ def test_similarity_is_one_only_for_equal_distributions():
 def test_fidelity_rejects_invalid_input():
     with pytest.raises(ValueError):
         fidelity(np.diag([0.7, 0.7]).astype(complex), np.eye(2, dtype=complex) / 2)
+    with pytest.raises(ValueError, match=r"must be 2x2, got shape \(3, 2, 2\)"):
+        fidelity(np.stack([np.eye(2) / 2] * 3), np.eye(2) / 2)
     nan = np.full((2, 2), np.nan, dtype=complex)
     for a, b in ((nan, np.eye(2) / 2), (np.eye(2) / 2, nan)):
         with pytest.raises(ValueError, match="non-finite"):
@@ -268,7 +270,7 @@ def test_similarity_of_a_long_reconstruction_is_the_rounded_exact_sum():
     result = tomographic_entropy(state, 10**6, seed=1)
     estimated = PositionDistribution(sites=result.sites, probabilities=result.p_hat)
     truth = PositionDistribution(sites=state.sites, probabilities=state.probabilities())
-    a, b = estimated.as_dict(), truth.as_dict()
+    a, b = as_dict(estimated), as_dict(truth)
     exact = math.fsum(math.sqrt(max(a[j], 0.0) * max(b[j], 0.0)) for j in a.keys() & b.keys())
     assert result.distribution_similarity == similarity(estimated, truth)
     assert abs(result.distribution_similarity - exact) <= np.finfo(float).eps

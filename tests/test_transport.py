@@ -29,18 +29,19 @@ from dtqw.walk import (
     initial_state,
     plan_coins,
 )
+from oracles import as_dict
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
 
 def test_distribution_localized():
     dist = position_distribution(initial_state(InitialCoin(0, 0)))
-    assert dist.as_dict() == {0: 1.0}
+    assert as_dict(dist) == {0: 1.0}
 
 
 def test_distribution_one_hadamard_step():
     state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 1)
-    d = position_distribution(state).as_dict()
+    d = as_dict(position_distribution(state))
     assert d[1] == pytest.approx(0.5, abs=1e-15)
     assert d[-1] == pytest.approx(0.5, abs=1e-15)
     assert d[0] == 0.0
@@ -48,7 +49,7 @@ def test_distribution_one_hadamard_step():
 
 def test_distribution_two_hadamard_steps():
     state = final_state(InitialCoin(0, 0), Ordered(hadamard_coin()), 2)
-    d = position_distribution(state).as_dict()
+    d = as_dict(position_distribution(state))
     assert d[2] == pytest.approx(0.25, abs=1e-14)
     assert d[0] == pytest.approx(0.5, abs=1e-14)
     assert d[-2] == pytest.approx(0.25, abs=1e-14)

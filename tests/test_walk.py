@@ -285,6 +285,7 @@ def test_batched_kernel_allocates_nothing_per_step():
     walks, steps = 256, 256
     plan = dynamic_batch(steps, walks)
     buffers = 3 * 2 * walks * (steps + 1) * 16
+    coins = 2 * 2 * walks * 16  # [i, j, site, walk] with one site
     tracemalloc.start()
     try:
         for _ in _propagate(plan, InitialCoin(51, 30).spinor):
@@ -293,7 +294,7 @@ def test_batched_kernel_allocates_nothing_per_step():
     finally:
         tracemalloc.stop()
     slack = 2 * np.getbufsize() * 16 + 2**16
-    assert peak < buffers + plan.coins(0).nbytes + slack
+    assert peak < buffers + coins + slack
 
 
 @pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=KERNEL_IDS)
@@ -454,7 +455,11 @@ def test_plan_matches_engine_for_static_policy():
 @pytest.mark.parametrize("steps", [1, 7, 64])
 @pytest.mark.parametrize("seed", [0, 3, 17])
 def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
-    """Bit 0 is H and bit 1 is F; a seed's first draws are the step bits or the light cone's site bits."""
+    """Bit 0 is H and bit 1 is F; a seed's first draws are the step bits or the light cone's site bits.
+
+    Every step's coins are read as one walk steps with them: the columns
+    that `CoinPlan.columns` slices from its per-bit and per-parity copies.
+    """
 
     def draw(seed, size):
         return np.random.default_rng(seed).integers(0, 2, size)
@@ -472,9 +477,11 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
         np.testing.assert_array_equal(plan.alphabet, alphabet)
         step_bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
         site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
-        for t in range(steps):
+        columns = list(plan.columns())
+        assert len(columns) == steps
+        for t, (c0, c1) in enumerate(columns):
             want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2]]
-            coins = np.moveaxis(plan.coins(t), -1, 0)  # (2, 2, S) -> (S, 2, 2)
+            coins = np.stack([c0, c1], axis=-1).swapaxes(0, 1)  # [i, S, j] -> [S, i, j]
             np.testing.assert_array_equal(np.broadcast_to(coins, want.shape), want)
 
 
