@@ -262,8 +262,9 @@ class _Outputs:
     ``--format`` keeps the ``.csv`` and ``.json`` names it selects; the names
     in `always` come first and are kept under every format.  Declaring
     refuses names that collide and, without ``--force``, files that exist.
-    Writing a name that was not kept is a no-op.  The output directory is
-    created by the first write, so a command that rejects its inputs leaves
+    Every write goes through `_path`, which records the file and creates the
+    output directory, or returns None for a name that was not kept, whose
+    write is then skipped.  A command that rejects its inputs thus leaves
     nothing behind.
     """
 
@@ -287,33 +288,32 @@ class _Outputs:
                 "(pass --force to allow)"
             )
 
-    def _write(self, name: str, write: Callable[[Path], None]) -> None:
-        if name in self.kept:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            write(self.dir / name)
-            self.written.append(self.dir / name)
+    def _path(self, name: str) -> Path | None:
+        """Where to write `name`, recorded as written; None if ``--format`` drops it."""
+        if name not in self.kept:
+            return None
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.written.append(self.dir / name)
+        return self.dir / name
 
     def _head(self, **payload) -> dict:
         return {"schema_version": io.SCHEMA_VERSION, "config": dict(self.cfg), **payload}
 
     def csv(self, name: str, header, columns) -> None:
         """The CSV `name` of one block of `columns`, without a JSON mirror."""
-        self._write(name, lambda path: io.write_table(path, None, header, [columns], {}))
+        if path := self._path(name):
+            io.write_table(path, None, header, [columns], {})
 
     def json(self, name: str, payload: dict) -> None:
-        self._write(name, lambda path: io.write_json(path, self._head(**payload)))
+        if path := self._path(name):
+            io.write_json(path, self._head(**payload))
 
     def table(self, stem: str, header, blocks, **meta) -> None:
         """``stem.csv`` and its mirror ``stem.json``, written in one pass over column `blocks`.
 
         The mirror holds `meta`, then columns and records; see `io.write_table`.
         """
-        paths = [
-            self.dir / name if name in self.kept else None for name in (stem + ".csv", stem + ".json")
-        ]
-        self.dir.mkdir(parents=True, exist_ok=True)
-        io.write_table(*paths, header, blocks, self._head(**meta))
-        self.written += [path for path in paths if path is not None]
+        io.write_table(self._path(stem + ".csv"), self._path(stem + ".json"), header, blocks, self._head(**meta))
 
 
 #: Most rows `walk` exports in its trajectory: (steps + 1)^2, one per (t, j).

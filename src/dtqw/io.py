@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -144,28 +145,25 @@ def _tokens(column, with_json: bool) -> tuple[list[str], list[str] | None]:
 
     A CSV token is the cell's text, quoted where the excel dialect quotes
     it, so a record is its tokens joined; a JSON token is the value as
-    `write_json` prints it.  A column of one numeric type is formatted in
-    bulk: floats with 12 significant digits, except exact +0.0, whose
-    tokens are ``0`` and ``0.0``.  A float's JSON token is then its CSV
-    token when that has a point and no exponent, or an exponent from -307
-    to -5: a normal float in at most 12 digits reads back as the same
-    shortest digits.  An integer-like token gains ``.0``.  Only subnormals,
-    1e12 and up and the non-finite values are parsed back (`_json_float`).
-    JSON tokens are computed only `with_json`.  Other columns go cell by
-    cell.
+    `write_json` prints it.  A numpy float column goes in bulk: 12
+    significant digits, except exact +0.0, whose tokens are ``0`` and
+    ``0.0``.  A float's JSON token is then its CSV token when that has a
+    point and no exponent, or an exponent from -307 to -5: a normal float
+    in at most 12 digits reads back as the same shortest digits.  An
+    integer-like token gains ``.0``.  Only subnormals, 1e12 and up and the
+    non-finite values are parsed back (`_json_float`).  Python ints go in
+    bulk too, other Python values cell by cell; JSON tokens of floats and
+    strings are computed only `with_json`.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return _float_tokens(column, with_json)
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = set(map(type, values))
-    if kinds <= {int}:
+    if set(map(type, values)) <= {int}:
         text = list(map(str, values))
         return text, text
-    if kinds == {float}:
-        return _float_tokens(np.array(values), with_json)
-    # Strings, or a mixed column such as lz's expected counts with blanks.
+    # Python floats, strings, or a mixed column such as lz's expected counts with blanks.
     text = [fmt_float(v) if isinstance(v, (float, np.floating)) else _csv_field(v) for v in values]
-    return text, [json.dumps(jsonable(v)) for v in values]
+    return text, [json.dumps(jsonable(v)) for v in values] if with_json else None
 
 
 def _csv_lines(texts: Sequence[list[str]]) -> str:
@@ -287,25 +285,10 @@ def counts_columns(counts: ProjectionCounts) -> tuple:
 
 
 def sweep_report_dict(report: SweepReport) -> dict:
-    """Summary of a sweep; omits the per-sequence entropy array."""
-    return {
-        "n": report.n,
-        "init": {"theta_deg": report.init.theta_deg, "phi_deg": report.init.phi_deg},
-        "count": report.count,
-        "mean_entropy": report.mean_entropy,
-        "std_entropy": report.std_entropy,
-        "std_error": report.std_error,
-        "threshold": report.threshold,
-        "fraction_above": report.fraction_above,
-        "bin_edges": report.bin_edges,
-        "bin_counts": report.bin_counts,
-        "max_entropy": report.max_entropy,
-        "argmax_sequences": report.argmax_sequences,
-        "sampled": report.sampled,
-        "seed": report.seed,
-        "samples": report.samples,
-        "wall_time_s": report.wall_time_s,
-    }
+    """Summary of a sweep: the report's fields in order, but the per-sequence entropies."""
+    summary = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "entropies"}
+    summary["init"] = dataclasses.asdict(report.init)
+    return summary
 
 
 def fit_dict(fit: PowerLawFit) -> dict:
@@ -319,20 +302,9 @@ def fit_dict(fit: PowerLawFit) -> dict:
 
 def tomography_dict(result: TomographyResult) -> dict:
     """Per-site blocks plus the run summary."""
-    site_blocks = []
-    for row, j in enumerate(result.sites):
-        rho = result.rho_hat[row]
-        site_blocks.append(
-            {
-                "j": int(j),
-                "p_hat": result.p_hat[row],
-                "rho_hat": [[complex(rho[r, c]) for c in range(2)] for r in range(2)],
-                "fidelity": result.site_fidelities[row],
-            }
-        )
-    rho_c = result.rho_c_hat
+    sites = zip(result.sites, result.p_hat, result.rho_hat, result.site_fidelities)
     return {
         "summary": {f: getattr(result, f) for f in TOMOGRAPHY_SUMMARY_HEADER},
-        "rho_c_hat": [[complex(rho_c[r, c]) for c in range(2)] for r in range(2)],
-        "sites": site_blocks,
+        "rho_c_hat": result.rho_c_hat,
+        "sites": [{"j": j, "p_hat": p, "rho_hat": rho, "fidelity": f} for j, p, rho, f in sites],
     }

@@ -58,7 +58,6 @@ from .walk import (
     _destination,
     _packed_plan,
     _propagate,
-    _sequence_alphabet,
 )
 
 __all__ = [
@@ -285,7 +284,7 @@ def _tree_entropies(n, spinor, out):
     k = min(_SUFFIX_BITS, n)
     depth = n - k
     kmap = _suffix_map(k)
-    c0, c1 = _sequence_alphabet().transpose(2, 1, 0)[:, :, None, :, None]  # [j][i, site, bit, walk]
+    c0, c1 = (c[..., None] for c in next(_packed_plan(np.arange(2), 1).columns()))  # [i, site, bit, walk]
     leaves = out.reshape(1 << k, -1)
     breadth = min(depth, _LEAF_BITS)
     phi = np.reshape(spinor, (2, 1, 1))
@@ -326,13 +325,18 @@ def _tree_entropies(n, spinor, out):
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Entropy statistics over a set of coin sequences of one length."""
+    """Entropy statistics over a set of coin sequences of one length.
+
+    The field order is the key order of ``sweep_report.json``
+    (`io.sweep_report_dict`), which leaves out `entropies`.
+    """
 
     n: int
     init: InitialCoin
     count: int
     mean_entropy: float
     std_entropy: float
+    std_error: float | None
     threshold: float
     fraction_above: float
     bin_edges: NDArray[np.float64]
@@ -340,7 +344,6 @@ class SweepReport:
     max_entropy: float
     argmax_sequences: list[str]
     sampled: bool
-    std_error: float | None
     seed: int | None
     samples: int | None
     wall_time_s: float

@@ -23,7 +23,8 @@ about the origin (float-view squares and one dot product), and read those
 arrays as they stream.  Outside this module only the exhaustive sweep
 (:mod:`dtqw.sequences`) and ``dtqw walk``'s m2, from ``amps[:, ::2]``,
 read the row-to-site map.  Every coin plan is built here, and
-`CoinPlan.columns` alone resolves one into coins.  :class:`WalkState` is the dense
+`CoinPlan.columns` alone resolves one into coins, for the exhaustive sweep's
+prefix tree too, so no other module reads a coin alphabet.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 returns a trajectory whose states are expanded to this view as they are

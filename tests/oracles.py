@@ -39,7 +39,6 @@ from dtqw.walk import (
     _destination,
     _packed_plan,
     _propagate,
-    _sequence_alphabet,
     initial_state,
     plan_coins,
 )
@@ -175,7 +174,7 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     the slice of the enumeration that its coins select.  Every entry is
     what the exhaustive sweep of its length computed before the closed form.
     """
-    coins = _sequence_alphabet().transpose(2, 1, 0)[:, :, None, None]  # [j, i, site, walk, bit]
+    c0, c1 = (c[..., None] for c in next(_packed_plan(np.arange(2), 1).columns()))  # [i, site, bit, walk]
     out = [np.empty(1 << t) for t in range(n + 1)]
     breadth = min(n, 10)
     # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
@@ -192,8 +191,7 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     def descend(phi, t, offset):
         out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi))
         for bit in (0, 1) if t < n else ():
-            c0, c1 = coins[..., bit]
-            _coin_shift(*phi, c0, c1, _destination(level[t + 1]), scratch[:, : t + 1])
+            _coin_shift(*phi, c0[:, :, bit], c1[:, :, bit], _destination(level[t + 1]), scratch[:, : t + 1])
             descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)

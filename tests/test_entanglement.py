@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,9 @@ def test_entropy_rejects_invalid_matrices():
         von_neumann_entropy(np.diag([1.2, -0.2]).astype(complex))
     with pytest.raises(ValueError, match=r"must be 2x2, got shape \(3, 2, 2\)"):
         von_neumann_entropy(np.stack([np.eye(2) / 2] * 3))
+    for shape in ((3, 3), (2,), (4, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"must be 2x2, got shape {shape}")):
+            check_density_matrix(np.zeros(shape))
     # Every comparison with NaN is false: only a finiteness check stops these.
     for rho in (np.full((2, 2), np.nan), [[0.5, np.nan], [np.nan, 0.5]], [[0.5, 1j * np.nan], [0, 0.5]]):
         with pytest.raises(ValueError, match="non-finite"):

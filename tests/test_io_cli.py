@@ -175,6 +175,16 @@ def test_cli_entropy_multiple_phis(tmp_path):
                 assert same_at_12_digits(text, float(ref)), (phi, row, refs)
 
 
+def test_cli_entropy_one_phi_writes_an_unsuffixed_curve(tmp_path):
+    one, three = tmp_path / "one", tmp_path / "three"
+    argv = ("entropy", "--theta", "51", "--steps", "6", "--ordered", "H")
+    assert run_cli(*argv, "--phi", "0", "--out", str(one)) == 0
+    assert sorted(p.name for p in one.iterdir()) == ["entropy_curve.csv", "entropy_curve.json"]
+    assert json.loads((one / "entropy_curve.json").read_text())["phi_deg"] == 0.0
+    assert run_cli(*argv, "--phi", "0,90,180", "--out", str(three)) == 0
+    assert (one / "entropy_curve.csv").read_bytes() == (three / "entropy_curve_phi0.csv").read_bytes()
+
+
 @pytest.mark.parametrize("phis, name", [
     ("0,0", "entropy_curve_phi0"),
     ("10.0000001,10.0000002", "entropy_curve_phi10"),
@@ -376,6 +386,21 @@ def test_cli_config_echo_has_fixed_key_order(tmp_path):
                             "command"]
 
 
+REPORT_KEYS = ["schema_version", "config", "n", "init", "count", "mean_entropy", "std_entropy",
+               "std_error", "threshold", "fraction_above", "bin_edges", "bin_counts", "max_entropy",
+               "argmax_sequences", "sampled", "seed", "samples", "wall_time_s"]
+
+
+@pytest.mark.parametrize("samples", [(), ("--samples", "40")], ids=["exhaustive", "sampled"])
+def test_cli_sweep_report_has_fixed_key_order(tmp_path, samples):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--theta", "51", "--phi", "0", "--n", "6", *samples,
+                   "--out", str(out)) == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert list(report) == REPORT_KEYS
+    assert list(report["init"]) == ["theta_deg", "phi_deg"]
+
+
 def test_cli_config_rerun_reproduces_results_byte_for_byte(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -558,6 +583,41 @@ def test_cli_rejected_run_leaves_no_output_directory(tmp_path, capsys):
         assert run_cli(*argv, "--out", str(out)) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not out.exists()
+
+
+WALK_H = ("walk", "--theta", "51", "--steps", "3", "--ordered", "H")
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (("walk", "--config", "{tmp}/none.cfg"), {},
+     "cannot read config file {tmp}/none.cfg: [Errno 2] No such file or directory: '{tmp}/none.cfg'"),
+    (("walk", "--config", "{tmp}/run.cfg"), {"run.cfg": "schema_version = 1\ntheta 51\n"},
+     "{tmp}/run.cfg:2: expected 'key = value', got 'theta 51'"),
+    (("walk", "--config", "{tmp}/run.cfg"),
+     {"run.cfg": "schema_version = 1\ntheta = 51\n# again\ntheta = 52\n"},
+     "{tmp}/run.cfg:4: duplicate key 'theta'"),
+    (("walk", "--theta", "51", "--phi", "0", "--ordered", "H"), {},
+     "missing required option(s): steps"),
+    ((*WALK_H, "--phi", "0,90"), {}, "this command takes exactly one phi value"),
+    (("lz", "--sequence", "HFH", "--input", "{tmp}/seqs.txt"), {"seqs.txt": "HFH 3\n"},
+     "give either --sequence or --input, not both"),
+    (("lz", "--input", "{tmp}/none.txt"), {},
+     "cannot read sequence file {tmp}/none.txt: [Errno 2] No such file or directory: '{tmp}/none.txt'"),
+    ((*WALK_H, "--phi", ","), {},
+     "bad value for option --phi: expected comma-separated numbers, got ','"),
+    (("fit", "--input", "{tmp}/m2.csv"), {"m2.csv": "t,m2\r\n"}, "{tmp}/m2.csv: no data rows"),
+], ids=["unreadable config", "config line without =", "duplicate config key", "missing option",
+        "walk with two phi", "lz sequence and input", "unreadable lz input", "empty phi list",
+        "fit input without rows"])
+def test_cli_refusals_report_config_errors_and_write_nothing(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "config", "message": message.format(tmp=tmp_path)}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", [(), ("--samples", "10")])

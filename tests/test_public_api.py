@@ -95,11 +95,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     )
 
 
-PLAN_BUILDERS = {"CoinPlan", "_random_alphabet", "_random_bits"}
+PLAN_BUILDERS = {"CoinPlan", "_random_alphabet", "_random_bits", "_sequence_alphabet"}
 
 
 def plan_builders_outside_walk() -> list[str]:
-    """``module:line name`` for each call of a plan builder, or import of a coin draw, outside ``walk.py``."""
+    """``module:line name`` of each plan builder called, or coin alphabet or draw imported, outside ``walk.py``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "walk.py":

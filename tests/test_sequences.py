@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pickle
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -23,6 +24,7 @@ from dtqw.sequences import (
     lz_complexity,
     lz_parse,
     parse_sequence,
+    parse_sequence_lines,
     reference_sequences,
     sampled_sweep,
     to_bits,
@@ -78,6 +80,12 @@ def test_bit_packing_is_lsb_first():
     assert CoinSequence.from_int(2, 2).text == "FH"
     assert CoinSequence.from_int(7, 3).text == "HHH"
     assert CoinSequence.from_int(4, 3).text == "FFH"
+
+
+@pytest.mark.parametrize("value, n", [(4, 2), (-1, 3), (1, 0)])
+def test_from_int_rejects_values_that_do_not_fit(value, n):
+    with pytest.raises(ValueError, match=f"value {value} does not fit in {n} bits"):
+        CoinSequence.from_int(value, n)
 
 
 # --- Lempel-Ziv --------------------------------------------------------------
@@ -199,6 +207,12 @@ def test_exhaustive_refuses_oversized_enumeration():
         exhaustive_sweep(INIT, 25)
     with pytest.raises(ValueError):
         exhaustive_sweep(INIT, 0)
+
+
+@pytest.mark.parametrize("n", [0, 63])
+def test_sampled_sweep_refuses_lengths_outside_1_to_62(n):
+    with pytest.raises(ValueError, match=rf"sequence length must lie in \[1, 62\], got {n}"):
+        sampled_sweep(INIT, n, samples=10, seed=0)
 
 
 def test_sampled_sweep_refuses_more_samples_than_a_sweep_holds(monkeypatch):
@@ -333,6 +347,8 @@ def test_bins_accept_explicit_edges():
     assert report.bin_counts.sum() == report.count
     with pytest.raises(ValueError):
         exhaustive_sweep(INIT, 6, bins=[0.5, 0.5, 1.0])
+    with pytest.raises(ValueError, match="bin count must be >= 1, got 0"):
+        exhaustive_sweep(INIT, 6, bins=0)
 
 
 @pytest.mark.parametrize(
@@ -464,3 +480,15 @@ def test_interval_weighted_mean():
     )
     with pytest.raises(ValueError):
         interval_weighted_mean([0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="samples_per_interval must be >= 1"):
+        interval_weighted_mean([0.5], [0.5], samples_per_interval=0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("HFH 3\nHH 2 7\n", "seqs.txt:2: expected 'SEQUENCE [expected]'"),
+    ("# only a comment\n\n", "seqs.txt: no sequences found"),
+    ("", "seqs.txt: no sequences found"),
+])
+def test_parse_sequence_lines_rejects_extra_fields_and_empty_input(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_sequence_lines(text, "seqs.txt")

@@ -148,6 +148,8 @@ def test_reconstruct_projects_outside_bloch_ball():
 def test_reconstruct_rejects_zero_pair():
     with pytest.raises(ValueError):
         reconstruct_site([10.0, 5.0, 0.0, 0.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected 6 projector counts, got shape \(2, 3\)"):
+        reconstruct_site([[10.0, 5.0, 1.0], [2.0, 3.0, 2.0]])
 
 
 def test_project_to_physical_clamps_negative_eigenvalue():
@@ -228,6 +230,8 @@ def test_similarity_symmetric_and_validates(rng):
     assert similarity(a, b) == pytest.approx(similarity(b, a), abs=1e-15)
     with pytest.raises(ValueError):
         similarity(dist({0: 0.5}), b)
+    with pytest.raises(ValueError, match="second distribution has negative entries"):
+        similarity(a, dist({0: 1.1, 1: -0.1}))
     for p in (dist({0: np.nan, 1: 1.0}), dist({0: 0.3, 1: 0.7, 2: np.nan})):
         with pytest.raises(ValueError, match="non-finite"):
             similarity(p, b)

@@ -10,6 +10,7 @@ from dtqw import transport, walk
 from dtqw.coins import hadamard_coin
 from dtqw.transport import (
     MomentSeries,
+    PositionDistribution,
     classical_baseline,
     ensemble_moment_series,
     fit_power_law,
@@ -56,8 +57,6 @@ def test_distribution_two_hadamard_steps():
 
 
 def test_second_moment_point_masses():
-    from dtqw.transport import PositionDistribution
-
     assert second_moment(
         PositionDistribution(sites=np.array([0]), probabilities=np.array([1.0]))
     ) == 0.0
@@ -66,6 +65,21 @@ def test_second_moment_point_masses():
             sites=np.array([-1, 1]), probabilities=np.array([0.5, 0.5])
         )
     ) == pytest.approx(1.0)
+
+
+def test_position_distribution_rejects_arrays_of_different_lengths():
+    with pytest.raises(ValueError, match="sites and probabilities must have the same length"):
+        PositionDistribution(sites=np.array([-1, 1]), probabilities=np.array([1.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ensemble_moment_series(InitialCoin(51, 0), 0, n_seeds=4), "steps must be >= 1, got 0"),
+    (lambda: ensemble_moment_series(InitialCoin(51, 0), 5, n_seeds=0), "n_seeds must be >= 1, got 0"),
+    (lambda: classical_baseline(0), "steps must be >= 1, got 0"),
+], ids=["ensemble steps", "ensemble seeds", "classical steps"])
+def test_series_builders_reject_counts_below_one(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_second_moment_20_steps_near_ballistic_prediction():

@@ -418,6 +418,11 @@ def test_evolve_rejects_bad_steps():
         evolve(InitialCoin(51, 0), Ordered(hadamard_coin()), 0)
 
 
+def test_plan_coins_rejects_an_unsupported_policy():
+    with pytest.raises(TypeError, match="unsupported coin policy: 'H'"):
+        plan_coins("H", 3)
+
+
 def test_evolve_rejects_sequence_length_mismatch():
     with pytest.raises(ValueError):
         evolve(InitialCoin(51, 0), DynamicSequence("HFH"), 4)
