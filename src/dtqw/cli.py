@@ -42,10 +42,13 @@ from .walk import (
     Ordered,
     StaticAndDynamic,
     StaticRandom,
+    _dense,
+    _propagate,
     _second_moment,
     _site_squares,
-    evolve,
     final_state,
+    initial_state,
+    plan_coins,
 )
 
 __all__ = ["main"]
@@ -334,23 +337,27 @@ def cmd_walk(cfg: dict) -> _Outputs:
             f"steps={steps} would export (steps + 1)^2 = {(steps + 1) ** 2} trajectory rows, "
             f"more than the limit of {TRAJECTORY_ROW_LIMIT}"
         )
-    states = evolve(_initial_coin(cfg), _policy(cfg), steps)
+    init = _initial_coin(cfg)
+    plan = plan_coins(_policy(cfg), steps)
     out = _Outputs(cfg, _tables("trajectory", "distribution", "moments"))
 
-    # One pass over the trajectory streams it, a state per step, and leaves
-    # the last state and the second moments of every step behind.
-    state, m2 = None, np.empty(steps)
+    # One kernel run streams the trajectory, a state per step, and leaves
+    # the last state and the second moments of every step behind.  m2 is
+    # moment_series' reduction of the kernel's rows, not of the states,
+    # which an odd scale rounds.
+    state, m2, scales = initial_state(init), np.empty(steps), plan.scales()
 
     def trajectory():
         nonlocal state
+        yield io.trajectory_columns(state)
         squares = _site_squares(steps)
-        for state in states:
-            if state.t:
-                # moment_series' reduction, on a contiguous copy of the occupied sites.
-                m2[state.t - 1] = _second_moment(*np.ascontiguousarray(state.amps[:, ::2]), squares)
+        for t, (up, dn) in enumerate(_propagate(plan, init.spinor), 1):
+            m2[t - 1] = _second_moment(up, dn, squares)
+            state = _dense(up, dn, scales[t])
             yield io.trajectory_columns(state)
 
     out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())
+    m2 *= np.ldexp(1.0, -scales[1:])
     out.table(
         "distribution",
         io.DISTRIBUTION_HEADER,

@@ -161,7 +161,8 @@ def coin_density_curve(
     """Reduced coin matrix at every step of a walk, as a (steps+1, 2, 2) array.
 
     Row t is rho_C(t) for t = 0 .. steps, reduced from the kernel's
-    parity-compressed amplitudes as they stream, so memory stays O(steps).
+    parity-compressed amplitudes as they stream, so memory stays O(steps),
+    and multiplied by the exact 2^-s_t of the rows' scale.
 
     Raises
     ------
@@ -178,6 +179,9 @@ def coin_density_curve(
     flat[0, 0], flat[0, 1], flat[0, 3] = _coin_dots(spinor[:1], spinor[1:])
     for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
         flat[t, 0], flat[t, 1], flat[t, 3] = _coin_dots(up, dn)
+    # Row t sums products of rows at scale s_t: an exact 2^-s_t takes it out.
+    floats = flat.view(np.float64)
+    floats *= np.ldexp(1.0, -plan.scales())[:, None]
     np.conjugate(flat[:, 1], out=flat[:, 2])
     rho = flat.reshape(steps + 1, 2, 2)
     norm = rho[:, 0, 0].real + rho[:, 1, 1].real

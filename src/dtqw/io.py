@@ -122,15 +122,25 @@ def _json_float(text: str) -> str:
 
 
 def _float_tokens(x: np.ndarray, with_json: bool) -> tuple[list[str], list[str] | None]:
-    """CSV and JSON tokens of a float array: exact +0.0 costs no formatting."""
+    """CSV and JSON tokens of a float array: exact +0.0 costs no formatting.
+
+    The other cells' texts come from one ``%.12g`` format over them all.  A
+    cell with 1e-307 <= |x| < 0.9 has a point and no exponent or an
+    exponent from -307 to -5, and no 12 digits of it round to an integer,
+    so its JSON token is its text; only the rest go through `_json_float`.
+    """
     nonzero = np.flatnonzero((x != 0) | np.signbit(x))
-    digits = list(map("{:.12g}".format, x[nonzero].tolist()))
+    values = x[nonzero]
+    digits = ("%.12g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
     text = np.full(len(x), "0", dtype=object)
     text[nonzero] = digits
     if not with_json:
         return text.tolist(), None
     mirror = np.full(len(x), "0.0", dtype=object)
-    mirror[nonzero] = list(map(_json_float, digits))
+    mirror[nonzero] = digits
+    size = np.abs(values)
+    spelled = np.flatnonzero(~((size >= 1e-307) & (size < 0.9))).tolist()  # NaN among them
+    mirror[nonzero[spelled]] = [_json_float(digits[i]) for i in spelled]
     return text.tolist(), mirror.tolist()
 
 

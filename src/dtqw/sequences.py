@@ -14,7 +14,11 @@ final reduced coin matrix of each of the 2^k sequences that share a parent
 is linear in the parent's lag blocks R(d) = sum_c phi(c) phi(c + d)^dagger,
 d = 0..k.  One real matrix, built once per process from the kernel run over
 the 2^k suffixes, maps those 8(k+1) numbers to the Bloch vectors of all 2^k
-leaves, and one BLAS product per chunk of parents gives them.  The parents
+leaves, and one BLAS product per chunk of parents gives them.  The suffixes
+step with the exact-entry {H, F} coins of :mod:`dtqw.walk`, so their
+amplitudes are Gaussian integers and the matrix is exact.  It and the
+parents' rows carry the kernel's scale, 2^(n/2) in all, which one exact
+multiply of the matrix by 2^-n per sweep takes out.  The parents
 themselves are stepped with the kernel of :mod:`dtqw.walk` as a binary
 prefix tree: the first 10 coins breadth-first, both branches at once, into
 a leaf block of 2^10 walks, and the later parent coins depth-first on that
@@ -207,11 +211,12 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     return von_neumann_entropy(coin_density_curve(init, DynamicSequence(seq), len(seq))[-1])
 
 
-def _sampled_batch(ints, n, spinor, out):
-    """Write the final entropies of packed sequences `ints`, each stepped from the origin, into `out`."""
-    for up, dn in _propagate(_packed_plan(ints, n), spinor):
+def _sampled_batch(ints, n, spinor):
+    """The final reduced coin matrices of packed sequences `ints`, each stepped from the origin, as (walks, 2, 2)."""
+    plan = _packed_plan(ints, n)
+    for up, dn in _propagate(plan, spinor):
         pass
-    out[...] = _entropy_bits(_coin_density(up, dn))
+    return _coin_density(up, dn) * np.ldexp(1.0, -plan.scales()[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,8 +232,10 @@ def _suffix_map(k):
     f of the map is the real linear coefficient of feature f (the real and
     imaginary parts of R(d)[c, e], d = 0..k, in `_lag_features` order);
     row (o, s) gives suffix s's Bloch components (rho00 - rho11)/2,
-    Re rho01, Im rho01 for o = 0, 1, 2.  It is read-only: every sweep of a
-    process shares it.
+    Re rho01, Im rho01 for o = 0, 1, 2.  The suffixes step with the
+    exact-entry coins, so the blocks are Gaussian integers, 2^(k/2) times
+    the amplitudes, and the map is exact: it gives 2^k times the Bloch
+    components.  It is read-only: every sweep of a process shares it.
     """
     plan = _packed_plan(np.arange(1 << k), k)
     blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
@@ -279,11 +286,13 @@ def _tree_entropies(n, spinor, out):
     parent]`` of the (2^k, 2^(n-k)) view of `out`.  The first
     min(n - k, _LEAF_BITS) coins are stepped breadth-first, the rest
     depth-first on leaf blocks; each leaf block's lag features meet the
-    suffix map in products of _CHUNK parents.
+    suffix map in products of _CHUNK parents.  The parents step with the
+    exact-entry coins, so their rows hold 2^(depth/2) times the amplitudes,
+    and with the map's 2^k the leaves' scale is 2^n.
     """
     k = min(_SUFFIX_BITS, n)
     depth = n - k
-    kmap = _suffix_map(k)
+    kmap = np.ldexp(_suffix_map(k), -n)
     c0, c1 = (c[..., None] for c in next(_packed_plan(np.arange(2), 1).columns()))  # [i, site, bit, walk]
     leaves = out.reshape(1 << k, -1)
     breadth = min(depth, _LEAF_BITS)
@@ -490,7 +499,7 @@ def sampled_sweep(
     size = _batch_walks(n)
     for start in range(0, samples, size):
         stop = start + size
-        _sampled_batch(ints[start:stop], n, spinor, entropies[start:stop])
+        entropies[start:stop] = _entropy_bits(_sampled_batch(ints[start:stop], n, spinor))
     return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 

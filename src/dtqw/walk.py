@@ -9,22 +9,47 @@ j = 2m - t (the only sites that can carry amplitude), and treats trailing
 axes as independent walks: one walk, a batch of coin sequences, or a random
 ensemble.  Callers with many walks step them in batches of one budget of
 amplitude rows, walks x (steps + 1), so that a batch's buffers stay in a
-core's cache.  A step is three ufunc calls: the |up> coin products into the
-shifted destination, the |down> ones into scratch, and one add.  All else a
-step needs is resolved once per run: the coin columns (for one walk, copies
-per coin bit and site parity that a step slices; a batch gathers its coins
-each step) and three zeroed buffers, checked against a size limit first,
-with their views.  Two buffers alternate as each step's output, and their
-edge rows stay zero because no step writes them; the third holds scratch.
-The kernel yields views (up, dn), 1-D and contiguous for one walk, that
-live for two steps.  The per-step reductions live beside it, the reduced
-coin matrix (three BLAS dot products for one walk) and the second moment
-about the origin (float-view squares and one dot product), and read those
-arrays as they stream.  Outside this module only the exhaustive sweep
-(:mod:`dtqw.sequences`) and ``dtqw walk``'s m2, from ``amps[:, ::2]``,
-read the row-to-site map.  Every coin plan is built here, and
-`CoinPlan.columns` alone resolves one into coins, for the exhaustive sweep's
-prefix tree too, so no other module reads a coin alphabet.  :class:`WalkState` is the dense
+core's cache.
+
+The {H, F} alphabets of the sequence and random policies have exact
+entries, sqrt(2) H = [[1, 1], [1, -1]] and sqrt(2) F = [[1, i], [i, 1]], and
+their 1/sqrt(2) is carried as an exact power of two: after step t the rows
+hold 2^(s/2) times the walk's amplitudes, with the integer scale s_t from
+`CoinPlan.scales`.  From a basis spinor such a walk holds Gaussian
+integers, exact in float64 until they pass 2^53 (after about 106 steps);
+later steps round without bias, so the norm no longer drifts, as it did by
+1.8e-16 a step with fl(1/sqrt(2)).  So that |a|^2 stays in range, the
+kernel multiplies its rows by the exact 2^-_RESCALE every 2 * _RESCALE
+steps, and s_t = t mod 2 * _RESCALE.  The reductions, the reduced coin
+matrix and the second moment, take the scale out with an exact 2^-s; a
+dense state is multiplied by 2^(-s/2), one rounding when s is odd.  An
+`Ordered` coin is used as given, with s = 0.
+
+A step is one of two functions.  `_coin_shift`, three ufunc calls, applies
+any coin columns: the |up> coin products into the shifted destination, the
+|down> ones into scratch, and one add.  A batch of walks with per-walk
+{H, F} coins and no site pattern (sampled sweeps, random ensembles) takes
+`_phase_shift` instead: with w = 1 for H and w = i for F, sqrt(2) C =
+[[1, w], [w, -w^2]], so a step is u = w b, up = a + u, dn = w (a - u), two
+complex multiplies where `_coin_shift` makes four.  Multiplying by 1 or i is
+exact, so both steps give equal values (the sign of a zero may differ).
+All else a step needs is resolved once per run: the coin columns (for one
+walk, copies per coin bit and site parity that a step slices; a batch
+gathers its coins each step) or a batch's (steps, walks) table of w, and
+three zeroed buffers, checked against a size limit first, with their views.
+Two buffers alternate as each step's output, and their edge rows stay zero
+because no step writes them; the third holds scratch.  The kernel yields
+views (up, dn), 1-D and contiguous for one walk, that live for two steps.
+The per-step reductions live beside it, the reduced coin matrix (three BLAS
+dot products for one walk, einsums over the sites for a batch) and the
+second moment about the origin
+(float-view squares and one dot product), and read those arrays as they
+stream.  Outside this module only the exhaustive sweep
+(:mod:`dtqw.sequences`) and ``dtqw walk``, which takes its m2 from the
+kernel's rows, read the row-to-site map.  Every coin plan is built here, and
+`CoinPlan.columns` and `CoinPlan.phases` alone resolve one into coins, for
+the exhaustive sweep's prefix tree too, so no other module reads a coin
+alphabet.  :class:`WalkState` is the dense
 view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
 the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
 returns a trajectory whose states are expanded to this view as they are
@@ -49,7 +74,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import fourier_coin, hadamard_coin, require_unitary
+from .coins import require_unitary
 
 __all__ = [
     "WalkState",
@@ -195,9 +220,12 @@ class CoinPlan:
     holds one bit per site of the light cone -steps..steps, and a missing
     bit stream reads as 0, so a plan with neither applies ``alphabet[0]``
     everywhere.  Leading axes of `step_bits` index independent walks that
-    share the alphabet and the site pattern.  All randomness is consumed at
-    construction, so applying the plan is deterministic.  Only this module
-    builds plans, and only :meth:`columns` turns their bits into coins.
+    share the alphabet and the site pattern.  An alphabet of sqrt(2) times
+    unitary coins, as the exact {H, F} entries are, is `scaled`: each step
+    then grows the rows by sqrt(2), which :meth:`scales` books.  All
+    randomness is consumed at construction, so applying the plan is
+    deterministic.  Only this module builds plans, and only :meth:`columns`
+    and :meth:`phases` turn their bits into coins.
     """
 
     def __init__(
@@ -211,6 +239,9 @@ class CoinPlan:
         self.alphabet = alphabet
         self.site_bits = site_bits
         self.step_bits = step_bits
+        # sqrt(2) times a unitary coin has |det| = 2; a unitary one has 1.
+        det = alphabet[:, 0, 0] * alphabet[:, 1, 1] - alphabet[:, 0, 1] * alphabet[:, 1, 0]
+        self.scaled = bool(np.all(np.abs(det) == 2.0))
         # Coins resolved once per site of the light cone as an (i, j, site, b)
         # table, [..., b] holding alphabet[site_bits ^ b]; without site bits,
         # one site that broadcasts over every site.
@@ -222,6 +253,25 @@ class CoinPlan:
     def batch(self) -> tuple[int, ...]:
         """Shape of the walk axes: those of ``step_bits[..., 0]``, () for one walk."""
         return () if self.step_bits is None else self.step_bits.shape[:-1]
+
+    def scales(self) -> NDArray[np.int64]:
+        """The scale s_t of every t = 0 .. steps: the kernel's rows after step t hold 2^(s_t / 2) times the amplitudes.
+
+        A scaled plan's steps add 1 each, and the kernel's rescale every
+        2 * _RESCALE steps takes 2 * _RESCALE off, so s_t = t mod 2 * _RESCALE;
+        any other plan keeps s_t = 0.
+        """
+        t = np.arange(self.steps + 1)
+        return t % (2 * _RESCALE) if self.scaled else np.zeros_like(t)
+
+    def phases(self) -> NDArray[np.complex128]:
+        """The (steps, ...) table of every walk's w, 1 for H and i for F, for `_phase_shift`.
+
+        Only for a scaled plan without site bits, whose coins are
+        ``[[1, w], [w, -w^2]]``: w is the coins' entry [1, 0].
+        """
+        # Indexed by contiguous bits, the table is contiguous too.
+        return self.alphabet[:, 1, 0][np.ascontiguousarray(np.moveaxis(self.step_bits, -1, 0))]
 
     def columns(self) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
         """Yield the coin columns (c0, c1) of each step t = 0 .. steps-1 at sites -t, -t+2, .., t.
@@ -258,8 +308,8 @@ class CoinPlan:
 
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
-    """The {H, F} coins indexed by bit: F -> 0, H -> 1."""
-    return np.stack([fourier_coin(), hadamard_coin()])
+    """The {H, F} coins with exact entries, sqrt(2) F and sqrt(2) H, indexed by bit: F -> 0, H -> 1."""
+    return np.array([[[1, 1j], [1j, 1]], [[1, 1], [1, -1]]], dtype=np.complex128)
 
 
 def _packed_plan(ints: NDArray[np.integer], n: int) -> CoinPlan:
@@ -315,8 +365,8 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
 
 
 def _random_alphabet() -> NDArray[np.complex128]:
-    """The coins of the random policies indexed by bit: H -> 0, F -> 1."""
-    return np.stack([hadamard_coin(), fourier_coin()])
+    """The exact-entry coins of the random policies indexed by bit: H -> 0, F -> 1."""
+    return _sequence_alphabet()[::-1]
 
 
 def _random_bits(seed: int, size: int) -> NDArray[np.int64]:
@@ -331,6 +381,12 @@ def _dynamic_plan(seeds: Sequence[int], steps: int) -> CoinPlan:
 
 
 _BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers
+
+#: A scaled walk's rows are multiplied by 2^-_RESCALE after every
+#: 2 * _RESCALE steps, so they hold at most 2^(_RESCALE - 1/2) times the
+#: amplitudes and |a|^2 j^2 stays far inside the float range (it would pass
+#: it near step 1025 unscaled).
+_RESCALE = 256
 
 
 def _check_buffers(walks: int, steps: int) -> None:
@@ -362,6 +418,22 @@ def _destination(out):
     return out.reshape(-1)[n : out.size - n].reshape((2, out.shape[1] - 1) + out.shape[2:])
 
 
+def _phase_shift(up, dn, w, dest, scratch):
+    """`_coin_shift` of walks whose coins are sqrt(2) H (w = 1) or sqrt(2) F (w = i): two complex multiplies.
+
+    With `w` the (walks...) row of each walk's phase, sqrt(2) C = [[1, w],
+    [w, -w^2]] maps (a, b) to (a + u, w (a - u)) with u = w b, which is
+    written into `dest` as `_coin_shift` writes its products; `scratch[0]`
+    holds u.  The values equal `_coin_shift`'s with the same coins, since
+    multiplying by 1 or i is exact; the sign of a zero may differ.
+    """
+    u, (new_up, new_dn) = scratch[0], dest
+    np.multiply(dn, w, out=u)
+    np.subtract(up, u, out=new_dn)
+    np.add(up, u, out=new_up)
+    np.multiply(new_dn, w, out=new_dn)
+
+
 def _coin_shift(up, dn, c0, c1, dest, scratch):
     """One step of parity-compressed walks: coin on every site, then the shift.
 
@@ -380,7 +452,7 @@ def _coin_shift(up, dn, c0, c1, dest, scratch):
 def _step_views(buffers, steps: int, batch: tuple[int, ...]):
     """Yield, for each step t of `_propagate`, its views (dest, scratch, (up, dn)) of the kernel's buffers.
 
-    `dest` and `scratch` are the (2, t+1, ...) blocks `_coin_shift` writes
+    `dest` and `scratch` are the (2, t+1, ...) blocks a step writes
     and (up, dn) the (t+2, ...) output rows, in `buffers[t % 2]`.  Numpy
     buffers a ufunc's operands when their strides are not uniform over the
     run it makes one inner loop.  One walk's output therefore keeps its
@@ -399,25 +471,35 @@ def _step_views(buffers, steps: int, batch: tuple[int, ...]):
             yield dests[t % 2][:, :width], outs[2][:, :width], (up[: width + 1], dn[: width + 1])
         return
     walks = math.prod(batch)
+    flats = list(buffers)
     for t in range(steps):
-        width = t + 1
-        out = buffers[t % 2, : 2 * (width + 1) * walks].reshape((2, width + 1) + batch)
-        scratch = buffers[2, : 2 * width * walks].reshape((2, width) + batch)
-        yield _destination(out), scratch, tuple(out)
+        # The output block [up, dn] is a prefix of its buffer, half rows per
+        # part; its destination leaves out the first and the last row.
+        width, block = t + 1, flats[t % 2]
+        half = (width + 1) * walks
+        yield (
+            block[walks : 2 * half - walks].reshape((2, width) + batch),
+            flats[2][: 2 * width * walks].reshape((2, width) + batch),
+            (block[:half].reshape((width + 1,) + batch), block[half : 2 * half].reshape((width + 1,) + batch)),
+        )
 
 
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
 
     After step t, `up` and `dn` are (t+2, ...) views with trailing axes
-    ``plan.batch``, row m holding site j = 2m - t; one walk's are 1-D and
-    contiguous.  Everything a step needs that does not depend on the
-    amplitudes is resolved once per run: the coin columns
-    (`CoinPlan.columns`) and three zeroed buffers with their views
-    (`_step_views`).  Two buffers alternate as each step's output [up, dn],
-    whose edge rows stay zero because no step writes them, and one holds
-    scratch, so a step is its three ufunc calls and a few slices.  The
-    yielded views are overwritten two steps later: reduce or copy them
+    ``plan.batch``, row m holding site j = 2m - t, and 2^(s_t / 2) times
+    the amplitudes (`CoinPlan.scales`); one walk's are 1-D and contiguous.
+    Everything a step needs that does not depend on the amplitudes is
+    resolved once per run: the coin columns (`CoinPlan.columns`), or for a
+    scaled batch without site bits the table of phases (`CoinPlan.phases`)
+    that `_phase_shift` steps with, and three zeroed buffers with their
+    views (`_step_views`).  Two buffers alternate as each step's output
+    [up, dn], whose edge rows stay zero because no step writes them, and
+    one holds scratch, so a step is its ufunc calls and a few slices.  A
+    scaled plan's rows are multiplied by 2^-_RESCALE after every
+    2 * _RESCALE steps, exactly but for results below the normal range.
+    The yielded views are overwritten two steps later: reduce or copy them
     before then.  The buffers are allocated once, or ValueError raised if
     they would pass :data:`_BUFFER_LIMIT`.
     """
@@ -427,9 +509,19 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor
     up, dn = phi
-    for (c0, c1), (dest, scratch, out) in zip(plan.columns(), _step_views(buffers, plan.steps, batch)):
-        _coin_shift(up, dn, c0, c1, dest, scratch)
+    if plan.scaled and batch and plan.site_bits is None:
+        step, coins = _phase_shift, zip(plan.phases())  # one-tuples (w,)
+    else:
+        step, coins = _coin_shift, plan.columns()
+    rescale = 2 * _RESCALE if plan.scaled else 0
+    views = _step_views(buffers, plan.steps, batch)
+    for t, (coin, (dest, scratch, out)) in enumerate(zip(coins, views), 1):
+        step(up, dn, *coin, dest, scratch)
         up, dn = out
+        if rescale and t % rescale == 0:
+            for rows in out:
+                floats = rows.view(np.float64)
+                np.multiply(floats, 2.0**-_RESCALE, out=floats)
         yield out
 
 
@@ -443,17 +535,20 @@ def _coin_density(up, dn):
 
     Works on dense rows and on parity-compressed ones alike; trailing axes
     carry through to a (..., 2, 2) result.  One walk reduces with
-    `_coin_dots`.
+    `_coin_dots`.  A batch, whose last axis must be contiguous, sums the
+    squares of its float views (re, im), each walk's two sums then added,
+    and the products a conj(b), each by one einsum over the sites.
     """
+    out = np.empty(up.shape[1:] + (2, 2), dtype=np.complex128)
     if up.ndim == 1:
-        out = np.empty((2, 2), dtype=np.complex128)
         out[0, 0], out[0, 1], out[1, 1] = _coin_dots(up, dn)
-        out[1, 0] = np.conj(out[0, 1])
-        return out
-    r00 = np.sum(np.abs(up) ** 2, axis=0)
-    r01 = np.sum(up * np.conj(dn), axis=0)
-    r11 = np.sum(np.abs(dn) ** 2, axis=0)
-    return np.stack([r00, r01, np.conj(r01), r11], axis=-1).reshape(r01.shape + (2, 2))
+    else:
+        for k, rows in enumerate((up, dn)):
+            sums = np.einsum("j...,j...->...", floats := rows.view(np.float64), floats)
+            out[..., k, k] = sums[..., 0::2] + sums[..., 1::2]
+        out[..., 0, 1] = np.einsum("j...,j...->...", up, np.conj(dn))
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
+    return out
 
 
 def _site_squares(steps: int) -> NDArray[np.float64]:
@@ -490,12 +585,19 @@ def _second_moment(up, dn, squares):
     return sums[0::2] + sums[1::2]
 
 
-def _dense(up, dn):
-    """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays."""
+def _dense(up, dn, scale):
+    """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays at scale s = `scale`.
+
+    The rows hold 2^(s/2) times the amplitudes, so each is multiplied by
+    2^(-s/2): exact for even s, one rounding for odd s.
+    """
     t = len(up) - 1
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
     amps[0, ::2] = up
     amps[1, ::2] = dn
+    if scale:
+        floats = amps.view(np.float64)
+        np.multiply(floats, 2.0 ** (-scale / 2), out=floats)
     return WalkState(t=t, amps=amps)
 
 
@@ -519,9 +621,10 @@ class _Trajectory(Sequence):
         if 0 in ts:
             yield 0, initial_state(self._init)
         blocks = _propagate(self._plan, self._init.spinor)
+        scales = self._plan.scales()
         for t, (up, dn) in zip(range(1, max(ts, default=0) + 1), blocks):
             if t in ts:
-                yield t, _dense(up, dn)
+                yield t, _dense(up, dn, scales[t])
 
     def __iter__(self) -> Iterator[WalkState]:
         for _, state in self._states(range(len(self))):

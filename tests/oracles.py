@@ -16,7 +16,11 @@ with rounding far below float64's.  `evolve` is the eager trajectory, every
 state of one kernel run kept in a list, that the library's lazy one must
 equal bit for bit.  `reference_similarity` is the Bhattacharyya
 coefficient as a loop over the union of two supports, which the
-library's intersection of site arrays must match.
+library's intersection of site arrays must match.  Two more references
+share no code with the kernel: `exact_sequence_densities` walks the
+basis spinors of {H, F} sequences in Python-int Gaussian integers, and
+`momentum_coin_densities` steps one translation-invariant walk on
+2 steps + 2 momenta, past the sizes the dense oracle reaches.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def dense_coin_block(plan: CoinPlan, t: int, w: int) -> np.ndarray:
     step_bit = 0 if plan.step_bits is None else plan.step_bits[t]
     for j in range(-w, w + 1):
         site_bit = 0 if plan.site_bits is None else plan.site_bits[j + plan.steps]
-        coin = plan.alphabet[step_bit ^ site_bit]
+        coin = plan.alphabet[step_bit ^ site_bit] / np.sqrt(2.0) ** plan.scaled  # unit coins
         for sp_out in range(2):
             for sp_in in range(2):
                 block[_index(sp_out, j, w), _index(sp_in, j, w)] = coin[sp_out, sp_in]
@@ -123,21 +127,26 @@ def dense_trajectory(init: InitialCoin, policy, steps: int) -> list[np.ndarray]:
 
 def evolve(init: InitialCoin, policy, steps: int) -> list[WalkState]:
     """The eager trajectory: the states t = 0 .. steps of one kernel run, all kept in a list."""
-    blocks = _propagate(plan_coins(policy, steps), init.spinor)
-    return [initial_state(init)] + [_dense(up, dn) for up, dn in blocks]
+    plan = plan_coins(policy, steps)
+    blocks = zip(_propagate(plan, init.spinor), plan.scales()[1:])
+    return [initial_state(init)] + [_dense(up, dn, scale) for (up, dn), scale in blocks]
 
 
 def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):
     """Yield (up, dn) after each step, allocating fresh arrays at every step.
 
     The kernel's arithmetic written plainly: gather each site's coin from the
-    plan's bits, form c00*up + c01*dn and c10*up + c11*dn, and pad with a
-    zero column to shift.  The engine must reproduce it bit for bit.  With
-    `dtype` np.clongdouble the same coins and spinor, promoted exactly, are
-    stepped in extended precision.
+    plan's bits (the exact-entry table of a scaled plan), form c00*up +
+    c01*dn and c10*up + c11*dn, and pad with a zero column to shift.  Where
+    the plan's scale falls by more than a step adds, the rows are multiplied
+    by the power of two that takes it off, as the kernel's rescale does.
+    The engine must reproduce it bit for bit.  With `dtype` np.clongdouble
+    the same coins and spinor, promoted exactly, are stepped in extended
+    precision.
     """
     batch = () if plan.step_bits is None else plan.step_bits.shape[:-1]
     alphabet = plan.alphabet.astype(dtype)
+    scales = plan.scales()
     up = np.full(batch + (1,), spinor[0], dtype=dtype)
     dn = np.full(batch + (1,), spinor[1], dtype=dtype)
     for t in range(plan.steps):
@@ -149,6 +158,8 @@ def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):
         row0, row1 = c[..., 0, 0] * up + c[..., 0, 1] * dn, c[..., 1, 0] * up + c[..., 1, 1] * dn
         zero = np.zeros(row0.shape[:-1] + (1,), dtype=dtype)
         up, dn = np.concatenate([zero, row0], axis=-1), np.concatenate([row1, zero], axis=-1)
+        if drop := scales[t] + plan.scaled - scales[t + 1]:
+            up, dn = up * 2.0 ** (-drop / 2), dn * 2.0 ** (-drop / 2)
         yield up, dn
 
 
@@ -156,12 +167,85 @@ def extended_entropies(plan: CoinPlan, spinor: np.ndarray) -> np.ndarray:
     """Final entropies of every walk of `plan`, stepped and reduced in np.clongdouble."""
     for up, dn in reference_propagate(plan, spinor, np.clongdouble):
         pass
-    r00 = np.sum(np.abs(up) ** 2, axis=-1)
-    r11 = np.sum(np.abs(dn) ** 2, axis=-1)
-    r01 = np.sum(up * np.conj(dn), axis=-1)
+    unscale = np.ldexp(np.longdouble(1), -plan.scales()[-1])
+    r00 = np.sum(np.abs(up) ** 2, axis=-1) * unscale
+    r11 = np.sum(np.abs(dn) ** 2, axis=-1) * unscale
+    r01 = np.sum(up * np.conj(dn), axis=-1) * unscale
     lam = 0.5 + np.sqrt(((r00 - r11) / 2) ** 2 + np.abs(r01) ** 2)
     rest = 1 - lam
     return (-lam * np.log2(lam) - rest * np.log2(np.where(rest > 0, rest, 1))).astype(np.float64)
+
+
+def exact_sequence_densities(ints, n: int, spinor: np.ndarray) -> np.ndarray:
+    """Final reduced coin matrices of the {H, F} sequences packed in `ints` (bit k is 1 where coin k is H), as (walks, 2, 2) np.clongdouble.
+
+    The two basis spinors are stepped in Python-int Gaussian integers, held
+    as real and imaginary parts, with sqrt(2) H = [[1, 1], [1, -1]] and
+    sqrt(2) F = [[1, i], [i, 1]], so after n steps their amplitudes are
+    exactly 2^(n/2) psi_e(j).  Their Gram blocks G_xy[c, d] = sum_j
+    psi_x(j)[c] conj(psi_y(j)[d]) are then exact integers, and rho = 2^-n
+    sum_xy s_x conj(s_y) G_xy is formed in np.clongdouble from the initial
+    spinor s: the only rounding is extended precision's.
+    """
+    h = np.array([[(int(v) >> k) & 1 for k in range(n)] for v in ints], dtype=bool)
+    zero = np.zeros((len(h), 1), dtype=object)
+    walks = []
+    for e in (0, 1):
+        # Real and imaginary parts of the |up> rows a and the |down> rows b, each (walks, sites) of Python ints.
+        ar, br = (np.full((len(h), 1), int(e == c), dtype=object) for c in (0, 1))
+        ai = bi = zero
+        for k in range(n):
+            is_h = h[:, k, None]
+            # sqrt(2) H: (a + b, a - b); sqrt(2) F: (a + i b, i a + b).
+            up = (ar + np.where(is_h, br, -bi), ai + np.where(is_h, bi, br))
+            dn = (np.where(is_h, ar - br, br - ai), np.where(is_h, ai - bi, ar + bi))
+            (ar, ai), (br, bi) = (np.hstack([zero, x]) for x in up), (np.hstack([x, zero]) for x in dn)
+        walks.append(((ar, ai), (br, bi)))
+    rho = np.zeros((len(h), 2, 2), dtype=np.clongdouble)
+    for x, psi_x in enumerate(walks):
+        for y, psi_y in enumerate(walks):
+            weight = np.clongdouble(spinor[x]) * np.conj(np.clongdouble(spinor[y]))
+            for c, (xr, xi) in enumerate(psi_x):
+                for d, (yr, yi) in enumerate(psi_y):
+                    re = np.sum(xr * yr + xi * yi, axis=1).astype(np.longdouble)
+                    im = np.sum(xi * yr - xr * yi, axis=1).astype(np.longdouble)
+                    rho[:, c, d] += weight * (re + 1j * im)
+    return rho * np.ldexp(np.longdouble(1), -n)
+
+
+def exact_entropies(rho: np.ndarray) -> np.ndarray:
+    """Entropies in bits of (..., 2, 2) density matrices, computed in the precision of `rho`."""
+    lam = 0.5 + np.sqrt(((rho[..., 0, 0].real - rho[..., 1, 1].real) / 2) ** 2 + np.abs(rho[..., 0, 1]) ** 2)
+    rest = 1 - lam
+    return -lam * np.log2(lam) - rest * np.log2(np.where(rest > 0, rest, 1))
+
+
+def momentum_coin_densities(plan: CoinPlan, spinor: np.ndarray) -> np.ndarray:
+    """rho_C(t), t = 0 .. steps, of one translation-invariant walk (no site bits), from momentum space.
+
+    psi_k(t+1) = diag(e^{-ik}, e^{ik}) C_t psi_k(t) on N = 2 steps + 2
+    momenta k = 2 pi m / N, and by Parseval rho_C(t) = (1/N) sum_k psi_k
+    psi_k^dagger: exact, since the amplitudes are trigonometric polynomials
+    of degree at most steps.  The coins are the plan's own (the exact-entry
+    table of a scaled plan), and its scale is read as the kernel's is: the
+    rows are multiplied by a power of two where the scale falls by more
+    than a step adds, and rho_C(t) by 2^-s_t.
+    """
+    n = 2 * plan.steps + 2
+    k = 2 * np.pi * np.arange(n) / n
+    shift = np.exp(-1j * k), np.exp(1j * k)
+    up, dn = np.full(n, spinor[0]), np.full(n, spinor[1])
+    scales = plan.scales()
+    rho = np.empty((plan.steps + 1, 2, 2), dtype=complex)
+    for t in range(plan.steps + 1):
+        if t:
+            c = plan.alphabet[0 if plan.step_bits is None else plan.step_bits[t - 1]]
+            up, dn = shift[0] * (c[0, 0] * up + c[0, 1] * dn), shift[1] * (c[1, 0] * up + c[1, 1] * dn)
+            if drop := scales[t - 1] + plan.scaled - scales[t]:
+                up, dn = up * 2.0 ** (-drop / 2), dn * 2.0 ** (-drop / 2)
+        r01 = np.vdot(dn, up)
+        rho[t] = np.array([[np.vdot(up, up), r01], [np.conj(r01), np.vdot(dn, dn)]]) * 2.0 ** -scales[t] / n
+    return rho
 
 
 def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
@@ -181,15 +265,16 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     plan = _packed_plan(np.arange(1 << breadth), breadth)
     up, dn = np.reshape(spinor, (2, 1, 1))
     out[0][:] = _entropy_bits(_coin_density(up, dn))
+    # Rows after t exact-entry steps hold 2^(t/2) times the amplitudes.
     for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
-        out[t][:] = _entropy_bits(_coin_density(up[..., : 1 << t], dn[..., : 1 << t]))
+        out[t][:] = _entropy_bits(_coin_density(up[..., : 1 << t], dn[..., : 1 << t]) * 2.0**-t)
     phi = np.stack([up, dn])
     # One zeroed state buffer per depth, which its two children fill in turn.
     level = {t: np.zeros((2, t + 1, phi.shape[2]), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
     scratch = np.empty((2, n, phi.shape[2]), dtype=np.complex128)
 
     def descend(phi, t, offset):
-        out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi))
+        out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi) * 2.0**-t)
         for bit in (0, 1) if t < n else ():
             _coin_shift(*phi, c0[:, :, bit], c1[:, :, bit], _destination(level[t + 1]), scratch[:, : t + 1])
             descend(level[t + 1], t + 1, offset + (bit << t))

@@ -18,15 +18,19 @@ from dtqw.entanglement import (
     von_neumann_entropy,
 )
 from dtqw.walk import (
+    DynamicRandom,
     DynamicSequence,
     InitialCoin,
     Ordered,
+    StaticAndDynamic,
+    StaticRandom,
     WalkState,
     _propagate,
     final_state,
     initial_state,
+    plan_coins,
 )
-from oracles import dephased_limit_entropy, random_density, random_walk_state
+from oracles import dephased_limit_entropy, momentum_coin_densities, random_density, random_walk_state
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
@@ -210,3 +214,35 @@ def test_tail_average_matches_momentum_space_limit(theta, phi):
     time_domain = asymptotic_entropy(init, Ordered(hadamard_coin()), steps=1024, tail=64)
     frequency_domain = dephased_limit_entropy(init.spinor)
     assert abs(time_domain - frequency_domain) < 1e-3
+
+
+LONG_TEXT = "".join(np.random.default_rng(11).choice(["H", "F"], 4096))
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [DynamicSequence(LONG_TEXT), DynamicRandom(5), StaticRandom(6), StaticAndDynamic(7, 8)],
+    ids=["DynamicSequence", "DynamicRandom", "StaticRandom", "StaticAndDynamic"],
+)
+def test_norm_does_not_drift(policy):
+    """tr rho_C stays 1 at every step of a 4096-step {H, F} walk.
+
+    The unit coins' fl(1/sqrt(2))^2 = 1/2 - 8.9e-17 shrank it by 1.77e-16
+    a step, to 1 - 7.3e-13 here.  With the exact-entry coins a walk rounds
+    only once its Gaussian integers pass 2^53, without bias, so the trace
+    wanders instead: up to 4.0e-15 over 20 walks of 4096 steps, under
+    StaticRandom, whose localized amplitudes average fewest roundings.
+    """
+    rho = coin_density_curve(InitialCoin(51, 30), policy, 4096)
+    assert np.max(np.abs(rho[:, 0, 0].real + rho[:, 1, 1].real - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("init", [InitialCoin(51, 30), InitialCoin(90, 270)], ids=["51-30", "90-270"])
+@pytest.mark.parametrize("policy", [Ordered(hadamard_coin()), DynamicRandom(3)], ids=["Ordered-H", "DynamicRandom"])
+def test_coin_density_curve_matches_momentum_space_reference(policy, init):
+    # 4096 steps: past the kernel's rescales and the light cone's first
+    # subnormals.  With the unit coins in both, the curves agreed within
+    # 1.15e-14.
+    steps = 4096
+    reference = momentum_coin_densities(plan_coins(policy, steps), init.spinor)
+    np.testing.assert_allclose(coin_density_curve(init, policy, steps), reference, rtol=0, atol=1.5e-14)

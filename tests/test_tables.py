@@ -84,11 +84,17 @@ def test_float_tokens_match_the_cell_route():
     Random bit patterns cover every exponent, subnormals and NaN payloads;
     the boundaries add both zeros, the normal/subnormal edge, the 1e12 and
     1e16 switches of the two spellings, an integer and the non-finite values.
+    Uniform floats in (-1, 1) and the edges of the cells whose JSON token is
+    their text, 1e-307 <= |x| < 0.9, cover the text rule; just below 1 the
+    12 digits round to an integer.
     """
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2**64, size=500_000, dtype=np.uint64)
     subnormals = rng.uniform(-1, 1, size=1000) * SMALLEST_NORMAL
-    x = np.concatenate([BOUNDARY_FLOATS, bits.view(np.float64), subnormals])
+    edges = [0.9, np.nextafter(0.9, 0), 0.8999999999996, 0.9999999999996, np.nextafter(1.0, 0),
+             1.0, np.nextafter(1e-307, 0), np.nextafter(1e-307, 1)]
+    x = np.concatenate([BOUNDARY_FLOATS, bits.view(np.float64), subnormals, edges, np.negative(edges),
+                        rng.uniform(-1, 1, size=100_000)])
     assert np.isnan(x).sum() > 100 and (np.abs(x) < SMALLEST_NORMAL).sum() > 1000
     text, mirror = io._tokens(x, True)
     assert text == [io.fmt_float(v) for v in x.tolist()]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,12 @@ from dtqw.walk import (
     StaticRandom,
     WalkState,
     _coin_density,
+    _coin_shift,
+    _packed_plan,
     _propagate,
     _second_moment,
     _site_squares,
+    _step_views,
     evolve,
     final_state,
     initial_state,
@@ -141,9 +145,10 @@ def test_long_moment_series_stays_near_extended_precision(policy):
     """
     init = InitialCoin(51, 30)
     reference = []
-    for up, dn in reference_propagate(plan_coins(policy, LONG), init.spinor, np.clongdouble):
+    plan = plan_coins(policy, LONG)
+    for (up, dn), scale in zip(reference_propagate(plan, init.spinor, np.clongdouble), plan.scales()[1:]):
         j = np.arange(-(len(up) - 1), len(up), 2).astype(np.longdouble)
-        reference.append(np.sum(j * j * (np.abs(up) ** 2 + np.abs(dn) ** 2)))
+        reference.append(np.ldexp(np.sum(j * j * (np.abs(up) ** 2 + np.abs(dn) ** 2)), -scale))
     m2 = moment_series(init, policy, LONG).m2
     assert np.max(np.abs(m2 - np.array(reference)) / np.array(reference)) < 3e-15
 
@@ -160,7 +165,8 @@ def test_streamed_reductions_carry_batch_axes():
     walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
     squares = _site_squares(20)
     for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1):
-        rho, m2 = _coin_density(up, dn), _second_moment(up, dn, squares)
+        unscale = 2.0 ** -batch.scales()[t]
+        rho, m2 = _coin_density(up, dn) * unscale, _second_moment(up, dn, squares) * unscale
         assert rho.shape == (4, 2, 2) and m2.shape == (4,)
         for k, states in enumerate(walks):
             np.testing.assert_allclose(rho[k], reduced_coin_density(states[t]), rtol=0, atol=1e-12)
@@ -203,9 +209,12 @@ def test_kernel_matches_reference_bit_for_bit(plan):
 def test_evolve_matches_reference_bit_for_bit(policy):
     init = InitialCoin(33, 120)
     states = evolve(init, policy, 20)
-    reference = reference_propagate(plan_coins(policy, 20), init.spinor)
-    for state, (up, dn) in zip(states[1:], reference, strict=True):
-        np.testing.assert_array_equal(state.amps[:, ::2], np.stack([up, dn]))
+    plan = plan_coins(policy, 20)
+    reference = zip(reference_propagate(plan, init.spinor), plan.scales()[1:])
+    for state, ((up, dn), scale) in zip(states[1:], reference, strict=True):
+        # The reference rows unscaled as the dense states are: their floats times 2^(-s/2).
+        rows = np.stack([up, dn]).view(np.float64) * 2.0 ** (-scale / 2)
+        np.testing.assert_array_equal(state.amps[:, ::2], rows.view(np.complex128))
         assert not state.amps[:, 1::2].any()
 
 
@@ -277,24 +286,57 @@ def test_batch_walks_equal_single_walks_bit_for_bit(batch):
     assert steps == batch.steps
 
 
+def coin_shift_rows(plan, spinor):
+    """Yield a batch's rows after each step, stepped by `_coin_shift` with the columns of its exact table."""
+    buffers = np.zeros((3, 2 * (plan.steps + 1) * math.prod(plan.batch)), dtype=np.complex128)
+    up, dn = np.empty((2, 1) + plan.batch, dtype=np.complex128)
+    up[...], dn[...] = spinor
+    for (c0, c1), (dest, scratch, out) in zip(plan.columns(), _step_views(buffers, plan.steps, plan.batch)):
+        _coin_shift(up, dn, c0, c1, dest, scratch)
+        up, dn = out
+        yield out
+
+
+@pytest.mark.parametrize("plan", [_packed_plan(np.arange(7, 1 << 40, 3 << 30), 40), dynamic_batch(40, 32)],
+                         ids=["sequence-alphabet", "random-alphabet"])
+@pytest.mark.parametrize("phi", [0, 270])
+@pytest.mark.parametrize("theta", [0, 51, 180])
+def test_phase_shift_equals_coin_shift(plan, theta, phi):
+    """The two-multiply step of a batch gives the values of `_coin_shift` with the same exact coins.
+
+    Multiplying by 1 or i is exact, so they differ at most in the sign of a zero.
+    """
+    spinor = InitialCoin(theta, phi).spinor
+    steps = 0
+    for (up, dn), (ref_up, ref_dn) in zip(_propagate(plan, spinor), coin_shift_rows(plan, spinor), strict=True):
+        np.testing.assert_array_equal(up, ref_up)
+        np.testing.assert_array_equal(dn, ref_dn)
+        steps += 1
+    assert steps == plan.steps
+
+
 def test_batched_kernel_allocates_nothing_per_step():
-    # Its three step buffers and one step's gathered coins, with slack for
-    # numpy's two ufunc buffers (which a product of small broadcast operands
-    # fills) and for views and scalars; anything kept per step would add
-    # 256 steps' worth.
+    # Its three step buffers and, for `_phase_shift` (the exact coins), the
+    # table of phases with the bits that index it, or, for `_coin_shift`
+    # (the same bits with the unit coins), one step's gathered coins, with
+    # slack for numpy's two ufunc buffers (which a product of small
+    # broadcast operands fills) and for views and scalars; anything kept per
+    # step would add 256 steps' worth.
     walks, steps = 256, 256
-    plan = dynamic_batch(steps, walks)
+    exact = dynamic_batch(steps, walks)
+    unit = CoinPlan(steps, np.stack([hadamard_coin(), fourier_coin()]), step_bits=exact.step_bits)
     buffers = 3 * 2 * walks * (steps + 1) * 16
-    coins = 2 * 2 * walks * 16  # [i, j, site, walk] with one site
-    tracemalloc.start()
-    try:
-        for _ in _propagate(plan, InitialCoin(51, 30).spinor):
-            pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     slack = 2 * np.getbufsize() * 16 + 2**16
-    assert peak < buffers + coins + slack
+    for plan, coins in ((exact, (16 + 8) * steps * walks), (unit, 2 * 2 * walks * 16)):  # [i, j, site, walk], one site
+        tracemalloc.start()
+        try:
+            for _ in _propagate(plan, InitialCoin(51, 30).spinor):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + coins + slack
+    assert exact.scaled and not unit.scaled
 
 
 @pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=KERNEL_IDS)
@@ -361,9 +403,10 @@ def test_single_walk_coin_density_matches_batched_rows():
     init = InitialCoin(51, 30)
     curves = [coin_density_curve(init, DynamicRandom(seed=k), 200) for k in range(4)]
     for t, (up, dn) in enumerate(_propagate(dynamic_batch(200), init.spinor), 1):
-        rho = _coin_density(up, dn)
+        unscale = 2.0**-t
+        rho = _coin_density(up, dn) * unscale
         for k, curve in enumerate(curves):
-            np.testing.assert_allclose(_coin_density(up[:, k], dn[:, k]), rho[k], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_coin_density(up[:, k], dn[:, k]) * unscale, rho[k], rtol=0, atol=1e-15)
             np.testing.assert_allclose(curve[t], rho[k], rtol=0, atol=1e-15)
 
 
@@ -469,7 +512,7 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
     def draw(seed, size):
         return np.random.default_rng(seed).integers(0, 2, size)
 
-    alphabet = np.stack([hadamard_coin(), fourier_coin()])
+    alphabet = np.round(np.sqrt(2.0) * np.stack([hadamard_coin(), fourier_coin()]))  # exact entries
     dynamic = plan_coins(DynamicRandom(seed), steps)
     static = plan_coins(StaticRandom(seed), steps)
     both = plan_coins(StaticAndDynamic(static_seed=seed, dynamic_seed=seed + 1), steps)
