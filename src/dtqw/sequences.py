@@ -19,10 +19,10 @@ step with the exact-entry {H, F} coins of :mod:`dtqw.walk`, so their
 amplitudes are Gaussian integers and the matrix is exact.  It and the
 parents' rows carry the kernel's scale, 2^(n/2) in all, which one exact
 multiply of the matrix by 2^-n per sweep takes out.  The parents
-themselves are stepped with the kernel of :mod:`dtqw.walk` as a binary
-prefix tree: the first 10 coins breadth-first, both branches at once, into
-a leaf block of 2^10 walks, and the later parent coins depth-first on that
-block.  Per sequence this costs 24(k+1) multiply-adds of the product and
+themselves are stepped by the kernel's {H, F} step, `walk._phase_shift`,
+as a binary prefix tree: the first 10 coins breadth-first, both branches
+at once, into a leaf block of 2^10 walks, and the later parent coins
+depth-first on that block.  Per sequence this costs 24(k+1) multiply-adds of the product and
 about 2(n-k+1)/2^k site updates of the tree, against about 2(n+1) site
 updates of a prefix tree that steps every sequence to the end.  Random
 sequences share no prefixes, so the sampled sweep steps each batch from the
@@ -58,9 +58,9 @@ from .walk import (
     InitialCoin,
     _batch_walks,
     _coin_density,
-    _coin_shift,
     _destination,
     _packed_plan,
+    _phase_shift,
     _propagate,
 )
 
@@ -286,21 +286,22 @@ def _tree_entropies(n, spinor, out):
     parent]`` of the (2^k, 2^(n-k)) view of `out`.  The first
     min(n - k, _LEAF_BITS) coins are stepped breadth-first, the rest
     depth-first on leaf blocks; each leaf block's lag features meet the
-    suffix map in products of _CHUNK parents.  The parents step with the
-    exact-entry coins, so their rows hold 2^(depth/2) times the amplitudes,
-    and with the map's 2^k the leaves' scale is 2^n.
+    suffix map in products of _CHUNK parents.  The parents step with
+    `_phase_shift` on the w of F and H that the plan of one step resolves,
+    so their rows hold 2^(depth/2) times the amplitudes, and with the map's
+    2^k the leaves' scale is 2^n.
     """
     k = min(_SUFFIX_BITS, n)
     depth = n - k
     kmap = np.ldexp(_suffix_map(k), -n)
-    c0, c1 = (c[..., None] for c in next(_packed_plan(np.arange(2), 1).columns()))  # [i, site, bit, walk]
+    w = next(_packed_plan(np.arange(2), 1).phases())  # [i, 1]: F is bit 0, H bit 1
     leaves = out.reshape(1 << k, -1)
     breadth = min(depth, _LEAF_BITS)
     phi = np.reshape(spinor, (2, 1, 1))
     for t in range(breadth):
         # The F walks, then the H walks: walk index = old walk + (bit << t).
         block = np.zeros((2, t + 2, 2, 1 << t), dtype=np.complex128)
-        _coin_shift(*phi[:, :, None], c0, c1, _destination(block), np.empty_like(block[:, 1:]))
+        _phase_shift(*phi[:, :, None], w[:, None], _destination(block), np.empty_like(block[:1, 1:]))
         phi = block.reshape(2, t + 2, -1)
 
     # One zeroed state buffer per depth, which its two children fill in
@@ -311,8 +312,7 @@ def _tree_entropies(n, spinor, out):
     chunk = min(_CHUNK, rows)
     level = {t: np.zeros((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
     dests = {t: _destination(block) for t, block in level.items()}
-    columns = [(c0[:, :, bit], c1[:, :, bit]) for bit in (0, 1)]
-    scratch = np.empty((2, depth, rows), dtype=np.complex128)
+    scratch = np.empty((1, depth, rows), dtype=np.complex128)
 
     def descend(phi, t, offset):
         if t == depth:
@@ -322,7 +322,7 @@ def _tree_entropies(n, spinor, out):
                 leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         else:
             for bit in (0, 1):
-                _coin_shift(phi[0], phi[1], *columns[bit], dests[t + 1], scratch[:, : t + 1])
+                _phase_shift(phi[0], phi[1], w[bit], dests[t + 1], scratch[:, : t + 1])
                 descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)

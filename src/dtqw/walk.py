@@ -17,7 +17,7 @@ their 1/sqrt(2) is carried as an exact power of two: after step t the rows
 hold 2^(s/2) times the walk's amplitudes, with the integer scale s_t from
 `CoinPlan.scales`.  From a basis spinor such a walk holds Gaussian
 integers, exact in float64 until they pass 2^53 (after about 106 steps);
-later steps round without bias, so the norm no longer drifts, as it did by
+later steps round without bias, so the norm does not drift, as it would by
 1.8e-16 a step with fl(1/sqrt(2)).  So that |a|^2 stays in range, the
 kernel multiplies its rows by the exact 2^-_RESCALE every 2 * _RESCALE
 steps, and s_t = t mod 2 * _RESCALE.  The reductions, the reduced coin
@@ -25,37 +25,30 @@ matrix and the second moment, take the scale out with an exact 2^-s; a
 dense state is multiplied by 2^(-s/2), one rounding when s is odd.  An
 `Ordered` coin is used as given, with s = 0.
 
-A step is one of two functions.  `_coin_shift`, three ufunc calls, applies
-any coin columns: the |up> coin products into the shifted destination, the
-|down> ones into scratch, and one add.  A batch of walks with per-walk
-{H, F} coins and no site pattern (sampled sweeps, random ensembles) takes
-`_phase_shift` instead: with w = 1 for H and w = i for F, sqrt(2) C =
-[[1, w], [w, -w^2]], so a step is u = w b, up = a + u, dn = w (a - u), two
-complex multiplies where `_coin_shift` makes four.  Multiplying by 1 or i is
-exact, so both steps give equal values (the sign of a zero may differ).
-All else a step needs is resolved once per run: the coin columns (for one
-walk, copies per coin bit and site parity that a step slices; a batch
-gathers its coins each step) or a batch's (steps, walks) table of w, and
-three zeroed buffers, checked against a size limit first, with their views.
-Two buffers alternate as each step's output, and their edge rows stay zero
-because no step writes them; the third holds scratch.  The kernel yields
-views (up, dn), 1-D and contiguous for one walk, that live for two steps.
-The per-step reductions live beside it, the reduced coin matrix (three BLAS
-dot products for one walk, einsums over the sites for a batch) and the
-second moment about the origin
-(float-view squares and one dot product), and read those arrays as they
-stream.  Outside this module only the exhaustive sweep
-(:mod:`dtqw.sequences`) and ``dtqw walk``, which takes its m2 from the
-kernel's rows, read the row-to-site map.  Every coin plan is built here, and
-`CoinPlan.columns` and `CoinPlan.phases` alone resolve one into coins, for
-the exhaustive sweep's prefix tree too, so no other module reads a coin
-alphabet.  :class:`WalkState` is the dense
-view of one walk: a (2, 2t+1) array with the |up> amplitudes a(j) in row 0,
-the |down> amplitudes b(j) in row 1, and site j at column j + t.  `evolve`
-returns a trajectory whose states are expanded to this view as they are
-read, so a walk costs O(steps) memory however much of it is read; reading
-step t by index re-runs the walk up to t, so a caller that needs many
-states iterates.
+The coin kind picks the step.  With w = 1 for H and w = i for F, sqrt(2) C
+= [[1, w], [w, -w^2]], so an {H, F} step is u = w b, up = a + u, dn =
+w (a - u): two complex multiplies (`_phase_shift`), for one walk, a
+site pattern or a batch alike, on the w that `CoinPlan.phases` resolves
+from the plan's bits.  An `Ordered` coin steps with `_coin_shift`, its two
+columns times (a, b) and one add.  All else a step needs is resolved once
+per run: three zeroed buffers, checked against a size limit first, with
+their views.  Two buffers alternate as each step's output, and their edge
+rows stay zero because no step writes them; the third holds scratch.  The
+kernel yields views (up, dn), 1-D and contiguous for one walk, that live
+for two steps.  The per-step reductions live beside it, the reduced coin
+matrix (three BLAS dot products for one walk, einsums over the sites for a
+batch) and the second moment about the origin (float-view squares and one
+dot product), and read those arrays as they stream.  Outside this module
+only the exhaustive sweep (:mod:`dtqw.sequences`) and ``dtqw walk``, which
+takes its m2 from the kernel's rows, read the row-to-site map.  Every coin
+plan is built here and resolved into coins by `CoinPlan.phases`, for the
+exhaustive sweep's prefix tree too, so no other module reads a coin
+alphabet.  :class:`WalkState` is the dense view of one walk: a (2, 2t+1)
+array with the |up> amplitudes a(j) in row 0, the |down> amplitudes b(j)
+in row 1, and site j at column j + t.  `evolve` returns a trajectory whose
+states are expanded to this view as they are read, so a walk costs
+O(steps) memory however much of it is read; reading step t by index
+re-runs the walk up to t, so a caller that needs many states iterates.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
 sequence, and randomly drawn coins, H (bit 0) or F (bit 1), that vary per
@@ -66,6 +59,7 @@ runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -220,12 +214,19 @@ class CoinPlan:
     holds one bit per site of the light cone -steps..steps, and a missing
     bit stream reads as 0, so a plan with neither applies ``alphabet[0]``
     everywhere.  Leading axes of `step_bits` index independent walks that
-    share the alphabet and the site pattern.  An alphabet of sqrt(2) times
-    unitary coins, as the exact {H, F} entries are, is `scaled`: each step
-    then grows the rows by sqrt(2), which :meth:`scales` books.  All
+    share the alphabet.  An alphabet of exact {H, F} coins, sqrt(2) times
+    unitary ones of the form [[1, w], [w, -w^2]], is `scaled`: each step then
+    grows the rows by sqrt(2), which :meth:`scales` books, and the kernel
+    steps it with `_phase_shift` on the w of :meth:`phases`.  Any other
+    alphabet is used as given, one coin with no bits, by `_coin_shift`.  All
     randomness is consumed at construction, so applying the plan is
-    deterministic.  Only this module builds plans, and only :meth:`columns`
-    and :meth:`phases` turn their bits into coins.
+    deterministic.  Only this module builds plans.
+
+    Raises
+    ------
+    ValueError
+        For plans the kernel cannot step: a batch of walks with site bits,
+        or bits on an alphabet that is not scaled.
     """
 
     def __init__(
@@ -239,15 +240,14 @@ class CoinPlan:
         self.alphabet = alphabet
         self.site_bits = site_bits
         self.step_bits = step_bits
-        # sqrt(2) times a unitary coin has |det| = 2; a unitary one has 1.
-        det = alphabet[:, 0, 0] * alphabet[:, 1, 1] - alphabet[:, 0, 1] * alphabet[:, 1, 0]
-        self.scaled = bool(np.all(np.abs(det) == 2.0))
-        # Coins resolved once per site of the light cone as an (i, j, site, b)
-        # table, [..., b] holding alphabet[site_bits ^ b]; without site bits,
-        # one site that broadcasts over every site.
-        rows = np.arange(1 if step_bits is None else 2)
-        table = alphabet[None] if site_bits is None else alphabet[site_bits[:, None] ^ rows]
-        self._table = np.ascontiguousarray(table.transpose(2, 3, 0, 1))
+        # The exact {H, F} coins are [[1, w], [w, -w^2]] with |w| = 1, sqrt(2) times unitary ones.
+        w = alphabet[:, 1, 0]
+        form = np.stack([np.ones_like(w), w, w, -w * w], -1).reshape(-1, 2, 2)
+        self.scaled = bool(np.array_equal(alphabet, form) and np.all(np.abs(w) == 1))
+        if self.batch and site_bits is not None:
+            raise ValueError("a batch of walks cannot have site bits")
+        if not self.scaled and (site_bits is not None or step_bits is not None):
+            raise ValueError("only an alphabet of exact {H, F} coins takes coin bits")
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -264,47 +264,29 @@ class CoinPlan:
         t = np.arange(self.steps + 1)
         return t % (2 * _RESCALE) if self.scaled else np.zeros_like(t)
 
-    def phases(self) -> NDArray[np.complex128]:
-        """The (steps, ...) table of every walk's w, 1 for H and i for F, for `_phase_shift`.
+    def phases(self) -> Iterator:
+        """Yield the w of each step t = 0 .. steps-1 of a scaled plan, 1 for H and i for F, for `_phase_shift`.
 
-        Only for a scaled plan without site bits, whose coins are
-        ``[[1, w], [w, -w^2]]``: w is the coins' entry [1, 0].
+        A batch's w is a (walks...) row of one table; one walk's is a 0-d
+        array, or with site bits the (t+1,) w of sites -t, -t+2, .., t, a
+        slice of a copy made here per step bit and per parity of the first
+        site's index, so that it is contiguous.
         """
-        # Indexed by contiguous bits, the table is contiguous too.
-        return self.alphabet[:, 1, 0][np.ascontiguousarray(np.moveaxis(self.step_bits, -1, 0))]
-
-    def columns(self) -> Iterator[tuple[NDArray[np.complex128], NDArray[np.complex128]]]:
-        """Yield the coin columns (c0, c1) of each step t = 0 .. steps-1 at sites -t, -t+2, .., t.
-
-        Column 0 multiplies |up> and column 1 |down>; each is [i, site,
-        ...], with 1 or t+1 sites.  A batch gathers each step's coins from
-        the table, fastest from contiguous intp bits.  One walk reads its
-        columns from copies resolved here, per bit and, with site bits, per
-        parity of the first site's table index, so that a step's columns
-        are two contiguous slices.
-        """
-        steps = self.steps
+        w = self.alphabet[:, 1, 0]
         if self.batch:
-            for t in range(steps):
-                lo = steps - t  # site -t in a table that starts at site -steps
-                table = self._table if self.site_bits is None else self._table[:, :, lo : lo + 2 * t + 1 : 2]
-                c = np.take(table, self.step_bits[..., t], axis=-1)
-                yield c[:, 0], c[:, 1]
+            # Indexed by contiguous bits, the table is contiguous too.
+            yield from w[np.ascontiguousarray(np.moveaxis(self.step_bits, -1, 0))]
             return
-        bits = [0] * steps if self.step_bits is None else self.step_bits.tolist()
-        by_bit = [self._table[..., b].transpose(1, 0, 2) for b in range(self._table.shape[-1])]  # [j, i, site]
+        bits = [0] * self.steps if self.step_bits is None else self.step_bits.tolist()
         if self.site_bits is None:
-            cols = [tuple(c) for c in by_bit]
-            for b in bits:
-                yield cols[b]
+            ws = [w[b, ...] for b in range(len(w))]  # 0-d arrays: numpy's cheapest scalar operand
+            yield from map(ws.__getitem__, bits)
             return
-        # Step t reads every other site of the table from index steps - t.
-        cols = [[tuple(np.ascontiguousarray(c[..., p::2])) for p in (0, 1)] for c in by_bit]
+        # Step t reads every other site from index steps - t.
+        copies = [[w[self.site_bits[p::2] ^ b] for p in (0, 1)] for b in (0, 1)]
         for t, b in enumerate(bits):
-            lo = steps - t
-            c0, c1 = cols[b][lo % 2]
-            sites = slice(lo // 2, lo // 2 + t + 1)
-            yield c0[:, sites], c1[:, sites]
+            lo = self.steps - t
+            yield copies[b][lo % 2][lo // 2 : lo // 2 + t + 1]
 
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
@@ -419,13 +401,14 @@ def _destination(out):
 
 
 def _phase_shift(up, dn, w, dest, scratch):
-    """`_coin_shift` of walks whose coins are sqrt(2) H (w = 1) or sqrt(2) F (w = i): two complex multiplies.
+    """One step of parity-compressed walks whose coins are sqrt(2) H (w = 1) or sqrt(2) F (w = i): coin, then shift.
 
-    With `w` the (walks...) row of each walk's phase, sqrt(2) C = [[1, w],
-    [w, -w^2]] maps (a, b) to (a + u, w (a - u)) with u = w b, which is
-    written into `dest` as `_coin_shift` writes its products; `scratch[0]`
-    holds u.  The values equal `_coin_shift`'s with the same coins, since
-    multiplying by 1 or i is exact; the sign of a zero may differ.
+    `up` and `dn` are the (width, ...) amplitude rows and `w` the phases
+    (`CoinPlan.phases`) that broadcast against them.  sqrt(2) C = [[1, w],
+    [w, -w^2]] maps (a, b) to (a + u, w (a - u)) with u = w b, two complex
+    multiplies, which are written into `dest`, the (2, width, ...)
+    `_destination` view of the next block; `scratch[0]` holds u.  The edge
+    rows are never written, so a caller zeroes each output buffer once.
     """
     u, (new_up, new_dn) = scratch[0], dest
     np.multiply(dn, w, out=u)
@@ -435,14 +418,11 @@ def _phase_shift(up, dn, w, dest, scratch):
 
 
 def _coin_shift(up, dn, c0, c1, dest, scratch):
-    """One step of parity-compressed walks: coin on every site, then the shift.
+    """One step of a walk under one coin of any kind, an `Ordered` one: coin, then shift.
 
-    `up` and `dn` are the (width, ...) amplitude rows, and `c0` and `c1`
-    the coin columns [i, site, ...] that multiply them (see
-    `CoinPlan.columns`).  The products c0 * up + c1 * dn are written into
-    `dest`, the (2, width, ...) `_destination` view of the next block, with
-    `scratch` holding the c1 products.  The edge rows are never written, so
-    a caller zeroes each output buffer once.
+    With the coin's columns `c0` and `c1` as (2, 1), c0 * up + c1 * dn is
+    written into `dest` as `_phase_shift` writes its rows, and `scratch`
+    holds the c1 products.
     """
     np.multiply(c0, up, out=dest)
     np.multiply(c1, dn, out=scratch)
@@ -459,7 +439,7 @@ def _step_views(buffers, steps: int, batch: tuple[int, ...]):
     |up> and |down> rows steps + 1 elements apart, so that before the last
     step a destination's two rows are not one run and its products are not
     buffered: the views are slices of fixed views resolved here.  A batch's
-    broadcast coin product is buffered anyway, and its blocks are each one
+    broadcast phase product is buffered anyway, and its blocks are each one
     contiguous run, reshaped per step, so that they need no buffer of their
     own.
     """
@@ -490,18 +470,17 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     After step t, `up` and `dn` are (t+2, ...) views with trailing axes
     ``plan.batch``, row m holding site j = 2m - t, and 2^(s_t / 2) times
     the amplitudes (`CoinPlan.scales`); one walk's are 1-D and contiguous.
-    Everything a step needs that does not depend on the amplitudes is
-    resolved once per run: the coin columns (`CoinPlan.columns`), or for a
-    scaled batch without site bits the table of phases (`CoinPlan.phases`)
-    that `_phase_shift` steps with, and three zeroed buffers with their
-    views (`_step_views`).  Two buffers alternate as each step's output
-    [up, dn], whose edge rows stay zero because no step writes them, and
-    one holds scratch, so a step is its ufunc calls and a few slices.  A
-    scaled plan's rows are multiplied by 2^-_RESCALE after every
-    2 * _RESCALE steps, exactly but for results below the normal range.
-    The yielded views are overwritten two steps later: reduce or copy them
-    before then.  The buffers are allocated once, or ValueError raised if
-    they would pass :data:`_BUFFER_LIMIT`.
+    A scaled plan steps with `_phase_shift` on its phases, any other with
+    `_coin_shift` on its one coin's columns.  All a step needs that does
+    not depend on the amplitudes is resolved once per run, with three
+    zeroed buffers and their views (`_step_views`): two alternate as each
+    step's output [up, dn], whose edge rows stay zero because no step
+    writes them, and one holds scratch.  A scaled plan's rows are
+    multiplied by 2^-_RESCALE after every 2 * _RESCALE steps, exactly but
+    for results below the normal range.  The yielded views are overwritten
+    two steps later: reduce or copy them before then.  The buffers are
+    allocated once, or ValueError raised if they would pass
+    :data:`_BUFFER_LIMIT`.
     """
     batch = plan.batch
     _check_buffers(math.prod(batch), plan.steps)
@@ -509,10 +488,11 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor
     up, dn = phi
-    if plan.scaled and batch and plan.site_bits is None:
+    if plan.scaled:
         step, coins = _phase_shift, zip(plan.phases())  # one-tuples (w,)
     else:
-        step, coins = _coin_shift, plan.columns()
+        columns = np.ascontiguousarray(plan.alphabet[0].T[..., None])  # c0, c1 as (2, 1)
+        step, coins = _coin_shift, itertools.repeat(tuple(columns))
     rescale = 2 * _RESCALE if plan.scaled else 0
     views = _step_views(buffers, plan.steps, batch)
     for t, (coin, (dest, scratch, out)) in enumerate(zip(coins, views), 1):
@@ -589,12 +569,14 @@ def _dense(up, dn, scale):
     """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays at scale s = `scale`.
 
     The rows hold 2^(s/2) times the amplitudes, so each is multiplied by
-    2^(-s/2): exact for even s, one rounding for odd s.
+    2^(-s/2): exact for even s, one rounding for odd s.  They are copied in
+    by adding +0, which turns the -0 that `_phase_shift`'s last multiply
+    can leave into the +0 a written state shows.
     """
     t = len(up) - 1
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-    amps[0, ::2] = up
-    amps[1, ::2] = dn
+    for k, rows in enumerate((up, dn)):
+        np.add(rows, 0.0, out=amps[k, ::2])
     if scale:
         floats = amps.view(np.float64)
         np.multiply(floats, 2.0 ** (-scale / 2), out=floats)

@@ -10,8 +10,8 @@ column-wise `io.write_table` must reproduce byte for byte.  The Kaspar-Schuster 
 pointer arithmetic, sharing nothing with the library's substring parse.
 The prefix-tree oracle is the exhaustive sweep before its last coins were
 applied in closed form: it steps every sequence to depth n with the kernel,
-so the closed form is checked against a route with another summation order,
-and `reference_propagate` also runs in np.clongdouble to give entropies
+so the closed form is checked against a route with another summation order
+and another step, and `reference_propagate` also runs in np.clongdouble to give entropies
 with rounding far below float64's.  `evolve` is the eager trajectory, every
 state of one kernel run kept in a list, that the library's lazy one must
 equal bit for bit.  `reference_similarity` is the Bhattacharyya
@@ -21,6 +21,8 @@ share no code with the kernel: `exact_sequence_densities` walks the
 basis spinors of {H, F} sequences in Python-int Gaussian integers, and
 `momentum_coin_densities` steps one translation-invariant walk on
 2 steps + 2 momenta, past the sizes the dense oracle reaches.
+`backward_walk` reverses a walk of any policy in np.clongdouble, so a
+final state is checked against the initial spinor it came from.
 """
 
 from __future__ import annotations
@@ -135,12 +137,14 @@ def evolve(init: InitialCoin, policy, steps: int) -> list[WalkState]:
 def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):
     """Yield (up, dn) after each step, allocating fresh arrays at every step.
 
-    The kernel's arithmetic written plainly: gather each site's coin from the
-    plan's bits (the exact-entry table of a scaled plan), form c00*up +
+    `_coin_shift`'s arithmetic written plainly: gather each site's coin from
+    the plan's bits (the exact entries of a scaled plan), form c00*up +
     c01*dn and c10*up + c11*dn, and pad with a zero column to shift.  Where
     the plan's scale falls by more than a step adds, the rows are multiplied
     by the power of two that takes it off, as the kernel's rescale does.
-    The engine must reproduce it bit for bit.  With `dtype` np.clongdouble
+    The engine must reproduce its values bit for bit, `_phase_shift` too,
+    whose multiplies by 1 or i are exact; only the sign of a zero may
+    differ.  With `dtype` np.clongdouble
     the same coins and spinor, promoted exactly, are stepped in extended
     precision.
     """
@@ -254,15 +258,16 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     Entry t holds the 2^t sequences of length t, sequence v at index v (first
     coin in the least significant bit).  The first 10 coins are stepped as
     one kernel batch of every prefix, a leaf block of walks; every later
-    coin is stepped depth-first on that block, and each node writes
-    the slice of the enumeration that its coins select.  Every entry is
-    what the exhaustive sweep of its length computed before the closed form.
+    coin is stepped depth-first on that block by `_coin_shift`, with the
+    columns of the plan's exact coins, and each node writes the slice of
+    the enumeration that its coins select.  Every entry is what the
+    exhaustive sweep of its length computed before the closed form.
     """
-    c0, c1 = (c[..., None] for c in next(_packed_plan(np.arange(2), 1).columns()))  # [i, site, bit, walk]
     out = [np.empty(1 << t) for t in range(n + 1)]
     breadth = min(n, 10)
     # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
     plan = _packed_plan(np.arange(1 << breadth), breadth)
+    columns = [tuple(coin.T[..., None, None]) for coin in plan.alphabet]  # by bit: (c0, c1), each [i, site, walk]
     up, dn = np.reshape(spinor, (2, 1, 1))
     out[0][:] = _entropy_bits(_coin_density(up, dn))
     # Rows after t exact-entry steps hold 2^(t/2) times the amplitudes.
@@ -276,12 +281,45 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     def descend(phi, t, offset):
         out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi) * 2.0**-t)
         for bit in (0, 1) if t < n else ():
-            _coin_shift(*phi, c0[:, :, bit], c1[:, :, bit], _destination(level[t + 1]), scratch[:, : t + 1])
+            _coin_shift(*phi, *columns[bit], _destination(level[t + 1]), scratch[:, : t + 1])
             descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)
     del descend
     return out
+
+
+def backward_walk(plan: CoinPlan, state: WalkState) -> tuple[np.ndarray, float]:
+    """Step `state`, a walk's state after the `plan.steps` steps of `plan`, back to t = 0 in np.clongdouble.
+
+    Each step back is the inverse shift (|up> from j to j - 1, |down> from
+    j to j + 1), then C_t^dagger at every site.  A scaled plan's exact
+    coins give sqrt(2) C^dagger, whose growth is taken out by an exact 1/2
+    every other step (and one sqrt(1/2) for an odd count), so the only
+    rounding is extended precision's.  Only the sites of the walk's parity
+    are stepped, within the light cone, which shrinks by one site a side
+    per step.  Returns the spinor at the origin and the norm of the
+    amplitude that left the light cone: for the exact state after the
+    plan's steps these are the initial spinor and 0, and the unitary
+    steps back keep the distance from them to the state's error.
+    """
+    steps, scaled = plan.steps, plan.scaled
+    coins = np.conj(plan.alphabet.astype(np.clongdouble)).swapaxes(-1, -2)
+    up, dn = (np.asarray(row[::2], dtype=np.clongdouble) for row in state.amps)  # sites -steps, .., steps
+    lost = np.longdouble(0)
+    for k, t in enumerate(reversed(range(steps))):
+        lost += (abs(up[0]) ** 2 + abs(dn[-1]) ** 2) / 2 ** (scaled * (k % 2))  # leave sites -t-2 and t+2
+        a, b = up[1:], dn[:-1]
+        bits = 0 if plan.step_bits is None else plan.step_bits[t]
+        if plan.site_bits is not None:
+            bits = bits ^ plan.site_bits[steps - t : steps + t + 1 : 2]
+        c = coins[bits]
+        up, dn = c[..., 0, 0] * a + c[..., 0, 1] * b, c[..., 1, 0] * a + c[..., 1, 1] * b
+        if scaled and k % 2:
+            up, dn = up / 2, dn / 2
+    if scaled and steps % 2:
+        up, dn = up * np.sqrt(np.longdouble(0.5)), dn * np.sqrt(np.longdouble(0.5))
+    return np.array([up[0], dn[0]]), float(np.sqrt(lost))
 
 
 def as_dict(dist) -> dict[int, float]:

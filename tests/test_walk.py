@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -17,18 +16,16 @@ from dtqw.walk import (
     StaticRandom,
     WalkState,
     _coin_density,
-    _coin_shift,
     _packed_plan,
     _propagate,
     _second_moment,
     _site_squares,
-    _step_views,
     evolve,
     final_state,
     initial_state,
     plan_coins,
 )
-from oracles import dense_trajectory, embed_state, reference_propagate
+from oracles import backward_walk, dense_trajectory, embed_state, reference_propagate
 from oracles import evolve as eager_evolve
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
@@ -175,24 +172,24 @@ def test_streamed_reductions_carry_batch_axes():
 
 
 KERNEL_IDS = [type(p).__name__ for p in FIVE_POLICIES]
-
-
-def static_batch(steps: int) -> CoinPlan:
-    """The walks of `dynamic_batch` on one frozen site pattern: coins per walk and per site."""
-    static = plan_coins(StaticRandom(seed=9), steps)
-    step_bits = dynamic_batch(steps).step_bits
-    return CoinPlan(steps, static.alphabet, static.site_bits, step_bits)
+#: A batch of 32 packed sequences of 40 coins, as sampled sweeps step them.
+PACKED_BATCH = _packed_plan(np.arange(7, 1 << 40, 3 << 30), 40)
 
 
 @pytest.mark.parametrize(
     "plan",
     [plan_coins(p, 20) for p in FIVE_POLICIES]
-    + [dynamic_batch(20), static_batch(20)]
+    + [dynamic_batch(20), PACKED_BATCH]
     + [plan_coins(p, LONG) for p in LONG_WALK_POLICIES],
-    ids=KERNEL_IDS + ["batch", "static-batch"] + [f"{type(p).__name__}-{LONG}" for p in LONG_WALK_POLICIES],
+    ids=KERNEL_IDS + ["batch", "packed-batch"] + [f"{type(p).__name__}-{LONG}" for p in LONG_WALK_POLICIES],
 )
 def test_kernel_matches_reference_bit_for_bit(plan):
-    """The buffered kernel equals the allocate-per-step reference after every step."""
+    """The buffered kernel equals the allocate-per-step reference after every step.
+
+    The reference does `_coin_shift`'s arithmetic, so this checks that
+    `_phase_shift` gives its values for one walk, a site pattern and a
+    batch of walks, that of packed sequences included.
+    """
     spinor = InitialCoin(51, 30).spinor
     steps = 0
     # Compare before advancing: the kernel overwrites a yielded pair two steps later.
@@ -268,7 +265,7 @@ def test_evolve_memory_stays_linear(read):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("batch", [dynamic_batch(20), static_batch(20)], ids=["batch", "static-batch"])
+@pytest.mark.parametrize("batch", [dynamic_batch(20)], ids=["batch"])
 def test_batch_walks_equal_single_walks_bit_for_bit(batch):
     """Walk k of a batch, the trailing axis, equals the single-walk kernel run of its bits."""
     spinor = InitialCoin(51, 30).spinor
@@ -286,67 +283,52 @@ def test_batch_walks_equal_single_walks_bit_for_bit(batch):
     assert steps == batch.steps
 
 
-def coin_shift_rows(plan, spinor):
-    """Yield a batch's rows after each step, stepped by `_coin_shift` with the columns of its exact table."""
-    buffers = np.zeros((3, 2 * (plan.steps + 1) * math.prod(plan.batch)), dtype=np.complex128)
-    up, dn = np.empty((2, 1) + plan.batch, dtype=np.complex128)
-    up[...], dn[...] = spinor
-    for (c0, c1), (dest, scratch, out) in zip(plan.columns(), _step_views(buffers, plan.steps, plan.batch)):
-        _coin_shift(up, dn, c0, c1, dest, scratch)
-        up, dn = out
-        yield out
-
-
-@pytest.mark.parametrize("plan", [_packed_plan(np.arange(7, 1 << 40, 3 << 30), 40), dynamic_batch(40, 32)],
-                         ids=["sequence-alphabet", "random-alphabet"])
+@pytest.mark.parametrize("plan", [PACKED_BATCH, dynamic_batch(40, 32)], ids=["sequence-alphabet", "random-alphabet"])
 @pytest.mark.parametrize("phi", [0, 270])
 @pytest.mark.parametrize("theta", [0, 51, 180])
 def test_phase_shift_equals_coin_shift(plan, theta, phi):
-    """The two-multiply step of a batch gives the values of `_coin_shift` with the same exact coins.
+    """A batch's two-multiply steps give the values of `_coin_shift`'s arithmetic, `reference_propagate`, at basis and mixed spinors.
 
     Multiplying by 1 or i is exact, so they differ at most in the sign of a zero.
     """
     spinor = InitialCoin(theta, phi).spinor
     steps = 0
-    for (up, dn), (ref_up, ref_dn) in zip(_propagate(plan, spinor), coin_shift_rows(plan, spinor), strict=True):
-        np.testing.assert_array_equal(up, ref_up)
-        np.testing.assert_array_equal(dn, ref_dn)
+    for (up, dn), (ref_up, ref_dn) in zip(_propagate(plan, spinor), reference_propagate(plan, spinor), strict=True):
+        np.testing.assert_array_equal(np.moveaxis(up, 0, -1), ref_up)
+        np.testing.assert_array_equal(np.moveaxis(dn, 0, -1), ref_dn)
         steps += 1
     assert steps == plan.steps
 
 
 def test_batched_kernel_allocates_nothing_per_step():
-    # Its three step buffers and, for `_phase_shift` (the exact coins), the
-    # table of phases with the bits that index it, or, for `_coin_shift`
-    # (the same bits with the unit coins), one step's gathered coins, with
-    # slack for numpy's two ufunc buffers (which a product of small
+    # Its three step buffers, the table of phases with the bits that index
+    # it, and slack for numpy's two ufunc buffers (which a product of small
     # broadcast operands fills) and for views and scalars; anything kept per
     # step would add 256 steps' worth.
     walks, steps = 256, 256
-    exact = dynamic_batch(steps, walks)
-    unit = CoinPlan(steps, np.stack([hadamard_coin(), fourier_coin()]), step_bits=exact.step_bits)
+    plan = dynamic_batch(steps, walks)
     buffers = 3 * 2 * walks * (steps + 1) * 16
+    phases = (16 + 8) * steps * walks
     slack = 2 * np.getbufsize() * 16 + 2**16
-    for plan, coins in ((exact, (16 + 8) * steps * walks), (unit, 2 * 2 * walks * 16)):  # [i, j, site, walk], one site
-        tracemalloc.start()
-        try:
-            for _ in _propagate(plan, InitialCoin(51, 30).spinor):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < buffers + coins + slack
-    assert exact.scaled and not unit.scaled
+    tracemalloc.start()
+    try:
+        for _ in _propagate(plan, InitialCoin(51, 30).spinor):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + phases + slack
 
 
 @pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=KERNEL_IDS)
 def test_single_walk_kernel_allocates_nothing_per_step(policy):
-    # Its three step buffers, the coin columns resolved once (per-parity
-    # copies of the site table and a list of the step bits) and the slack of
-    # the batched test above; anything kept per step would add 2048 steps'
-    # worth.
+    # Its three step buffers, the phases resolved once (a list of the step
+    # bits and, with site bits, per-bit and per-parity copies of the light
+    # cone's phases) and the slack of the batched test above; anything kept
+    # per step would add 2048 steps' worth.
     plan = plan_coins(policy, LONG)
     buffers = 3 * 2 * (LONG + 1) * 16
+    phases = 2 * (2 * LONG + 1) * 16
     tracemalloc.start()
     try:
         for _ in _propagate(plan, InitialCoin(51, 30).spinor):
@@ -355,7 +337,52 @@ def test_single_walk_kernel_allocates_nothing_per_step(policy):
     finally:
         tracemalloc.stop()
     slack = 2 * np.getbufsize() * 16 + 2**16
-    assert peak < buffers + plan._table.nbytes + 8 * LONG + slack
+    assert peak < buffers + phases + 8 * LONG + slack
+
+
+def test_plan_refuses_what_the_kernel_cannot_step():
+    """A batch steps per-walk phases only, and only exact {H, F} coins take bits."""
+    static = plan_coins(StaticRandom(seed=9), 20)
+    with pytest.raises(ValueError, match="a batch of walks cannot have site bits"):
+        CoinPlan(20, static.alphabet, static.site_bits, dynamic_batch(20).step_bits)
+    unit = np.stack([hadamard_coin(), fourier_coin()])
+    for bits in ({"step_bits": static.site_bits[:20]}, {"site_bits": static.site_bits}):
+        with pytest.raises(ValueError, match="only an alphabet of exact"):
+            CoinPlan(20, unit, **bits)
+
+
+@pytest.mark.parametrize("policy", FIVE_POLICIES[1:], ids=KERNEL_IDS[1:])
+def test_states_hold_no_negative_zero(policy):
+    """A basis spinor's states after t >= 1 steps print no -0: `_dense` adds +0 to the kernel's rows."""
+    for state in evolve(InitialCoin(0, 0), policy, 20)[1:]:
+        floats = state.amps.view(np.float64)
+        assert not np.any(np.signbit(floats[floats == 0]))
+
+
+@pytest.mark.parametrize(
+    "policy,steps,bound",
+    [
+        (FIVE_LONG_POLICIES[0], LONG, 5e-13),  # the unit coin's fl(1/sqrt(2)) drifts the norm
+        (FIVE_LONG_POLICIES[1], LONG, 4e-15),
+        (FIVE_LONG_POLICIES[2], LONG, 4e-15),
+        (FIVE_LONG_POLICIES[3], 2 * LONG, 5e-15),
+        (FIVE_LONG_POLICIES[4], 2 * LONG, 5e-15),
+    ],
+    ids=KERNEL_IDS,
+)
+def test_final_state_walks_back_to_the_initial_spinor(policy, steps, bound):
+    """The walk reversed in extended precision (`oracles.backward_walk`) ends at the initial spinor.
+
+    The steps back are unitary, so the distance, the spinor's error with
+    the norm that left the light cone, is the final state's error.  On the
+    exact {H, F} coins it reads 2.3e-15 and 2.4e-15 at 2048 steps, and
+    3.1e-15 and 3.0e-15 at 4096 steps under StaticRandom and
+    StaticAndDynamic, which have no momentum-space reference; the ordered
+    walk's unit coin reads 3.6e-13.
+    """
+    init = InitialCoin(51, 30)
+    spinor, lost = backward_walk(plan_coins(policy, steps), final_state(init, policy, steps))
+    assert np.hypot(np.linalg.norm(spinor - init.spinor), lost) < bound
 
 
 def test_kernel_refuses_oversized_buffers_before_allocating():
@@ -505,8 +532,8 @@ def test_plan_matches_engine_for_static_policy():
 def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
     """Bit 0 is H and bit 1 is F; a seed's first draws are the step bits or the light cone's site bits.
 
-    Every step's coins are read as one walk steps with them: the columns
-    that `CoinPlan.columns` slices from its per-bit and per-parity copies.
+    Every step's coins are read as one walk steps with them: the phases w
+    of `CoinPlan.phases`, whose exact coins are [[1, w], [w, -w^2]].
     """
 
     def draw(seed, size):
@@ -523,14 +550,14 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
     assert dynamic.site_bits is None and static.step_bits is None
     for plan in (dynamic, static, both):
         np.testing.assert_array_equal(plan.alphabet, alphabet)
+        assert plan.scaled
         step_bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
         site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
-        columns = list(plan.columns())
-        assert len(columns) == steps
-        for t, (c0, c1) in enumerate(columns):
-            want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2]]
-            coins = np.stack([c0, c1], axis=-1).swapaxes(0, 1)  # [i, S, j] -> [S, i, j]
-            np.testing.assert_array_equal(np.broadcast_to(coins, want.shape), want)
+        phases = list(plan.phases())
+        assert len(phases) == steps
+        for t, w in enumerate(phases):
+            want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2], 1, 0]
+            np.testing.assert_array_equal(np.broadcast_to(w, want.shape), want)
 
 
 def test_walk_state_validates_shape():
