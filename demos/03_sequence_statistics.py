@@ -8,9 +8,10 @@ its Lempel-Ziv complexity.
 
 Usage: 03_sequence_statistics.py [n]
 
-The headline statistics use n = 20: the sweep takes about 0.1 s and the
-demo about 23 s, nearly all of it the LZ parse of every sequence (one core
-of a 2-core Xeon VM).  The default here is n = 16 so the demo stays quick.
+The headline statistics use n = 20: the sweep takes under 0.1 s and the
+demo about 10 s, nearly all of it the LZ parse of every sequence (3 runs,
+10.2-10.7 s, on one core of a 2-core Xeon VM, Python 3.11.7, numpy 2.4.6).
+The default here is n = 16 so the demo stays quick.
 """
 
 import sys

@@ -575,4 +575,4 @@ def parse_sequence_lines(text: str, source: str) -> list[tuple[CoinSequence, int
 def reference_sequences() -> list[tuple[CoinSequence, int]]:
     """The bundled 12 benchmark sequences with their quoted complexities."""
     name = "benchmark_sequences.txt"
-    return parse_sequence_lines(resources.files("dtqw.data").joinpath(name).read_text(), name)
+    return parse_sequence_lines(resources.files(f"{__package__}.data").joinpath(name).read_text(), name)

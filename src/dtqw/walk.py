@@ -11,7 +11,7 @@ ensemble.  Callers with many walks step them in batches of one budget of
 amplitude rows, walks x (steps + 1), so that a batch's buffers stay in a
 core's cache.
 
-The {H, F} alphabets of the sequence and random policies have exact
+The {H, F} coins of every policy, an `Ordered` H or F too, have exact
 entries, sqrt(2) H = [[1, 1], [1, -1]] and sqrt(2) F = [[1, i], [i, 1]], and
 their 1/sqrt(2) is carried as an exact power of two: after step t the rows
 hold 2^(s/2) times the walk's amplitudes, with the integer scale s_t from
@@ -23,13 +23,13 @@ kernel multiplies its rows by the exact 2^-_RESCALE every 2 * _RESCALE
 steps, and s_t = t mod 2 * _RESCALE.  The reductions, the reduced coin
 matrix and the second moment, take the scale out with an exact 2^-s; a
 dense state is multiplied by 2^(-s/2), one rounding when s is odd.  An
-`Ordered` coin is used as given, with s = 0.
+`Ordered` coin other than H or F is used as given, with s = 0.
 
 The coin kind picks the step.  With w = 1 for H and w = i for F, sqrt(2) C
 = [[1, w], [w, -w^2]], so an {H, F} step is u = w b, up = a + u, dn =
 w (a - u): two complex multiplies (`_phase_shift`), for one walk, a
 site pattern or a batch alike, on the w that `CoinPlan.phases` resolves
-from the plan's bits.  An `Ordered` coin steps with `_coin_shift`, its two
+from the plan's bits.  Any other coin steps with `_coin_shift`, its two
 columns times (a, b) and one add.  All else a step needs is resolved once
 per run: three zeroed buffers, checked against a size limit first, with
 their views.  Two buffers alternate as each step's output, and their edge
@@ -68,7 +68,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import require_unitary
+from .coins import fourier_coin, hadamard_coin, require_unitary
 
 __all__ = [
     "WalkState",
@@ -303,7 +303,9 @@ def _packed_plan(ints: NDArray[np.integer], n: int) -> CoinPlan:
 def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     """Resolve `policy` into the explicit coin assignment for `steps` steps.
 
-    An `Ordered` coin is checked for unitarity here; the kernel does not re-check.
+    An `Ordered` coin is checked for unitarity here; the kernel does not
+    re-check.  One equal to `hadamard_coin()` or `fourier_coin()`, entry for
+    entry, is planned as its exact sqrt(2) H or sqrt(2) F.
 
     Raises
     ------
@@ -317,7 +319,10 @@ def plan_coins(policy: CoinPolicy, steps: int) -> CoinPlan:
     _check_buffers(1, steps)
 
     if isinstance(policy, Ordered):
-        return CoinPlan(steps, alphabet=require_unitary(policy.coin)[None])
+        coin = require_unitary(policy.coin)
+        units = (fourier_coin(), hadamard_coin())
+        exact = [e for u, e in zip(units, _sequence_alphabet()) if np.array_equal(coin, u)]
+        return CoinPlan(steps, alphabet=(exact[0] if exact else coin)[None])
 
     if isinstance(policy, DynamicSequence):
         text = policy.text.upper()
@@ -418,7 +423,7 @@ def _phase_shift(up, dn, w, dest, scratch):
 
 
 def _coin_shift(up, dn, c0, c1, dest, scratch):
-    """One step of a walk under one coin of any kind, an `Ordered` one: coin, then shift.
+    """One step of a walk under one coin of any kind, an `Ordered` coin other than H or F: coin, then shift.
 
     With the coin's columns `c0` and `c1` as (2, 1), c0 * up + c1 * dn is
     written into `dest` as `_phase_shift` writes its rows, and `scratch`

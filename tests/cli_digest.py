@@ -8,9 +8,10 @@ hashing.  Run it from a checkout with the package on the path:
     PYTHONPATH=src python tests/cli_digest.py
 
 The cases cover every coin policy at theta 0, 51 and 180 (the last with
-phi = 180), `entropy` at three phi with ``--eigenvalues``, the exhaustive
-and the sampled sweep, `tomo` with and without ``--noiseless``, `lz` and
-`fit`.
+phi = 180), the ordered walk under each named coin (H and F, stepped
+exactly, and I, stepped as given), `entropy` at three phi with
+``--eigenvalues``, the exhaustive and the sampled sweep, `tomo` with and
+without ``--noiseless``, `lz` and `fit`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ STEPS = "100"
 ENHANCER = "FFHFHFHHFFFFFHFHHHHH"
 POLICIES = {
     "ordered": ("--ordered", "H"),
+    "ordered-F": ("--ordered", "F"),
+    "ordered-I": ("--ordered", "I"),
     "sequence": ("--sequence", (ENHANCER * 5)[: int(STEPS)]),
     "dynamic": ("--dynamic-seed", "3"),
     "static": ("--static-seed", "5"),

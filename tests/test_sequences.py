@@ -1,9 +1,13 @@
 import gc
+import importlib
 import itertools
 import pickle
 import re
+import shutil
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,20 @@ def test_fixture_carries_twelve_sequences():
     assert len(entries) == 12
     assert all(len(seq) == 20 for seq, _ in entries)
     assert entries[-1][0].text == ENHANCER_20
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_sequences(tmp_path, monkeypatch):
+    """The bundled file is found relative to the package, so a copy loaded under another name reads its own."""
+    copy = tmp_path / "dtqw_copy"
+    shutil.copytree(Path(sequences.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "data" / "benchmark_sequences.txt").write_text("HFHFHFHFHFHFHFHFHFHF 4\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        entries = importlib.import_module("dtqw_copy.sequences").reference_sequences()
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "dtqw_copy"]:
+            del sys.modules[name]
+    assert [(seq.text, quoted) for seq, quoted in entries] == [("HFHFHFHFHFHFHFHFHFHF", 4)]
 
 
 def test_lz_accepts_raw_binary_text():

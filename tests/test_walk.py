@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dtqw.coins import fourier_coin, hadamard_coin, identity_coin
+from dtqw.coins import fourier_coin, hadamard_coin, hwp_coin, identity_coin
 from dtqw.entanglement import coin_density_curve, reduced_coin_density
 from dtqw.transport import moment_series, position_distribution, second_moment
 from dtqw.walk import (
@@ -351,7 +351,7 @@ def test_plan_refuses_what_the_kernel_cannot_step():
             CoinPlan(20, unit, **bits)
 
 
-@pytest.mark.parametrize("policy", FIVE_POLICIES[1:], ids=KERNEL_IDS[1:])
+@pytest.mark.parametrize("policy", FIVE_POLICIES, ids=KERNEL_IDS)
 def test_states_hold_no_negative_zero(policy):
     """A basis spinor's states after t >= 1 steps print no -0: `_dense` adds +0 to the kernel's rows."""
     for state in evolve(InitialCoin(0, 0), policy, 20)[1:]:
@@ -362,7 +362,7 @@ def test_states_hold_no_negative_zero(policy):
 @pytest.mark.parametrize(
     "policy,steps,bound",
     [
-        (FIVE_LONG_POLICIES[0], LONG, 5e-13),  # the unit coin's fl(1/sqrt(2)) drifts the norm
+        (FIVE_LONG_POLICIES[0], LONG, 4e-15),
         (FIVE_LONG_POLICIES[1], LONG, 4e-15),
         (FIVE_LONG_POLICIES[2], LONG, 4e-15),
         (FIVE_LONG_POLICIES[3], 2 * LONG, 5e-15),
@@ -375,14 +375,35 @@ def test_final_state_walks_back_to_the_initial_spinor(policy, steps, bound):
 
     The steps back are unitary, so the distance, the spinor's error with
     the norm that left the light cone, is the final state's error.  On the
-    exact {H, F} coins it reads 2.3e-15 and 2.4e-15 at 2048 steps, and
-    3.1e-15 and 3.0e-15 at 4096 steps under StaticRandom and
-    StaticAndDynamic, which have no momentum-space reference; the ordered
-    walk's unit coin reads 3.6e-13.
+    exact {H, F} coins it reads 2.5e-15, 2.3e-15 and 2.4e-15 at 2048 steps
+    under Ordered H, DynamicSequence and DynamicRandom, and 3.1e-15 and
+    3.0e-15 at 4096 steps under StaticRandom and StaticAndDynamic, which
+    have no momentum-space reference.
     """
     init = InitialCoin(51, 30)
     spinor, lost = backward_walk(plan_coins(policy, steps), final_state(init, policy, steps))
     assert np.hypot(np.linalg.norm(spinor - init.spinor), lost) < bound
+
+
+@pytest.mark.parametrize("steps", [20, 600, 4096])
+@pytest.mark.parametrize("symbol,coin", [("H", hadamard_coin()), ("F", fourier_coin())], ids=["H", "F"])
+def test_ordered_walk_equals_its_sequence_bit_for_bit(symbol, coin, steps):
+    """An ordered H or F walk is the sequence of that one symbol: same plan, same bytes, past the rescale at 512 steps too."""
+    init, ordered, sequence = InitialCoin(51, 30), Ordered(coin), DynamicSequence(symbol * steps)
+    for reduce in (coin_density_curve, lambda *args: moment_series(*args).m2, lambda *args: final_state(*args).amps):
+        assert reduce(init, ordered, steps).tobytes() == reduce(init, sequence, steps).tobytes()
+
+
+def test_only_the_h_and_f_coins_are_stepped_exactly():
+    """`Ordered` H and F plan their exact sqrt(2) coins; any other coin, even one within an ulp of H, is used as given."""
+    for coin, exact in ((hadamard_coin(), [[1, 1], [1, -1]]), (fourier_coin(), [[1, 1j], [1j, 1]])):
+        plan = plan_coins(Ordered(coin), 5)
+        assert plan.scaled
+        np.testing.assert_array_equal(plan.alphabet[0], exact)
+    for coin in (identity_coin(), hwp_coin(np.pi / 8)):
+        plan = plan_coins(Ordered(coin), 5)
+        assert not plan.scaled
+        np.testing.assert_array_equal(plan.alphabet[0], coin)
 
 
 def test_kernel_refuses_oversized_buffers_before_allocating():
