@@ -351,9 +351,9 @@ def cmd_walk(cfg: dict) -> _Outputs:
         nonlocal state
         yield io.trajectory_columns(state)
         squares = _site_squares(steps)
-        for t, (up, dn) in enumerate(_propagate(plan, init.spinor), 1):
+        for t, (up, dn, q) in enumerate(_propagate(plan, init.spinor), 1):
             m2[t - 1] = _second_moment(up, dn, squares)
-            state = _dense(up, dn, scales[t])
+            state = _dense(up, dn, q, scales[t])
             yield io.trajectory_columns(state)
 
     out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())

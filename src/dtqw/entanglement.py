@@ -177,12 +177,20 @@ def coin_density_curve(
     # products, and rho10 = conj(rho01) is filled in once at the end.
     flat = np.empty((steps + 1, 4), dtype=np.complex128)
     flat[0, 0], flat[0, 1], flat[0, 3] = _coin_dots(spinor[:1], spinor[1:])
-    for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
+    # The |down> rows' frame q_t: rho01 is multiplied by conj(q_t) at the end,
+    # or a site pattern's row of frames multiplies the rows before the dots.
+    frames = np.ones(steps + 1, dtype=np.complex128)
+    for t, (up, dn, q) in enumerate(_propagate(plan, spinor), 1):
+        if q.ndim:
+            dn = dn * q
+        else:
+            frames[t] = q
         flat[t, 0], flat[t, 1], flat[t, 3] = _coin_dots(up, dn)
+    flat[:, 1] *= np.conj(frames)
+    np.conjugate(flat[:, 1], out=flat[:, 2])
     # Row t sums products of rows at scale s_t: an exact 2^-s_t takes it out.
     floats = flat.view(np.float64)
     floats *= np.ldexp(1.0, -plan.scales())[:, None]
-    np.conjugate(flat[:, 1], out=flat[:, 2])
     rho = flat.reshape(steps + 1, 2, 2)
     norm = rho[:, 0, 0].real + rho[:, 1, 1].real
     worst = norm[np.argmax(np.abs(norm - 1.0))]

@@ -22,9 +22,13 @@ multiply of the matrix by 2^-n per sweep takes out.  The parents
 themselves are stepped by the kernel's {H, F} step, `walk._phase_shift`,
 as a binary prefix tree: the first 10 coins breadth-first, both branches
 at once, into a leaf block of 2^10 walks, and the later parent coins
-depth-first on that block.  Per sequence this costs 24(k+1) multiply-adds of the product and
-about 2(n-k+1)/2^k site updates of the tree, against about 2(n+1) site
-updates of a prefix tree that steps every sequence to the end.  Random
+depth-first on that block.  Like the kernel, the tree keeps each node's
+|down> rows in the phase frame q of its last coin, so a step is one
+complex multiply by x = w q, read from the node's last two coins, and a
+leaf block takes q back out before its lag features.  Per sequence this
+costs 24(k+1) multiply-adds of the product and about 2(n-k+1)/2^k site
+updates of the tree, against about 2(n+1) site updates of a prefix tree
+that steps every sequence to the end.  Random
 sequences share no prefixes, so the sampled sweep steps each batch from the
 origin into its own slice of the result; a batch holds as many walks as the
 kernel's row budget allows, so its buffers stay in cache.  Both sweeps run
@@ -214,9 +218,9 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
 def _sampled_batch(ints, n, spinor):
     """The final reduced coin matrices of packed sequences `ints`, each stepped from the origin, as (walks, 2, 2)."""
     plan = _packed_plan(ints, n)
-    for up, dn in _propagate(plan, spinor):
+    for up, dn, q in _propagate(plan, spinor):
         pass
-    return _coin_density(up, dn) * np.ldexp(1.0, -plan.scales()[-1])
+    return _coin_density(up, dn, q) * np.ldexp(1.0, -plan.scales()[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,9 +244,9 @@ def _suffix_map(k):
     plan = _packed_plan(np.arange(1 << k), k)
     blocks = np.empty((1 << k, k + 1, 2, 2), dtype=np.complex128)  # [s, m, a, e]
     for e, spinor in enumerate(np.eye(2, dtype=np.complex128)):
-        for up, dn in _propagate(plan, spinor):
+        for up, dn, q in _propagate(plan, spinor):
             pass
-        blocks[..., e] = np.stack([up, dn]).T
+        blocks[..., e] = np.stack([up, dn * q]).T
     # coef[part, d, c, e, s, a, b]: rho_ab of suffix s per unit real (part 0)
     # or imaginary (part 1) part of R(d)[c, e].  Lag d pairs T_{m+d} with
     # T_m; lag -d enters as the adjoint of R(d), with c and e swapped.
@@ -289,20 +293,24 @@ def _tree_entropies(n, spinor, out):
     suffix map in products of _CHUNK parents.  The parents step with
     `_phase_shift` on the w of F and H that the plan of one step resolves,
     so their rows hold 2^(depth/2) times the amplitudes, and with the map's
-    2^k the leaves' scale is 2^n.
+    2^k the leaves' scale is 2^n.  Their |down> rows are kept in the
+    kernel's phase frame q, the w of each node's last coin, so a step's
+    x = w q is read from the node's last two coins; a leaf block's rows are
+    multiplied by q before its lag features.
     """
     k = min(_SUFFIX_BITS, n)
     depth = n - k
     kmap = np.ldexp(_suffix_map(k), -n)
-    w = next(_packed_plan(np.arange(2), 1).phases())  # [i, 1]: F is bit 0, H bit 1
+    _, w = next(_packed_plan(np.arange(2), 1).phases())  # q_1 = w = [i, 1]: F is bit 0, H bit 1
     leaves = out.reshape(1 << k, -1)
     breadth = min(depth, _LEAF_BITS)
-    phi = np.reshape(spinor, (2, 1, 1))
+    phi, q = np.array(spinor).reshape(2, 1, 1), np.ones(1, dtype=w.dtype)
     for t in range(breadth):
-        # The F walks, then the H walks: walk index = old walk + (bit << t).
+        # The F walks, then the H walks: walk index = old walk + (bit << t),
+        # so the last coin of walk v is bit t of v.
         block = np.zeros((2, t + 2, 2, 1 << t), dtype=np.complex128)
-        _phase_shift(*phi[:, :, None], w[:, None], _destination(block), np.empty_like(block[:1, 1:]))
-        phi = block.reshape(2, t + 2, -1)
+        _phase_shift(*phi[:, :, None], w[:, None] * q, _destination(block))
+        phi, q = block.reshape(2, t + 2, -1), np.repeat(w, 1 << t)
 
     # One zeroed state buffer per depth, which its two children fill in
     # turn: leaf states allocated and freed on every step made malloc
@@ -312,20 +320,20 @@ def _tree_entropies(n, spinor, out):
     chunk = min(_CHUNK, rows)
     level = {t: np.zeros((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
     dests = {t: _destination(block) for t, block in level.items()}
-    scratch = np.empty((1, depth, rows), dtype=np.complex128)
 
-    def descend(phi, t, offset):
+    def descend(phi, t, offset, q):
         if t == depth:
+            np.multiply(phi[1], q, out=phi[1])  # out of the frame, in place: no step reads a leaf block
             features = _lag_features(phi, k)
             for c in range(offset, offset + rows, chunk):
                 z, x, y = (kmap @ features[:, c - offset : c - offset + chunk]).reshape(3, -1, chunk)
                 leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         else:
             for bit in (0, 1):
-                _phase_shift(phi[0], phi[1], w[bit], dests[t + 1], scratch[:, : t + 1])
-                descend(level[t + 1], t + 1, offset + (bit << t))
+                _phase_shift(phi[0], phi[1], w[bit] * q, dests[t + 1])
+                descend(level[t + 1], t + 1, offset + (bit << t), w[bit])
 
-    descend(phi, breadth, 0)
+    descend(phi, breadth, 0, q)
     # `descend` refers to itself through its closure; breaking that cycle
     # frees `level` by reference count instead of at the next garbage
     # collection, which repeated in-process sweeps would wait on.

@@ -88,7 +88,7 @@ def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float
     """m2 after each step of every walk of `plan`, shape (steps, ...), unscaled by the exact 2^-s_t."""
     squares = _site_squares(plan.steps)
     m2 = np.empty((plan.steps,) + plan.batch)
-    for t, (up, dn) in enumerate(_propagate(plan, spinor)):
+    for t, (up, dn, _) in enumerate(_propagate(plan, spinor)):  # |b|^2 does not read the frame
         m2[t] = _second_moment(up, dn, squares)
     m2 *= np.ldexp(1.0, -plan.scales()[1:]).reshape((-1,) + (1,) * len(plan.batch))
     return m2

@@ -26,24 +26,32 @@ dense state is multiplied by 2^(-s/2), one rounding when s is odd.  An
 `Ordered` coin other than H or F is used as given, with s = 0.
 
 The coin kind picks the step.  With w = 1 for H and w = i for F, sqrt(2) C
-= [[1, w], [w, -w^2]], so an {H, F} step is u = w b, up = a + u, dn =
-w (a - u): two complex multiplies (`_phase_shift`), for one walk, a
-site pattern or a batch alike, on the w that `CoinPlan.phases` resolves
-from the plan's bits.  Any other coin steps with `_coin_shift`, its two
-columns times (a, b) and one add.  All else a step needs is resolved once
-per run: three zeroed buffers, checked against a size limit first, with
-their views.  Two buffers alternate as each step's output, and their edge
-rows stay zero because no step writes them; the third holds scratch.  The
-kernel yields views (up, dn), 1-D and contiguous for one walk, that live
-for two steps.  The per-step reductions live beside it, the reduced coin
-matrix (three BLAS dot products for one walk, einsums over the sites for a
-batch) and the second moment about the origin (float-view squares and one
-dot product), and read those arrays as they stream.  Outside this module
-only the exhaustive sweep (:mod:`dtqw.sequences`) and ``dtqw walk``, which
-takes its m2 from the kernel's rows, read the row-to-site map.  Every coin
-plan is built here and resolved into coins by `CoinPlan.phases`, for the
-exhaustive sweep's prefix tree too, so no other module reads a coin
-alphabet.  :class:`WalkState` is the dense view of one walk: a (2, 2t+1)
+= [[1, w], [w, -w^2]] maps (a, b) to (a + u, w (a - u)) with u = w b.  The
+kernel keeps the |down> rows in a phase frame, b / q: q_0 = 1, and after
+step t, q is that step's w at the site the amplitude came from, so the
+trailing w is never multiplied in.  An {H, F} step is then u = x (b / q),
+up = a + u, dn = a - u with x = w q in {1, i, -1}: one complex multiply
+(`_phase_shift`), for one walk, a site pattern or a batch alike, on the
+(x, q) that `CoinPlan.phases` resolves from the plan's bits.  Multiplying
+by 1, i or -1 is exact, so every value read after applying q is the one
+that multiplying w in at every step gives; only the sign of a zero can
+differ.  Any other coin steps with `_coin_shift`, its two columns times
+(a, b) and one add, in the frame q = 1.  All else a step needs is resolved
+once per run: three zeroed buffers, checked against a size limit first,
+with their views.  Two buffers alternate as each step's output, and their
+edge rows stay zero because no step writes them; the third holds
+`_coin_shift`'s scratch.  The kernel yields views (up, dn) with their
+frame q, the rows 1-D and contiguous for one walk, that live for two
+steps.  The per-step reductions live beside it and read those arrays as
+they stream.  The second moment about the origin (float-view squares and
+one dot product) and the diagonal of the reduced coin matrix read only
+|b|^2, so they ignore q; the matrix's rho01 (three BLAS dot products for
+one walk, einsums over the sites for a batch) takes one exact multiply by
+conj(q).  Outside this module only the exhaustive sweep
+(:mod:`dtqw.sequences`) and ``dtqw walk``, which takes its m2 from the
+kernel's rows, read the row-to-site map.  Every coin plan is built here
+and resolved into coins by `CoinPlan.phases`, for the exhaustive sweep's
+prefix tree too, so no other module reads a coin alphabet.  :class:`WalkState` is the dense view of one walk: a (2, 2t+1)
 array with the |up> amplitudes a(j) in row 0, the |down> amplitudes b(j)
 in row 1, and site j at column j + t.  `evolve` returns a trajectory whose
 states are expanded to this view as they are read, so a walk costs
@@ -217,7 +225,7 @@ class CoinPlan:
     share the alphabet.  An alphabet of exact {H, F} coins, sqrt(2) times
     unitary ones of the form [[1, w], [w, -w^2]], is `scaled`: each step then
     grows the rows by sqrt(2), which :meth:`scales` books, and the kernel
-    steps it with `_phase_shift` on the w of :meth:`phases`.  Any other
+    steps it with `_phase_shift` on the (x, q) of :meth:`phases`.  Any other
     alphabet is used as given, one coin with no bits, by `_coin_shift`.  All
     randomness is consumed at construction, so applying the plan is
     deterministic.  Only this module builds plans.
@@ -265,28 +273,49 @@ class CoinPlan:
         return t % (2 * _RESCALE) if self.scaled else np.zeros_like(t)
 
     def phases(self) -> Iterator:
-        """Yield the w of each step t = 0 .. steps-1 of a scaled plan, 1 for H and i for F, for `_phase_shift`.
+        """Yield (x_t, q_{t+1}) for each step t = 0 .. steps-1 of a scaled plan, for `_phase_shift` and the kernel's frame.
 
-        A batch's w is a (walks...) row of one table; one walk's is a 0-d
-        array, or with site bits the (t+1,) w of sites -t, -t+2, .., t, a
-        slice of a copy made here per step bit and per parity of the first
-        site's index, so that it is contiguous.
+        With w_t = 1 for H and i for F, the kernel holds the |down> rows
+        divided by their frame q_t: q_0 = 1, and q_{t+1} = w_t at site
+        j + 1, where the amplitude at j came from.  Step t multiplies those
+        rows by x_t = w_t q_t, which is 1, i or -1.  A batch's x and q are
+        (walks...) rows, x a product of two rows of one table of w.  One
+        walk's are 0-d arrays, or with site bits rows over the sites -t,
+        -t+2, .., t: q_{t+1}, of t + 2 entries, is a slice of a copy made
+        here per step bit and per parity of the first site's index, so that
+        it is contiguous, and x_t its first t + 1 entries times q_t.  The
+        top entry of each q multiplies the zero top row of |down>.
         """
         w = self.alphabet[:, 1, 0]
         if self.batch:
             # Indexed by contiguous bits, the table is contiguous too.
-            yield from w[np.ascontiguousarray(np.moveaxis(self.step_bits, -1, 0))]
+            q = np.ones((), dtype=w.dtype)
+            for row in w[np.ascontiguousarray(np.moveaxis(self.step_bits, -1, 0))]:
+                yield row * q, row
+                q = row
             return
         bits = [0] * self.steps if self.step_bits is None else self.step_bits.tolist()
         if self.site_bits is None:
-            ws = [w[b, ...] for b in range(len(w))]  # 0-d arrays: numpy's cheapest scalar operand
-            yield from map(ws.__getitem__, bits)
+            frames = np.concatenate([[1], w])  # q_t: 1, then the w of bit b at frames[b + 1]
+            products = w[:, None] * frames
+            # 0-d arrays: numpy's cheapest scalar operand.
+            xs = [[products[b, f, ...] for f in range(len(frames))] for b in range(len(w))]
+            qs = [frames[b + 1, ...] for b in range(len(w))]
+            frame = 0
+            for b in bits:
+                yield xs[b][frame], qs[b]
+                frame = b + 1
             return
-        # Step t reads every other site from index steps - t.
-        copies = [[w[self.site_bits[p::2] ^ b] for p in (0, 1)] for b in (0, 1)]
+        # Step t reads every other site from index steps - t; the bit past
+        # the light cone gives the last q its top entry.
+        padded = np.append(self.site_bits, 0)
+        copies = [[w[padded[p::2] ^ b] for p in (0, 1)] for b in (0, 1)]
+        q = np.ones(1, dtype=w.dtype)
         for t, b in enumerate(bits):
             lo = self.steps - t
-            yield copies[b][lo % 2][lo // 2 : lo // 2 + t + 1]
+            row = copies[b][lo % 2][lo // 2 : lo // 2 + t + 2]
+            yield row[:-1] * q, row
+            q = row
 
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
@@ -405,30 +434,33 @@ def _destination(out):
     return out.reshape(-1)[n : out.size - n].reshape((2, out.shape[1] - 1) + out.shape[2:])
 
 
-def _phase_shift(up, dn, w, dest, scratch):
+def _phase_shift(up, dn, x, dest):
     """One step of parity-compressed walks whose coins are sqrt(2) H (w = 1) or sqrt(2) F (w = i): coin, then shift.
 
-    `up` and `dn` are the (width, ...) amplitude rows and `w` the phases
-    (`CoinPlan.phases`) that broadcast against them.  sqrt(2) C = [[1, w],
-    [w, -w^2]] maps (a, b) to (a + u, w (a - u)) with u = w b, two complex
-    multiplies, which are written into `dest`, the (2, width, ...)
-    `_destination` view of the next block; `scratch[0]` holds u.  The edge
-    rows are never written, so a caller zeroes each output buffer once.
+    `up` holds the |up> amplitudes a and `dn` the |down> amplitudes b in
+    their frame, b / q, as (width, ...) rows, and `x` = w q (`CoinPlan.phases`)
+    broadcasts against them.  sqrt(2) C = [[1, w], [w, -w^2]] maps (a, b)
+    to (a + u, w (a - u)) with u = w b = x (b / q).  The next frame is w,
+    so the step writes a + u and a - u, after one complex multiply, into
+    `dest`, the (2, width, ...) `_destination` view of the next block.  u
+    is written into the |down> rows first, where a - u then replaces it
+    element by element.  The edge rows are never written, so a caller
+    zeroes each output buffer once.
     """
-    u, (new_up, new_dn) = scratch[0], dest
-    np.multiply(dn, w, out=u)
-    np.subtract(up, u, out=new_dn)
-    np.add(up, u, out=new_up)
-    np.multiply(new_dn, w, out=new_dn)
+    new_up, new_dn = dest
+    np.multiply(dn, x, out=new_dn)
+    np.add(up, new_dn, out=new_up)
+    np.subtract(up, new_dn, out=new_dn)
 
 
-def _coin_shift(up, dn, c0, c1, dest, scratch):
+def _coin_shift(up, dn, columns, dest, scratch):
     """One step of a walk under one coin of any kind, an `Ordered` coin other than H or F: coin, then shift.
 
-    With the coin's columns `c0` and `c1` as (2, 1), c0 * up + c1 * dn is
-    written into `dest` as `_phase_shift` writes its rows, and `scratch`
-    holds the c1 products.
+    With the coin's columns c0, c1 = `columns` as (2, 1), c0 * up + c1 * dn
+    is written into `dest` as `_phase_shift` writes its rows, and `scratch`
+    holds the c1 products.  Its frame stays q = 1.
     """
+    c0, c1 = columns
     np.multiply(c0, up, out=dest)
     np.multiply(c1, dn, out=scratch)
     np.add(dest, scratch, out=dest)
@@ -444,7 +476,7 @@ def _step_views(buffers, steps: int, batch: tuple[int, ...]):
     |up> and |down> rows steps + 1 elements apart, so that before the last
     step a destination's two rows are not one run and its products are not
     buffered: the views are slices of fixed views resolved here.  A batch's
-    broadcast phase product is buffered anyway, and its blocks are each one
+    broadcast product by x is buffered anyway, and its blocks are each one
     contiguous run, reshaped per step, so that they need no buffer of their
     own.
     """
@@ -470,22 +502,25 @@ def _step_views(buffers, steps: int, batch: tuple[int, ...]):
 
 
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
-    """Run every walk of `plan` from `spinor` at the origin; yield (up, dn) after each step.
+    """Run every walk of `plan` from `spinor` at the origin; yield (up, dn, q) after each step.
 
     After step t, `up` and `dn` are (t+2, ...) views with trailing axes
     ``plan.batch``, row m holding site j = 2m - t, and 2^(s_t / 2) times
     the amplitudes (`CoinPlan.scales`); one walk's are 1-D and contiguous.
+    `dn` holds the |down> amplitudes in their frame: ``dn * q`` are the
+    amplitudes, with q, in {1, i}, the 0-d frame of one walk, a (walks...)
+    row for a batch, or a site pattern's (t+2,) row (`CoinPlan.phases`).
     A scaled plan steps with `_phase_shift` on its phases, any other with
-    `_coin_shift` on its one coin's columns.  All a step needs that does
-    not depend on the amplitudes is resolved once per run, with three
-    zeroed buffers and their views (`_step_views`): two alternate as each
-    step's output [up, dn], whose edge rows stay zero because no step
-    writes them, and one holds scratch.  A scaled plan's rows are
-    multiplied by 2^-_RESCALE after every 2 * _RESCALE steps, exactly but
-    for results below the normal range.  The yielded views are overwritten
-    two steps later: reduce or copy them before then.  The buffers are
-    allocated once, or ValueError raised if they would pass
-    :data:`_BUFFER_LIMIT`.
+    `_coin_shift` on its one coin's columns, in the frame q = 1.  All a
+    step needs that does not depend on the amplitudes is resolved once per
+    run, with three zeroed buffers and their views (`_step_views`): two
+    alternate as each step's output [up, dn], whose edge rows stay zero
+    because no step writes them, and one holds `_coin_shift`'s scratch.
+    A scaled plan's rows are multiplied by 2^-_RESCALE after every
+    2 * _RESCALE steps, exactly but for results below the normal range.
+    The yielded views are overwritten two steps later: reduce or copy them
+    before then.  The buffers are allocated once, or ValueError raised if
+    they would pass :data:`_BUFFER_LIMIT`.
     """
     batch = plan.batch
     _check_buffers(math.prod(batch), plan.steps)
@@ -493,21 +528,24 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor
     up, dn = phi
-    if plan.scaled:
-        step, coins = _phase_shift, zip(plan.phases())  # one-tuples (w,)
+    scaled = plan.scaled
+    if scaled:
+        coins = plan.phases()  # (x, q)
     else:
         columns = np.ascontiguousarray(plan.alphabet[0].T[..., None])  # c0, c1 as (2, 1)
-        step, coins = _coin_shift, itertools.repeat(tuple(columns))
-    rescale = 2 * _RESCALE if plan.scaled else 0
+        coins = itertools.repeat((columns, np.ones((), dtype=np.complex128)))
     views = _step_views(buffers, plan.steps, batch)
-    for t, (coin, (dest, scratch, out)) in enumerate(zip(coins, views), 1):
-        step(up, dn, *coin, dest, scratch)
+    for t, ((coin, q), (dest, scratch, out)) in enumerate(zip(coins, views), 1):
+        if scaled:
+            _phase_shift(up, dn, coin, dest)
+        else:
+            _coin_shift(up, dn, coin, dest, scratch)
         up, dn = out
-        if rescale and t % rescale == 0:
+        if scaled and t % (2 * _RESCALE) == 0:
             for rows in out:
                 floats = rows.view(np.float64)
                 np.multiply(floats, 2.0**-_RESCALE, out=floats)
-        yield out
+        yield up, dn, q
 
 
 def _coin_dots(up, dn):
@@ -515,14 +553,16 @@ def _coin_dots(up, dn):
     return np.vdot(up, up).real, np.vdot(dn, up), np.vdot(dn, dn).real
 
 
-def _coin_density(up, dn):
-    """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the first axis.
+def _coin_density(up, dn, q=1):
+    """Reduced coin matrix sum_j (a, b)_j (a, b)_j^dagger over the first axis, with b = dn * q.
 
     Works on dense rows and on parity-compressed ones alike; trailing axes
-    carry through to a (..., 2, 2) result.  One walk reduces with
+    carry through to a (..., 2, 2) result, and the frame `q` (see
+    `_propagate`) is a scalar or one entry per walk.  One walk reduces with
     `_coin_dots`.  A batch, whose last axis must be contiguous, sums the
     squares of its float views (re, im), each walk's two sums then added,
-    and the products a conj(b), each by one einsum over the sites.
+    and the products a conj(dn), each by one einsum over the sites.  Only
+    rho01 reads q: it is multiplied by conj(q), which is exact.
     """
     out = np.empty(up.shape[1:] + (2, 2), dtype=np.complex128)
     if up.ndim == 1:
@@ -532,6 +572,7 @@ def _coin_density(up, dn):
             sums = np.einsum("j...,j...->...", floats := rows.view(np.float64), floats)
             out[..., k, k] = sums[..., 0::2] + sums[..., 1::2]
         out[..., 0, 1] = np.einsum("j...,j...->...", up, np.conj(dn))
+    out[..., 0, 1] *= np.conj(q)
     out[..., 1, 0] = np.conj(out[..., 0, 1])
     return out
 
@@ -570,18 +611,20 @@ def _second_moment(up, dn, squares):
     return sums[0::2] + sums[1::2]
 
 
-def _dense(up, dn, scale):
-    """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays at scale s = `scale`.
+def _dense(up, dn, q, scale):
+    """The dense (2, 2t+1) state of one walk from its (t+1,) compressed arrays in frame `q` at scale s = `scale`.
 
+    The |down> row is multiplied by its frame q (`_propagate`), exactly.
     The rows hold 2^(s/2) times the amplitudes, so each is multiplied by
-    2^(-s/2): exact for even s, one rounding for odd s.  They are copied in
-    by adding +0, which turns the -0 that `_phase_shift`'s last multiply
-    can leave into the +0 a written state shows.
+    2^(-s/2): exact for even s, one rounding for odd s.  Before that the
+    state gets +0 added, which turns the -0 that the multiplies by 1, i
+    or -1 can leave into the +0 a written state shows.
     """
     t = len(up) - 1
     amps = np.zeros((2, 2 * t + 1), dtype=np.complex128)
-    for k, rows in enumerate((up, dn)):
-        np.add(rows, 0.0, out=amps[k, ::2])
+    amps[0, ::2] = up
+    np.multiply(dn, q, out=amps[1, ::2])
+    amps += 0.0
     if scale:
         floats = amps.view(np.float64)
         np.multiply(floats, 2.0 ** (-scale / 2), out=floats)
@@ -609,9 +652,9 @@ class _Trajectory(Sequence):
             yield 0, initial_state(self._init)
         blocks = _propagate(self._plan, self._init.spinor)
         scales = self._plan.scales()
-        for t, (up, dn) in zip(range(1, max(ts, default=0) + 1), blocks):
+        for t, (up, dn, q) in zip(range(1, max(ts, default=0) + 1), blocks):
             if t in ts:
-                yield t, _dense(up, dn, scales[t])
+                yield t, _dense(up, dn, q, scales[t])
 
     def __iter__(self) -> Iterator[WalkState]:
         for _, state in self._states(range(len(self))):

@@ -11,7 +11,10 @@ The cases cover every coin policy at theta 0, 51 and 180 (the last with
 phi = 180), the ordered walk under each named coin (H and F, stepped
 exactly, and I, stepped as given), `entropy` at three phi with
 ``--eigenvalues``, the exhaustive and the sampled sweep, `tomo` with and
-without ``--noiseless``, `lz` and `fit`.
+without ``--noiseless``, `lz` and `fit`.  Two longer runs pass the
+kernel's rescale at 512 steps: a `walk` with a site pattern and dynamic
+bits, whose dense states take the |down> rows out of their phase frame,
+and an `entropy` curve of a site pattern, whose rho01 reads that frame.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ def cases():
     for policy, flags in POLICIES.items():
         for init, (theta, phi) in INITS.items():
             yield f"walk-{policy}-{init}", ["walk", "--theta", theta, "--phi", phi, "--steps", STEPS, *flags]
+    yield "walk-both-520", ["walk", "--theta", "51", "--phi", "0", "--steps", "520", *POLICIES["both"]]
     for policy in ("ordered", "both"):
         yield f"entropy-{policy}", ["entropy", "--theta", "51", "--phi", "0,90,180", "--steps", STEPS,
                                     "--eigenvalues", *POLICIES[policy]]
+    yield "entropy-static-1100", ["entropy", "--theta", "51", "--phi", "0", "--steps", "1100", *POLICIES["static"]]
     yield "sweep-exhaustive", ["sweep", "--theta", "51", "--phi", "0", "--n", "12"]
     yield "sweep-sampled", ["sweep", "--theta", "90", "--phi", "90", "--n", "30", "--samples", "3000", "--seed", "4"]
     tomo = ["tomo", "--theta", "51", "--phi", "0", "--steps", "20", "--static-seed", "3", "--total-counts", "24000"]

@@ -131,7 +131,7 @@ def evolve(init: InitialCoin, policy, steps: int) -> list[WalkState]:
     """The eager trajectory: the states t = 0 .. steps of one kernel run, all kept in a list."""
     plan = plan_coins(policy, steps)
     blocks = zip(_propagate(plan, init.spinor), plan.scales()[1:])
-    return [initial_state(init)] + [_dense(up, dn, scale) for (up, dn), scale in blocks]
+    return [initial_state(init)] + [_dense(up, dn, q, scale) for (up, dn, q), scale in blocks]
 
 
 def reference_propagate(plan: CoinPlan, spinor: np.ndarray, dtype=complex):
@@ -267,13 +267,13 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     breadth = min(n, 10)
     # Walk v of one batch is prefix v, so after step t its first 2^t walks are every prefix.
     plan = _packed_plan(np.arange(1 << breadth), breadth)
-    columns = [tuple(coin.T[..., None, None]) for coin in plan.alphabet]  # by bit: (c0, c1), each [i, site, walk]
+    columns = [coin.T[..., None, None] for coin in plan.alphabet]  # by bit: [c0, c1], each [i, site, walk]
     up, dn = np.reshape(spinor, (2, 1, 1))
     out[0][:] = _entropy_bits(_coin_density(up, dn))
     # Rows after t exact-entry steps hold 2^(t/2) times the amplitudes.
-    for t, (up, dn) in enumerate(_propagate(plan, spinor), 1):
-        out[t][:] = _entropy_bits(_coin_density(up[..., : 1 << t], dn[..., : 1 << t]) * 2.0**-t)
-    phi = np.stack([up, dn])
+    for t, (up, dn, q) in enumerate(_propagate(plan, spinor), 1):
+        out[t][:] = _entropy_bits(_coin_density(up[..., : 1 << t], dn[..., : 1 << t], q[: 1 << t]) * 2.0**-t)
+    phi = np.stack([up, dn * q])  # out of the kernel's phase frame
     # One zeroed state buffer per depth, which its two children fill in turn.
     level = {t: np.zeros((2, t + 1, phi.shape[2]), dtype=np.complex128) for t in range(breadth + 1, n + 1)}
     scratch = np.empty((2, n, phi.shape[2]), dtype=np.complex128)
@@ -281,7 +281,7 @@ def prefix_tree_entropies(n: int, spinor: np.ndarray) -> list[np.ndarray]:
     def descend(phi, t, offset):
         out[t][offset : offset + phi.shape[2]] = _entropy_bits(_coin_density(*phi) * 2.0**-t)
         for bit in (0, 1) if t < n else ():
-            _coin_shift(*phi, *columns[bit], _destination(level[t + 1]), scratch[:, : t + 1])
+            _coin_shift(*phi, columns[bit], _destination(level[t + 1]), scratch[:, : t + 1])
             descend(level[t + 1], t + 1, offset + (bit << t))
 
     descend(phi, breadth, 0)

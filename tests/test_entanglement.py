@@ -30,7 +30,13 @@ from dtqw.walk import (
     initial_state,
     plan_coins,
 )
-from oracles import dephased_limit_entropy, momentum_coin_densities, random_density, random_walk_state
+from oracles import (
+    dephased_limit_entropy,
+    momentum_coin_densities,
+    random_density,
+    random_walk_state,
+    reference_propagate,
+)
 
 SC0 = "FFHFHFHHFFFFFHFHHHHH"
 
@@ -176,8 +182,8 @@ def test_coin_density_curve_rejects_unnormalized_steps(monkeypatch, scale, messa
     # the norm check (every comparison with nan is false), so the matrix
     # check must refuse it.
     def leaky(plan, spinor):
-        for up, dn in _propagate(plan, spinor):
-            yield scale * up, dn if np.isnan(scale) else scale * dn
+        for up, dn, q in _propagate(plan, spinor):
+            yield scale * up, dn if np.isnan(scale) else scale * dn, q
 
     monkeypatch.setattr(dtqw.entanglement, "_propagate", leaky)
     with pytest.raises(ValueError, match=message):
@@ -254,3 +260,32 @@ def test_coin_density_curve_matches_momentum_space_reference(policy, init):
     steps = 4096
     reference = momentum_coin_densities(plan_coins(policy, steps), init.spinor)
     np.testing.assert_allclose(coin_density_curve(init, policy, steps), reference, rtol=0, atol=1.5e-14)
+
+
+@pytest.mark.parametrize("init", [InitialCoin(51, 30), InitialCoin(90, 270)], ids=["51-30", "90-270"])
+@pytest.mark.parametrize(
+    "policy,bound",
+    [(Ordered(hadamard_coin()), 1e-15), (DynamicRandom(3), 1e-15), (StaticRandom(4), 2e-15)],
+    ids=["Ordered-H", "DynamicRandom", "StaticRandom"],
+)
+def test_coin_density_curve_stays_near_extended_precision(policy, bound, init):
+    """rho_C over 2048 steps, past four rescales, against the same plan stepped and reduced in np.clongdouble.
+
+    `oracles.reference_propagate` replays the exact coins in extended
+    precision, so its rho_C is far closer to the walk's than the kernel's
+    rounding.  Every 4th step the kernel reads within 6.9e-16 (Ordered H),
+    6.3e-16 (DynamicRandom) and 1.29e-15 (StaticRandom) of it; at 4096
+    steps, 8.0e-16, 8.0e-16 and 2.5e-15.  The bounds leave room for
+    other summation orders, not for a tenfold loss.
+    """
+    steps = 2048
+    plan = plan_coins(policy, steps)
+    rho = coin_density_curve(init, policy, steps)
+    unscale = np.ldexp(np.longdouble(1), -plan.scales())
+    worst = 0.0
+    for t, (up, dn) in enumerate(reference_propagate(plan, init.spinor, np.clongdouble), 1):
+        if t % 4 == 0:
+            r01 = np.sum(up * np.conj(dn))
+            reference = np.array([[np.vdot(up, up), r01], [np.conj(r01), np.vdot(dn, dn)]]) * unscale[t]
+            worst = max(worst, float(np.max(np.abs(rho[t] - reference))))
+    assert worst < bound

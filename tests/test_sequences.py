@@ -300,9 +300,9 @@ def test_exhaustive_tree_matches_batch_propagation():
     # the two agree to rounding, not bit for bit.
     n, size = 16, 1 << 14
     report = exhaustive_sweep(INIT, n)
-    for up, dn in _propagate(_batch_plan(n, 2 * size, size), INIT.spinor):
+    for up, dn, q in _propagate(_batch_plan(n, 2 * size, size), INIT.spinor):
         pass
-    direct = _entropy_bits(_coin_density(up, dn) * 2.0**-n)  # rows at scale n
+    direct = _entropy_bits(_coin_density(up, dn, q) * 2.0**-n)  # rows at scale n
     np.testing.assert_allclose(report.entropies[2 * size : 3 * size], direct, rtol=0, atol=1e-14)
     # First and last sequences of parents (2^9 at n = 16) and of suffixes.
     for value in (0, 511, 512, 1023, 1024, 2047, size - 1, size, 2 * size + 1023, 3 * size - 1, (1 << n) - 1):

@@ -161,9 +161,9 @@ def test_streamed_reductions_carry_batch_axes():
     batch = dynamic_batch(20)
     walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
     squares = _site_squares(20)
-    for t, (up, dn) in enumerate(_propagate(batch, init.spinor), 1):
+    for t, (up, dn, q) in enumerate(_propagate(batch, init.spinor), 1):
         unscale = 2.0 ** -batch.scales()[t]
-        rho, m2 = _coin_density(up, dn) * unscale, _second_moment(up, dn, squares) * unscale
+        rho, m2 = _coin_density(up, dn, q) * unscale, _second_moment(up, dn, squares) * unscale
         assert rho.shape == (4, 2, 2) and m2.shape == (4,)
         for k, states in enumerate(walks):
             np.testing.assert_allclose(rho[k], reduced_coin_density(states[t]), rtol=0, atol=1e-12)
@@ -188,16 +188,17 @@ def test_kernel_matches_reference_bit_for_bit(plan):
 
     The reference does `_coin_shift`'s arithmetic, so this checks that
     `_phase_shift` gives its values for one walk, a site pattern and a
-    batch of walks, that of packed sequences included.
+    batch of walks, that of packed sequences included, once the |down>
+    rows are taken out of their phase frame: (up, q dn).
     """
     spinor = InitialCoin(51, 30).spinor
     steps = 0
     # Compare before advancing: the kernel overwrites a yielded pair two steps later.
     kernel, reference = _propagate(plan, spinor), reference_propagate(plan, spinor)
-    for (up, dn), (ref_up, ref_dn) in zip(kernel, reference):
+    for (up, dn, q), (ref_up, ref_dn) in zip(kernel, reference):
         # The kernel keeps the walks innermost; the reference keeps them first.
         np.testing.assert_array_equal(np.moveaxis(up, 0, -1), ref_up)
-        np.testing.assert_array_equal(np.moveaxis(dn, 0, -1), ref_dn)
+        np.testing.assert_array_equal(np.moveaxis(dn * q, 0, -1), ref_dn)
         steps += 1
     assert steps == plan.steps
 
@@ -275,10 +276,10 @@ def test_batch_walks_equal_single_walks_bit_for_bit(batch):
         for k in range(walks)
     ]
     steps = 0
-    for (up, dn), *single in zip(_propagate(batch, spinor), *singles, strict=True):
-        for k, (one_up, one_dn) in enumerate(single):
+    for (up, dn, q), *single in zip(_propagate(batch, spinor), *singles, strict=True):
+        for k, (one_up, one_dn, one_q) in enumerate(single):
             np.testing.assert_array_equal(up[:, k], one_up)
-            np.testing.assert_array_equal(dn[:, k], one_dn)
+            np.testing.assert_array_equal(dn[:, k] * q[k], one_dn * one_q)
         steps += 1
     assert steps == batch.steps
 
@@ -287,24 +288,25 @@ def test_batch_walks_equal_single_walks_bit_for_bit(batch):
 @pytest.mark.parametrize("phi", [0, 270])
 @pytest.mark.parametrize("theta", [0, 51, 180])
 def test_phase_shift_equals_coin_shift(plan, theta, phi):
-    """A batch's two-multiply steps give the values of `_coin_shift`'s arithmetic, `reference_propagate`, at basis and mixed spinors.
+    """A batch's one-multiply steps give the values of `_coin_shift`'s arithmetic, `reference_propagate`, at basis and mixed spinors.
 
-    Multiplying by 1 or i is exact, so they differ at most in the sign of a zero.
+    Out of the phase frame, (up, q dn) is compared.  Multiplying by 1, i or
+    -1 is exact, so they differ at most in the sign of a zero.
     """
     spinor = InitialCoin(theta, phi).spinor
     steps = 0
-    for (up, dn), (ref_up, ref_dn) in zip(_propagate(plan, spinor), reference_propagate(plan, spinor), strict=True):
+    for (up, dn, q), (ref_up, ref_dn) in zip(_propagate(plan, spinor), reference_propagate(plan, spinor), strict=True):
         np.testing.assert_array_equal(np.moveaxis(up, 0, -1), ref_up)
-        np.testing.assert_array_equal(np.moveaxis(dn, 0, -1), ref_dn)
+        np.testing.assert_array_equal(np.moveaxis(dn * q, 0, -1), ref_dn)
         steps += 1
     assert steps == plan.steps
 
 
 def test_batched_kernel_allocates_nothing_per_step():
-    # Its three step buffers, the table of phases with the bits that index
-    # it, and slack for numpy's two ufunc buffers (which a product of small
-    # broadcast operands fills) and for views and scalars; anything kept per
-    # step would add 256 steps' worth.
+    # Its three step buffers, the table of phases w with the bits that
+    # index it, and slack for numpy's two ufunc buffers (which the one
+    # product by a broadcast row of x fills), one step's (walks,) row x and
+    # views and scalars; anything kept per step would add 256 steps' worth.
     walks, steps = 256, 256
     plan = dynamic_batch(steps, walks)
     buffers = 3 * 2 * walks * (steps + 1) * 16
@@ -324,8 +326,9 @@ def test_batched_kernel_allocates_nothing_per_step():
 def test_single_walk_kernel_allocates_nothing_per_step(policy):
     # Its three step buffers, the phases resolved once (a list of the step
     # bits and, with site bits, per-bit and per-parity copies of the light
-    # cone's phases) and the slack of the batched test above; anything kept
-    # per step would add 2048 steps' worth.
+    # cone's phases w, one entry past it) and the slack of the batched test
+    # above, which also takes a site pattern's row x of one step; anything
+    # kept per step would add 2048 steps' worth.
     plan = plan_coins(policy, LONG)
     buffers = 3 * 2 * (LONG + 1) * 16
     phases = 2 * (2 * LONG + 1) * 16
@@ -450,11 +453,11 @@ def test_single_walk_coin_density_matches_batched_rows():
     """
     init = InitialCoin(51, 30)
     curves = [coin_density_curve(init, DynamicRandom(seed=k), 200) for k in range(4)]
-    for t, (up, dn) in enumerate(_propagate(dynamic_batch(200), init.spinor), 1):
+    for t, (up, dn, q) in enumerate(_propagate(dynamic_batch(200), init.spinor), 1):
         unscale = 2.0**-t
-        rho = _coin_density(up, dn) * unscale
+        rho = _coin_density(up, dn, q) * unscale
         for k, curve in enumerate(curves):
-            np.testing.assert_allclose(_coin_density(up[:, k], dn[:, k]) * unscale, rho[k], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_coin_density(up[:, k], dn[:, k], q[k]) * unscale, rho[k], rtol=0, atol=1e-15)
             np.testing.assert_allclose(curve[t], rho[k], rtol=0, atol=1e-15)
 
 
@@ -554,7 +557,8 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
     """Bit 0 is H and bit 1 is F; a seed's first draws are the step bits or the light cone's site bits.
 
     Every step's coins are read as one walk steps with them: the phases w
-    of `CoinPlan.phases`, whose exact coins are [[1, w], [w, -w^2]].
+    of its exact coins [[1, w], [w, -w^2]], which `CoinPlan.phases` yields
+    as the next frame q_{t+1} (its first t + 1 entries for a site pattern).
     """
 
     def draw(seed, size):
@@ -576,9 +580,49 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
         site_bits = np.zeros(2 * steps + 1, int) if plan.site_bits is None else plan.site_bits
         phases = list(plan.phases())
         assert len(phases) == steps
-        for t, w in enumerate(phases):
+        for t, (_, q) in enumerate(phases):
             want = alphabet[step_bits[t] ^ site_bits[steps - t : steps + t + 1 : 2], 1, 0]
-            np.testing.assert_array_equal(np.broadcast_to(w, want.shape), want)
+            light_cone = q if plan.site_bits is None else q[: t + 1]
+            np.testing.assert_array_equal(np.broadcast_to(light_cone, want.shape), want)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [plan_coins(p, 9) for p in (Ordered(hadamard_coin()), Ordered(fourier_coin()), DynamicRandom(seed=2))]
+    + [plan_coins(p, 9) for p in (StaticRandom(seed=5), StaticAndDynamic(static_seed=3, dynamic_seed=4))]
+    + [dynamic_batch(9, 8)],
+    ids=["Ordered-H", "Ordered-F", "DynamicRandom", "StaticRandom", "StaticAndDynamic", "batch"],
+)
+def test_phases_carry_the_frame_of_the_last_coin(plan):
+    """`CoinPlan.phases` gives x_t = w_t q_t and q_{t+1} = w_t, from q_0 = 1.
+
+    w_t is the phase of each site's coin on step t (1 for H, i for F).  A
+    site pattern's rows run over the sites -t, -t+2, .., t, so entry m of
+    q_t, from step t - 1, is the w of site j + 1 for the site j of entry m
+    of x_t; its q_{t+1} has one more entry, for the zero top |down> row.
+    The first site's index steps - t takes both parities over the steps.
+    """
+    steps, w = plan.steps, plan.alphabet[:, 1, 0]
+    bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
+    phases = list(plan.phases())
+    assert len(phases) == steps
+    q = np.ones(plan.batch, dtype=complex)
+    for t, (x, q_next) in enumerate(phases):
+        index = bits[..., t]
+        if plan.site_bits is not None:
+            index = index ^ plan.site_bits[steps - t : steps + t + 1 : 2]
+            q = q if t else np.ones(1, dtype=complex)
+            assert q_next.shape == (t + 2,)
+        w_t = w[index]
+        np.testing.assert_array_equal(x, w_t * q, strict=True)
+        np.testing.assert_array_equal(q_next if plan.site_bits is None else q_next[: t + 1], w_t, strict=True)
+        assert set(np.ravel(x).tolist()) <= {1, 1j, -1}
+        q = q_next
+    if plan.step_bits is None and plan.site_bits is None:
+        # One coin: x = w at t = 0 and w^2 after it, the frame w throughout.
+        xs, qs = zip(*phases)
+        np.testing.assert_array_equal(xs, [w[0]] + [w[0] ** 2] * (steps - 1))
+        np.testing.assert_array_equal(qs, [w[0]] * steps)
 
 
 def test_walk_state_validates_shape():
