@@ -43,9 +43,9 @@ from .walk import (
     StaticAndDynamic,
     StaticRandom,
     _dense,
+    _moment_rows,
     _propagate,
     _second_moment,
-    _site_squares,
     final_state,
     initial_state,
     plan_coins,
@@ -350,9 +350,9 @@ def cmd_walk(cfg: dict) -> _Outputs:
     def trajectory():
         nonlocal state
         yield io.trajectory_columns(state)
-        squares = _site_squares(steps)
+        rows = _moment_rows(steps)
         for t, (up, dn, q) in enumerate(_propagate(plan, init.spinor), 1):
-            m2[t - 1] = _second_moment(up, dn, squares)
+            m2[t - 1] = _second_moment(up, dn, rows)
             state = _dense(up, dn, q, scales[t])
             yield io.trajectory_columns(state)
 

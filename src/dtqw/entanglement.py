@@ -173,20 +173,21 @@ def coin_density_curve(
     """
     plan = plan_coins(policy, steps)
     spinor = init.spinor
-    # Flat rows (rho00, rho01, rho10, rho11): a step stores its three dot
-    # products, and rho10 = conj(rho01) is filled in once at the end.
-    flat = np.empty((steps + 1, 4), dtype=np.complex128)
-    flat[0, 0], flat[0, 1], flat[0, 3] = _coin_dots(spinor[:1], spinor[1:])
-    # The |down> rows' frame q_t: rho01 is multiplied by conj(q_t) at the end,
-    # or a site pattern's row of frames multiplies the rows before the dots.
-    frames = np.ones(steps + 1, dtype=np.complex128)
-    for t, (up, dn, q) in enumerate(_propagate(plan, spinor), 1):
+    # Each step's three dot products, rho00, rho01, rho11, go into one flat
+    # list, and the |down> rows' frame q_t into another: rho01 is multiplied
+    # by conj(q_t) at the end.  A site pattern's row of frames instead
+    # multiplies the |down> row, into a scratch row, before the dots.
+    dots, frames = list(_coin_dots(spinor[:1], spinor[1:])), [1]
+    framed = np.empty(steps + 1, dtype=np.complex128)
+    for up, dn, q in _propagate(plan, spinor):
         if q.ndim:
-            dn = dn * q
-        else:
-            frames[t] = q
-        flat[t, 0], flat[t, 1], flat[t, 3] = _coin_dots(up, dn)
-    flat[:, 1] *= np.conj(frames)
+            dn, q = np.multiply(dn, q, out=framed[: len(dn)]), 1
+        dots.extend(_coin_dots(up, dn))
+        frames.append(q)
+    # Flat rows (rho00, rho01, rho10, rho11), rho10 = conj(rho01).
+    flat = np.empty((steps + 1, 4), dtype=np.complex128)
+    flat[:, [0, 1, 3]] = np.fromiter(dots, np.complex128, 3 * (steps + 1)).reshape(-1, 3)
+    flat[:, 1] *= np.conj(np.array(frames, dtype=np.complex128))
     np.conjugate(flat[:, 1], out=flat[:, 2])
     # Row t sums products of rows at scale s_t: an exact 2^-s_t takes it out.
     floats = flat.view(np.float64)

@@ -309,7 +309,7 @@ def _tree_entropies(n, spinor, out):
         # The F walks, then the H walks: walk index = old walk + (bit << t),
         # so the last coin of walk v is bit t of v.
         block = np.zeros((2, t + 2, 2, 1 << t), dtype=np.complex128)
-        _phase_shift(*phi[:, :, None], w[:, None] * q, _destination(block))
+        _phase_shift(*phi[:, :, None], w[:, None] * q, *_destination(block))
         phi, q = block.reshape(2, t + 2, -1), np.repeat(w, 1 << t)
 
     # One zeroed state buffer per depth, which its two children fill in
@@ -319,7 +319,7 @@ def _tree_entropies(n, spinor, out):
     rows = phi.shape[2]
     chunk = min(_CHUNK, rows)
     level = {t: np.zeros((2, t + 1, rows), dtype=np.complex128) for t in range(breadth + 1, depth + 1)}
-    dests = {t: _destination(block) for t, block in level.items()}
+    dests = {t: tuple(_destination(block)) for t, block in level.items()}  # (new_up, new_dn) rows
 
     def descend(phi, t, offset, q):
         if t == depth:
@@ -330,7 +330,7 @@ def _tree_entropies(n, spinor, out):
                 leaves[:, c : c + chunk] = _eigenvalue_entropy(0.5 + np.sqrt(z * z + x * x + y * y))
         else:
             for bit in (0, 1):
-                _phase_shift(phi[0], phi[1], w[bit] * q, dests[t + 1])
+                _phase_shift(phi[0], phi[1], w[bit] * q, *dests[t + 1])
                 descend(level[t + 1], t + 1, offset + (bit << t), w[bit])
 
     descend(phi, breadth, 0, q)

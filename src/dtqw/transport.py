@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .walk import CoinPlan, CoinPolicy, InitialCoin, WalkState
-from .walk import _batch_walks, _dynamic_plan, _propagate, _second_moment, _site_squares, plan_coins
+from .walk import _batch_walks, _dynamic_plan, _moment_rows, _propagate, _second_moment, plan_coins
 
 __all__ = [
     "PositionDistribution",
@@ -86,10 +86,10 @@ def second_moment(dist: PositionDistribution) -> float:
 
 def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float64]:
     """m2 after each step of every walk of `plan`, shape (steps, ...), unscaled by the exact 2^-s_t."""
-    squares = _site_squares(plan.steps)
+    rows = _moment_rows(plan.steps, plan.batch)
     m2 = np.empty((plan.steps,) + plan.batch)
     for t, (up, dn, _) in enumerate(_propagate(plan, spinor)):  # |b|^2 does not read the frame
-        m2[t] = _second_moment(up, dn, squares)
+        m2[t] = _second_moment(up, dn, rows)
     m2 *= np.ldexp(1.0, -plan.scales()[1:]).reshape((-1,) + (1,) * len(plan.batch))
     return m2
 

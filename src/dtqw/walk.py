@@ -37,13 +37,14 @@ by 1, i or -1 is exact, so every value read after applying q is the one
 that multiplying w in at every step gives; only the sign of a zero can
 differ.  Any other coin steps with `_coin_shift`, its two columns times
 (a, b) and one add, in the frame q = 1.  All else a step needs is resolved
-once per run: three zeroed buffers, checked against a size limit first,
-with their views.  Two buffers alternate as each step's output, and their
-edge rows stay zero because no step writes them; the third holds
-`_coin_shift`'s scratch.  The kernel yields views (up, dn) with their
-frame q, the rows 1-D and contiguous for one walk, that live for two
-steps.  The per-step reductions live beside it and read those arrays as
-they stream.  The second moment about the origin (float-view squares and
+once per run: two zeroed buffers, checked against a size limit first,
+alternate as each step's output, and their edge rows stay zero because no
+step writes them; a `_coin_shift` plan adds a third for its scratch.  One
+walk steps on 1-D slices of the buffers' rows, a batch on flat blocks
+reshaped per step.  The kernel yields views (up, dn) with their frame q,
+the rows 1-D and contiguous for one walk, that live for two steps.  The
+per-step reductions live beside it and read those arrays as they
+stream.  The second moment about the origin (float-view squares and
 one dot product) and the diagonal of the reduced coin matrix read only
 |b|^2, so they ignore q; the matrix's rho01 (three BLAS dot products for
 one walk, einsums over the sites for a batch) takes one exact multiply by
@@ -281,10 +282,13 @@ class CoinPlan:
         rows by x_t = w_t q_t, which is 1, i or -1.  A batch's x and q are
         (walks...) rows, x a product of two rows of one table of w.  One
         walk's are 0-d arrays, or with site bits rows over the sites -t,
-        -t+2, .., t: q_{t+1}, of t + 2 entries, is a slice of a copy made
-        here per step bit and per parity of the first site's index, so that
-        it is contiguous, and x_t its first t + 1 entries times q_t.  The
-        top entry of each q multiplies the zero top row of |down>.
+        -t+2, .., t, each a contiguous slice of a table built here once:
+        q_{t+1}, of t + 2 entries, of a copy of the w per step bit and per
+        parity of the first site's index, and x_t, of t + 1 entries, of
+        that copy for t = 0, else of its product with the copy of the other
+        parity under the previous bit, one per parity for each pair of step
+        bits (b_t, b_{t-1}) that occurs.  The top entry of each q
+        multiplies the zero top row of |down>.
         """
         w = self.alphabet[:, 1, 0]
         if self.batch:
@@ -307,15 +311,21 @@ class CoinPlan:
                 frame = b + 1
             return
         # Step t reads every other site from index steps - t; the bit past
-        # the light cone gives the last q its top entry.
+        # the light cone gives the last q its top entry.  copies[b][p] holds
+        # the w of bit b at the sites of parity p, and xs[b][f][p] the x of
+        # bit b in frame f from those sites: the copy itself for q_0 = 1
+        # (f = 0), else its product with the copy of bit f - 1 from the next
+        # site, of the other parity.
         padded = np.append(self.site_bits, 0)
         copies = [[w[padded[p::2] ^ b] for p in (0, 1)] for b in (0, 1)]
-        q = np.ones(1, dtype=w.dtype)
+        xs = [[copies[b], None, None] for b in (0, 1)]
+        for b, c in set(zip(bits[1:], bits)):
+            xs[b][c + 1] = [copies[b][p][: self.steps + 1 - p] * copies[c][1 - p][p:] for p in (0, 1)]
+        frame = 0
         for t, b in enumerate(bits):
-            lo = self.steps - t
-            row = copies[b][lo % 2][lo // 2 : lo // 2 + t + 2]
-            yield row[:-1] * q, row
-            q = row
+            p, k = (self.steps - t) % 2, (self.steps - t) // 2
+            yield xs[b][frame][p][k : k + t + 1], copies[b][p][k : k + t + 2]
+            frame = b + 1
 
 
 def _sequence_alphabet() -> NDArray[np.complex128]:
@@ -396,7 +406,10 @@ def _dynamic_plan(seeds: Sequence[int], steps: int) -> CoinPlan:
     return CoinPlan(steps, _random_alphabet(), step_bits=bits)
 
 
-_BUFFER_LIMIT = 1 << 28  #: bytes of the kernel's three buffers
+#: Bytes the kernel may take for one run, counted as three buffers: the
+#: two outputs of every plan and the scratch that only `_coin_shift` plans
+#: allocate, so that a walk's limit does not depend on its coins.
+_BUFFER_LIMIT = 1 << 28
 
 #: A scaled walk's rows are multiplied by 2^-_RESCALE after every
 #: 2 * _RESCALE steps, so they hold at most 2^(_RESCALE - 1/2) times the
@@ -412,8 +425,8 @@ def _check_buffers(walks: int, steps: int) -> None:
 
 
 #: Amplitude rows, walks x (steps + 1), in one batch of the batched callers
-#: (sampled sweeps, random ensembles).  A batch's three buffers then take
-#: 96 B per row, 1.5 MB, and stay in a core's cache as they stream.
+#: (sampled sweeps, random ensembles).  A batch's two buffers then take
+#: 64 B per row, 1 MB, and stay in a core's cache as they stream.
 _BATCH_ROWS = 1 << 14
 
 
@@ -423,7 +436,7 @@ def _batch_walks(steps: int) -> int:
 
 
 def _destination(out):
-    """The (2, width - 1, ...) view of `out`, a C-contiguous (2, width, ...) block [up, dn], that a step writes.
+    """The (2, width - 1, ...) view of `out`, a C-contiguous (2, width, ...) block [up, dn], that `_coin_shift` writes.
 
     |up> moves one row down (j -> j+1) and |down> stays (j -> j-1), so the
     destinations, |up> rows 1.. and |down> rows ..width-2, are one
@@ -434,20 +447,19 @@ def _destination(out):
     return out.reshape(-1)[n : out.size - n].reshape((2, out.shape[1] - 1) + out.shape[2:])
 
 
-def _phase_shift(up, dn, x, dest):
+def _phase_shift(up, dn, x, new_up, new_dn):
     """One step of parity-compressed walks whose coins are sqrt(2) H (w = 1) or sqrt(2) F (w = i): coin, then shift.
 
     `up` holds the |up> amplitudes a and `dn` the |down> amplitudes b in
     their frame, b / q, as (width, ...) rows, and `x` = w q (`CoinPlan.phases`)
     broadcasts against them.  sqrt(2) C = [[1, w], [w, -w^2]] maps (a, b)
     to (a + u, w (a - u)) with u = w b = x (b / q).  The next frame is w,
-    so the step writes a + u and a - u, after one complex multiply, into
-    `dest`, the (2, width, ...) `_destination` view of the next block.  u
-    is written into the |down> rows first, where a - u then replaces it
-    element by element.  The edge rows are never written, so a caller
-    zeroes each output buffer once.
+    so the step writes a + u into `new_up` and a - u into `new_dn`, the
+    (width, ...) rows of the next output that take |up> rows 1.. and
+    |down> rows ..width-1, after one complex multiply.  u is written into
+    `new_dn` first, where a - u then replaces it element by element.  The
+    edge rows are never written, so a caller zeroes each output buffer once.
     """
-    new_up, new_dn = dest
     np.multiply(dn, x, out=new_dn)
     np.add(up, new_dn, out=new_up)
     np.subtract(up, new_dn, out=new_dn)
@@ -457,8 +469,8 @@ def _coin_shift(up, dn, columns, dest, scratch):
     """One step of a walk under one coin of any kind, an `Ordered` coin other than H or F: coin, then shift.
 
     With the coin's columns c0, c1 = `columns` as (2, 1), c0 * up + c1 * dn
-    is written into `dest` as `_phase_shift` writes its rows, and `scratch`
-    holds the c1 products.  Its frame stays q = 1.
+    is written into `dest`, the (2, width, ...) `_destination` view of the
+    next output, and `scratch` holds the c1 products.  Its frame stays q = 1.
     """
     c0, c1 = columns
     np.multiply(c0, up, out=dest)
@@ -466,39 +478,11 @@ def _coin_shift(up, dn, columns, dest, scratch):
     np.add(dest, scratch, out=dest)
 
 
-def _step_views(buffers, steps: int, batch: tuple[int, ...]):
-    """Yield, for each step t of `_propagate`, its views (dest, scratch, (up, dn)) of the kernel's buffers.
-
-    `dest` and `scratch` are the (2, t+1, ...) blocks a step writes
-    and (up, dn) the (t+2, ...) output rows, in `buffers[t % 2]`.  Numpy
-    buffers a ufunc's operands when their strides are not uniform over the
-    run it makes one inner loop.  One walk's output therefore keeps its
-    |up> and |down> rows steps + 1 elements apart, so that before the last
-    step a destination's two rows are not one run and its products are not
-    buffered: the views are slices of fixed views resolved here.  A batch's
-    broadcast product by x is buffered anyway, and its blocks are each one
-    contiguous run, reshaped per step, so that they need no buffer of their
-    own.
-    """
-    if not batch:
-        outs = [buffer.reshape(2, steps + 1) for buffer in buffers]
-        rows, dests = [tuple(out) for out in outs[:2]], [_destination(out) for out in outs[:2]]
-        for t in range(steps):
-            (up, dn), width = rows[t % 2], t + 1
-            yield dests[t % 2][:, :width], outs[2][:, :width], (up[: width + 1], dn[: width + 1])
-        return
-    walks = math.prod(batch)
-    flats = list(buffers)
-    for t in range(steps):
-        # The output block [up, dn] is a prefix of its buffer, half rows per
-        # part; its destination leaves out the first and the last row.
-        width, block = t + 1, flats[t % 2]
-        half = (width + 1) * walks
-        yield (
-            block[walks : 2 * half - walks].reshape((2, width) + batch),
-            flats[2][: 2 * width * walks].reshape((2, width) + batch),
-            (block[:half].reshape((width + 1,) + batch), block[half : 2 * half].reshape((width + 1,) + batch)),
-        )
+def _rescale(rows):
+    """Multiply kernel rows by the exact 2^-_RESCALE through their float views."""
+    for row in rows:
+        floats = row.view(np.float64)
+        np.multiply(floats, 2.0**-_RESCALE, out=floats)
 
 
 def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
@@ -511,40 +495,57 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     amplitudes, with q, in {1, i}, the 0-d frame of one walk, a (walks...)
     row for a batch, or a site pattern's (t+2,) row (`CoinPlan.phases`).
     A scaled plan steps with `_phase_shift` on its phases, any other with
-    `_coin_shift` on its one coin's columns, in the frame q = 1.  All a
-    step needs that does not depend on the amplitudes is resolved once per
-    run, with three zeroed buffers and their views (`_step_views`): two
-    alternate as each step's output [up, dn], whose edge rows stay zero
-    because no step writes them, and one holds `_coin_shift`'s scratch.
-    A scaled plan's rows are multiplied by 2^-_RESCALE after every
-    2 * _RESCALE steps, exactly but for results below the normal range.
-    The yielded views are overwritten two steps later: reduce or copy them
-    before then.  The buffers are allocated once, or ValueError raised if
-    they would pass :data:`_BUFFER_LIMIT`.
+    `_coin_shift` on its one coin's columns, in the frame q = 1.  Two
+    zeroed buffers, allocated once per run, alternate as each step's output
+    [up, dn], whose edge rows stay zero because no step writes them; a
+    third holds `_coin_shift`'s scratch, for its plans only.  One walk's
+    buffer holds its |up> row and then its |down> row, each steps + 1
+    long, and a step writes and yields 1-D slices of them.  A batch's
+    output is a prefix of its buffer, half rows per part, reshaped per
+    step, so that each part is one contiguous run and numpy buffers only
+    the broadcast product by x.  A scaled plan's rows are multiplied by
+    2^-_RESCALE after every 2 * _RESCALE steps, exactly but for results
+    below the normal range.  The yielded views are overwritten two steps
+    later: reduce or copy them before then.  The buffers are allocated
+    once, or ValueError raised if :func:`_check_buffers` refuses them.
     """
-    batch = plan.batch
-    _check_buffers(math.prod(batch), plan.steps)
-    buffers = np.zeros((3, 2 * (plan.steps + 1) * math.prod(batch)), dtype=np.complex128)
+    batch, steps, scaled = plan.batch, plan.steps, plan.scaled
+    walks = math.prod(batch)
+    _check_buffers(walks, steps)
+    buffers = np.zeros((2 if scaled else 3, 2 * (steps + 1) * walks), dtype=np.complex128)
     phi = np.empty((2, 1) + batch, dtype=np.complex128)
     phi[0], phi[1] = spinor
     up, dn = phi
-    scaled = plan.scaled
     if scaled:
         coins = plan.phases()  # (x, q)
     else:
         columns = np.ascontiguousarray(plan.alphabet[0].T[..., None])  # c0, c1 as (2, 1)
-        coins = itertools.repeat((columns, np.ones((), dtype=np.complex128)))
-    views = _step_views(buffers, plan.steps, batch)
-    for t, ((coin, q), (dest, scratch, out)) in enumerate(zip(coins, views), 1):
-        if scaled:
-            _phase_shift(up, dn, coin, dest)
-        else:
-            _coin_shift(up, dn, coin, dest, scratch)
-        up, dn = out
-        if scaled and t % (2 * _RESCALE) == 0:
-            for rows in out:
-                floats = rows.view(np.float64)
-                np.multiply(floats, 2.0**-_RESCALE, out=floats)
+        coins = itertools.repeat((columns, np.ones((), dtype=np.complex128)), steps)
+    if not batch:
+        outs = buffers.reshape(-1, 2, steps + 1)
+        rows = [tuple(out) for out in outs[:2]]
+        dests = [_destination(out) for out in outs[:2]]  # `_coin_shift` writes (2, width) views
+        for t, (coin, q) in enumerate(coins, 1):
+            out_up, out_dn = rows[t % 2]
+            if scaled:
+                _phase_shift(up, dn, coin, out_up[1 : t + 1], out_dn[:t])
+            else:
+                _coin_shift(up, dn, coin, dests[t % 2][:, :t], outs[2][:, :t])
+            up, dn = out_up[: t + 1], out_dn[: t + 1]
+            if scaled and t % (2 * _RESCALE) == 0:
+                _rescale((up, dn))
+            yield up, dn, q
+        return
+    # A batch's plan has step bits, so it is scaled.
+    flats = list(buffers)
+    for t, (x, q) in enumerate(coins, 1):
+        block, half = flats[t % 2], (t + 1) * walks
+        out_up = block[:half].reshape((t + 1,) + batch)
+        out_dn = block[half : 2 * half].reshape((t + 1,) + batch)
+        _phase_shift(up, dn, x, out_up[1:], out_dn[:-1])
+        up, dn = out_up, out_dn
+        if t % (2 * _RESCALE) == 0:
+            _rescale((up, dn))
         yield up, dn, q
 
 
@@ -577,36 +578,44 @@ def _coin_density(up, dn, q=1):
     return out
 
 
-def _site_squares(steps: int) -> NDArray[np.float64]:
-    """Squared sites up to `steps`, each twice: row r holds j^2, j^2 for j = r - steps, r - steps + 2, .., r + steps.
+def _moment_rows(steps: int, batch: tuple[int, ...] = ()):
+    """The rows (squares, scratch) that `_second_moment` reads and writes, resolved once per run of `steps` steps.
 
-    Doubled, a run of a row lines up with the float view (re, im, re, im,
-    ..) of one walk's amplitudes.
+    squares[r] holds the squared sites up to `steps`, each twice: j^2, j^2
+    for j = r - steps, r - steps + 2, .., r + steps.  Doubled, a run of a
+    row lines up with the float view (re, im, re, im, ..) of one walk's
+    amplitudes.  The two scratch rows are as wide as the float view of
+    (steps+1, *batch) amplitudes, `batch` the walk axes.
     """
     squares = (np.arange(-steps, steps + 2.0) ** 2).reshape(-1, 2).T
-    return np.repeat(squares, 2, axis=1)
+    scratch = np.empty((2, steps + 1) + batch, dtype=np.complex128).view(np.float64)
+    return tuple(np.repeat(squares, 2, axis=1)), tuple(scratch)
 
 
-def _second_moment(up, dn, squares):
+def _second_moment(up, dn, rows):
     """Second moment sum_j (|a_j|^2 + |b_j|^2) j^2 of parity-compressed walks.
 
     Row m of the (t+1,) or (t+1, walks) arrays holds site j = 2m - t, and
     their last axis must be contiguous.  Each amplitude's float view (re,
-    im) is squared, so no |z| = hypot(re, im) is taken and squared again,
-    and summed against a run of row (steps - t) % 2 of `_site_squares(steps)`
-    by one dot product.  One walk's floats pair up along the sites, which
-    the doubled weights take; a batch's pair up along its last axis, so
-    every other weight is taken there and each walk's two sums are added.
-    The result differs from the sum of |a_j|^2 + |b_j|^2 only in the last
-    bits.
+    im) is squared into the scratch of `rows`, `_moment_rows(steps,
+    batch)`, so no |z| = hypot(re, im) is taken and squared again, and
+    summed against a run of its squares[(steps - t) % 2] by one dot
+    product.  One walk's floats pair up along the sites, which the doubled
+    weights take; a batch's pair up along its last axis, so every other
+    weight is taken there and each walk's two sums are added.  The result
+    differs from the sum of |a_j|^2 + |b_j|^2 only in the last bits.
     """
+    squares, (sq, dn_sq) = rows
     n = len(up)
-    rest = squares.shape[1] // 2 - n  # steps - t
-    weights = squares[rest % 2, rest - rest % 2 : rest - rest % 2 + 2 * n]
-    sq = np.square(up.view(np.float64))
-    sq += np.square(dn.view(np.float64))
+    rest = len(squares[0]) // 2 - n  # steps - t
+    weights = squares[rest % 2][rest - rest % 2 : rest - rest % 2 + 2 * n]
+    up, dn = up.view(np.float64), dn.view(np.float64)
+    sq, dn_sq = sq[: len(up)], dn_sq[: len(up)]
+    np.square(up, out=sq)
+    np.square(dn, out=dn_sq)
+    sq += dn_sq
     if sq.ndim == 1:
-        return weights @ sq
+        return weights.dot(sq)
     sums = weights[::2] @ sq
     return sums[0::2] + sums[1::2]
 

@@ -11,10 +11,12 @@ The cases cover every coin policy at theta 0, 51 and 180 (the last with
 phi = 180), the ordered walk under each named coin (H and F, stepped
 exactly, and I, stepped as given), `entropy` at three phi with
 ``--eigenvalues``, the exhaustive and the sampled sweep, `tomo` with and
-without ``--noiseless``, `lz` and `fit`.  Two longer runs pass the
+without ``--noiseless``, `lz` and `fit`.  Three longer runs pass the
 kernel's rescale at 512 steps: a `walk` with a site pattern and dynamic
 bits, whose dense states take the |down> rows out of their phase frame,
-and an `entropy` curve of a site pattern, whose rho01 reads that frame.
+and two `entropy` curves of a site pattern, whose rho01 reads that frame,
+one with dynamic bits, which read the phases x of all four pairs of
+consecutive step bits.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def cases():
         yield f"entropy-{policy}", ["entropy", "--theta", "51", "--phi", "0,90,180", "--steps", STEPS,
                                     "--eigenvalues", *POLICIES[policy]]
     yield "entropy-static-1100", ["entropy", "--theta", "51", "--phi", "0", "--steps", "1100", *POLICIES["static"]]
+    yield "entropy-both-1100", ["entropy", "--theta", "51", "--phi", "0", "--steps", "1100", *POLICIES["both"]]
     yield "sweep-exhaustive", ["sweep", "--theta", "51", "--phi", "0", "--n", "12"]
     yield "sweep-sampled", ["sweep", "--theta", "90", "--phi", "90", "--n", "30", "--samples", "3000", "--seed", "4"]
     tomo = ["tomo", "--theta", "51", "--phi", "0", "--steps", "20", "--static-seed", "3", "--total-counts", "24000"]

@@ -425,7 +425,7 @@ def test_sampled_sweep_memory_is_one_batch_beside_its_results():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    buffers = 3 * 2 * walks * (n + 1) * 16  # the kernel's three buffers
+    buffers = 2 * 2 * walks * (n + 1) * 16  # the kernel's two buffers
     results = 2 * samples * 8  # the packed sequences and their entropies
     bits = 2 * walks * n * 8  # a batch's bit table, shifted and then masked
     # The last step's up * conj(dn) with its conj, and numpy's two ufunc buffers.

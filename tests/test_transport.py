@@ -235,9 +235,10 @@ def test_ensemble_moment_series_streams_its_seeds_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    buffers = 3 * 2 * group * (steps + 1) * 16  # the kernel's three buffers
+    # The kernel's two buffers, and the two scratch rows of `_second_moment`, as large as one.
+    buffers = 3 * 2 * group * (steps + 1) * 16
     rows = 2 * 2 * group * steps * 8  # m2 rows and step bits, each also in a list while stacked
-    # numpy's two ufunc buffers, and one step's |a|^2 + |b|^2 temporaries.
+    # numpy's two ufunc buffers, and room for one step's (walks,) sums and views.
     slack = 2 * np.getbufsize() * 16 + 3 * group * (steps + 1) * 8 + 2**16
     assert peak < buffers + rows + slack
 

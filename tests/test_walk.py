@@ -7,6 +7,7 @@ from dtqw.coins import fourier_coin, hadamard_coin, hwp_coin, identity_coin
 from dtqw.entanglement import coin_density_curve, reduced_coin_density
 from dtqw.transport import moment_series, position_distribution, second_moment
 from dtqw.walk import (
+    _RESCALE,
     CoinPlan,
     DynamicRandom,
     DynamicSequence,
@@ -16,10 +17,10 @@ from dtqw.walk import (
     StaticRandom,
     WalkState,
     _coin_density,
+    _moment_rows,
     _packed_plan,
     _propagate,
     _second_moment,
-    _site_squares,
     evolve,
     final_state,
     initial_state,
@@ -160,10 +161,10 @@ def test_streamed_reductions_carry_batch_axes():
     init = InitialCoin(51, 30)
     batch = dynamic_batch(20)
     walks = [evolve(init, DynamicRandom(seed=k), 20) for k in range(4)]
-    squares = _site_squares(20)
+    rows = _moment_rows(20, batch.batch)
     for t, (up, dn, q) in enumerate(_propagate(batch, init.spinor), 1):
         unscale = 2.0 ** -batch.scales()[t]
-        rho, m2 = _coin_density(up, dn, q) * unscale, _second_moment(up, dn, squares) * unscale
+        rho, m2 = _coin_density(up, dn, q) * unscale, _second_moment(up, dn, rows) * unscale
         assert rho.shape == (4, 2, 2) and m2.shape == (4,)
         for k, states in enumerate(walks):
             np.testing.assert_allclose(rho[k], reduced_coin_density(states[t]), rtol=0, atol=1e-12)
@@ -303,13 +304,13 @@ def test_phase_shift_equals_coin_shift(plan, theta, phi):
 
 
 def test_batched_kernel_allocates_nothing_per_step():
-    # Its three step buffers, the table of phases w with the bits that
+    # Its two step buffers, the table of phases w with the bits that
     # index it, and slack for numpy's two ufunc buffers (which the one
     # product by a broadcast row of x fills), one step's (walks,) row x and
     # views and scalars; anything kept per step would add 256 steps' worth.
     walks, steps = 256, 256
     plan = dynamic_batch(steps, walks)
-    buffers = 3 * 2 * walks * (steps + 1) * 16
+    buffers = 2 * 2 * walks * (steps + 1) * 16
     phases = (16 + 8) * steps * walks
     slack = 2 * np.getbufsize() * 16 + 2**16
     tracemalloc.start()
@@ -324,11 +325,14 @@ def test_batched_kernel_allocates_nothing_per_step():
 
 @pytest.mark.parametrize("policy", FIVE_LONG_POLICIES, ids=KERNEL_IDS)
 def test_single_walk_kernel_allocates_nothing_per_step(policy):
-    # Its three step buffers, the phases resolved once (a list of the step
-    # bits and, with site bits, per-bit and per-parity copies of the light
-    # cone's phases w, one entry past it) and the slack of the batched test
-    # above, which also takes a site pattern's row x of one step; anything
-    # kept per step would add 2048 steps' worth.
+    # It allocates two step buffers and the phases resolved once: a list of
+    # the step bits and, with site bits, per-bit and per-parity copies of
+    # the light cone's phases w, one entry past it, and the x tables, one
+    # per parity for each pair of step bits that occurs, up to four pairs.
+    # Its 1-D steps fill no ufunc buffer, so StaticAndDynamic peaks at
+    # 580 KB under the bound below, which counts three step buffers, the
+    # copies, the bits and the batched test's slack; anything kept per step
+    # would add 2048 steps' worth.
     plan = plan_coins(policy, LONG)
     buffers = 3 * 2 * (LONG + 1) * 16
     phases = 2 * (2 * LONG + 1) * 16
@@ -590,8 +594,10 @@ def test_random_plans_keep_the_seed_to_coin_mapping(seed, steps):
     "plan",
     [plan_coins(p, 9) for p in (Ordered(hadamard_coin()), Ordered(fourier_coin()), DynamicRandom(seed=2))]
     + [plan_coins(p, 9) for p in (StaticRandom(seed=5), StaticAndDynamic(static_seed=3, dynamic_seed=4))]
+    + [plan_coins(p, 520) for p in (StaticRandom(seed=6), StaticAndDynamic(static_seed=8, dynamic_seed=9))]
     + [dynamic_batch(9, 8)],
-    ids=["Ordered-H", "Ordered-F", "DynamicRandom", "StaticRandom", "StaticAndDynamic", "batch"],
+    ids=["Ordered-H", "Ordered-F", "DynamicRandom", "StaticRandom", "StaticAndDynamic"]
+    + ["StaticRandom-520", "StaticAndDynamic-520", "batch"],
 )
 def test_phases_carry_the_frame_of_the_last_coin(plan):
     """`CoinPlan.phases` gives x_t = w_t q_t and q_{t+1} = w_t, from q_0 = 1.
@@ -600,7 +606,9 @@ def test_phases_carry_the_frame_of_the_last_coin(plan):
     site pattern's rows run over the sites -t, -t+2, .., t, so entry m of
     q_t, from step t - 1, is the w of site j + 1 for the site j of entry m
     of x_t; its q_{t+1} has one more entry, for the zero top |down> row.
-    The first site's index steps - t takes both parities over the steps.
+    The first site's index steps - t takes both parities over the steps,
+    so over 520 steps, past the rescale at 512, every x table of a site
+    pattern, one per parity and pair of step bits (b_t, b_{t-1}), is read.
     """
     steps, w = plan.steps, plan.alphabet[:, 1, 0]
     bits = np.zeros(steps, int) if plan.step_bits is None else plan.step_bits
@@ -618,6 +626,9 @@ def test_phases_carry_the_frame_of_the_last_coin(plan):
         np.testing.assert_array_equal(q_next if plan.site_bits is None else q_next[: t + 1], w_t, strict=True)
         assert set(np.ravel(x).tolist()) <= {1, 1j, -1}
         q = q_next
+    if plan.site_bits is not None and steps > 2 * _RESCALE:
+        tables = {(bits[t], bits[t - 1], (steps - t) % 2) for t in range(1, steps)}
+        assert len(tables) == (2 if plan.step_bits is None else 8)
     if plan.step_bits is None and plan.site_bits is None:
         # One coin: x = w at t = 0 and w^2 after it, the frame w throughout.
         xs, qs = zip(*phases)
