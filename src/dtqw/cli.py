@@ -42,10 +42,7 @@ from .walk import (
     Ordered,
     StaticAndDynamic,
     StaticRandom,
-    _dense,
-    _moment_rows,
-    _propagate,
-    _second_moment,
+    _states_and_moments,
     final_state,
     initial_state,
     plan_coins,
@@ -342,22 +339,16 @@ def cmd_walk(cfg: dict) -> _Outputs:
     out = _Outputs(cfg, _tables("trajectory", "distribution", "moments"))
 
     # One kernel run streams the trajectory, a state per step, and leaves
-    # the last state and the second moments of every step behind.  m2 is
-    # moment_series' reduction of the kernel's rows, not of the states,
-    # which an odd scale rounds.
-    state, m2, scales = initial_state(init), np.empty(steps), plan.scales()
+    # the last state and the second moments of every step behind.
+    state, m2 = initial_state(init), np.empty(steps)
 
     def trajectory():
         nonlocal state
         yield io.trajectory_columns(state)
-        rows = _moment_rows(steps)
-        for t, (up, dn, q) in enumerate(_propagate(plan, init.spinor), 1):
-            m2[t - 1] = _second_moment(up, dn, rows)
-            state = _dense(up, dn, q, scales[t])
+        for t, (state, m2[t]) in enumerate(_states_and_moments(plan, init.spinor)):
             yield io.trajectory_columns(state)
 
     out.table("trajectory", io.TRAJECTORY_HEADER, trajectory())
-    m2 *= np.ldexp(1.0, -scales[1:])
     out.table(
         "distribution",
         io.DISTRIBUTION_HEADER,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .walk import CoinPolicy, InitialCoin, WalkState, _coin_density, _coin_dots, _propagate, plan_coins
+from .walk import CoinPolicy, InitialCoin, WalkState, _coin_curve, _coin_density, plan_coins
 
 __all__ = [
     "SiteDecomposition",
@@ -161,43 +161,16 @@ def coin_density_curve(
     """Reduced coin matrix at every step of a walk, as a (steps+1, 2, 2) array.
 
     Row t is rho_C(t) for t = 0 .. steps, reduced from the kernel's
-    parity-compressed amplitudes as they stream, so memory stays O(steps),
-    and multiplied by the exact 2^-s_t of the rows' scale.
+    parity-compressed amplitudes as they stream (`walk._coin_curve`), so
+    memory stays O(steps).
 
     Raises
     ------
     ValueError
-        If a step's norm is off by more than 1e-6 (the check of
-        :func:`reduced_coin_density`), or a step's matrix fails
-        :func:`check_density_matrix`.
+        If a step's matrix fails :func:`check_density_matrix`: a norm off
+        by more than its 1e-8 shows as a trace that is not 1.
     """
-    plan = plan_coins(policy, steps)
-    spinor = init.spinor
-    # Each step's three dot products, rho00, rho01, rho11, go into one flat
-    # list, and the |down> rows' frame q_t into another: rho01 is multiplied
-    # by conj(q_t) at the end.  A site pattern's row of frames instead
-    # multiplies the |down> row, into a scratch row, before the dots.
-    dots, frames = list(_coin_dots(spinor[:1], spinor[1:])), [1]
-    framed = np.empty(steps + 1, dtype=np.complex128)
-    for up, dn, q in _propagate(plan, spinor):
-        if q.ndim:
-            dn, q = np.multiply(dn, q, out=framed[: len(dn)]), 1
-        dots.extend(_coin_dots(up, dn))
-        frames.append(q)
-    # Flat rows (rho00, rho01, rho10, rho11), rho10 = conj(rho01).
-    flat = np.empty((steps + 1, 4), dtype=np.complex128)
-    flat[:, [0, 1, 3]] = np.fromiter(dots, np.complex128, 3 * (steps + 1)).reshape(-1, 3)
-    flat[:, 1] *= np.conj(np.array(frames, dtype=np.complex128))
-    np.conjugate(flat[:, 1], out=flat[:, 2])
-    # Row t sums products of rows at scale s_t: an exact 2^-s_t takes it out.
-    floats = flat.view(np.float64)
-    floats *= np.ldexp(1.0, -plan.scales())[:, None]
-    rho = flat.reshape(steps + 1, 2, 2)
-    norm = rho[:, 0, 0].real + rho[:, 1, 1].real
-    worst = norm[np.argmax(np.abs(norm - 1.0))]
-    if abs(worst - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized (norm^2 = {worst})")
-    return check_density_matrix(rho)
+    return check_density_matrix(_coin_curve(plan_coins(policy, steps), init.spinor))
 
 
 def entropy_curve(

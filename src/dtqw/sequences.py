@@ -61,8 +61,8 @@ from .walk import (
     DynamicSequence,
     InitialCoin,
     _batch_walks,
-    _coin_density,
     _destination,
+    _final_coin_density,
     _packed_plan,
     _phase_shift,
     _propagate,
@@ -213,14 +213,6 @@ def entropy_of_sequence(init: InitialCoin, seq: CoinSequence | str) -> float:
     """Final-step entanglement entropy of the walk driven by `seq`."""
     seq = _as_sequence(seq)
     return von_neumann_entropy(coin_density_curve(init, DynamicSequence(seq), len(seq))[-1])
-
-
-def _sampled_batch(ints, n, spinor):
-    """The final reduced coin matrices of packed sequences `ints`, each stepped from the origin, as (walks, 2, 2)."""
-    plan = _packed_plan(ints, n)
-    for up, dn, q in _propagate(plan, spinor):
-        pass
-    return _coin_density(up, dn, q) * np.ldexp(1.0, -plan.scales()[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,7 +499,8 @@ def sampled_sweep(
     size = _batch_walks(n)
     for start in range(0, samples, size):
         stop = start + size
-        entropies[start:stop] = _entropy_bits(_sampled_batch(ints[start:stop], n, spinor))
+        plan = _packed_plan(ints[start:stop], n)
+        entropies[start:stop] = _entropy_bits(_final_coin_density(plan, spinor))
     return _report(entropies, n, init, edges, threshold, started, ints, seed, samples)
 
 

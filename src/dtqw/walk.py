@@ -48,10 +48,11 @@ stream.  The second moment about the origin (float-view squares and
 one dot product) and the diagonal of the reduced coin matrix read only
 |b|^2, so they ignore q; the matrix's rho01 (three BLAS dot products for
 one walk, einsums over the sites for a batch) takes one exact multiply by
-conj(q).  Outside this module only the exhaustive sweep
-(:mod:`dtqw.sequences`) and ``dtqw walk``, which takes its m2 from the
-kernel's rows, read the row-to-site map.  Every coin plan is built here
-and resolved into coins by `CoinPlan.phases`, for the exhaustive sweep's
+conj(q).  The loops that finish them over a run, scale taken out, live
+here too: other modules read finished matrices, moments and states, and
+only the exhaustive sweep's prefix tree (:mod:`dtqw.sequences`) reads the
+row-to-site map, frame and scale.  Every coin plan is built here and
+resolved into coins by `CoinPlan.phases`, for the exhaustive sweep's
 prefix tree too, so no other module reads a coin alphabet.  :class:`WalkState` is the dense view of one walk: a (2, 2t+1)
 array with the |up> amplitudes a(j) in row 0, the |down> amplitudes b(j)
 in row 1, and site j at column j + t.  `evolve` returns a trajectory whose
@@ -638,6 +639,58 @@ def _dense(up, dn, q, scale):
         floats = amps.view(np.float64)
         np.multiply(floats, 2.0 ** (-scale / 2), out=floats)
     return WalkState(t=t, amps=amps)
+
+
+def _coin_curve(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The reduced coin matrix of one walk at every t = 0 .. steps, (steps+1, 2, 2), unscaled by the exact 2^-s_t."""
+    steps = plan.steps
+    # Each step's three dot products, rho00, rho01, rho11, go into one flat
+    # list, and the |down> rows' frame q_t into another: rho01 is multiplied
+    # by conj(q_t) at the end.  A site pattern's row of frames instead
+    # multiplies the |down> row, into a scratch row, before the dots.
+    dots, frames = list(_coin_dots(spinor[:1], spinor[1:])), [1]
+    framed = np.empty(steps + 1, dtype=np.complex128)
+    for up, dn, q in _propagate(plan, spinor):
+        if q.ndim:
+            dn, q = np.multiply(dn, q, out=framed[: len(dn)]), 1
+        dots.extend(_coin_dots(up, dn))
+        frames.append(q)
+    # Flat rows (rho00, rho01, rho10, rho11), rho10 = conj(rho01).
+    flat = np.empty((steps + 1, 4), dtype=np.complex128)
+    flat[:, [0, 1, 3]] = np.fromiter(dots, np.complex128, 3 * (steps + 1)).reshape(-1, 3)
+    flat[:, 1] *= np.conj(np.array(frames, dtype=np.complex128))
+    np.conjugate(flat[:, 1], out=flat[:, 2])
+    # Row t sums products of rows at scale s_t: an exact 2^-s_t takes it out.
+    floats = flat.view(np.float64)
+    floats *= np.ldexp(1.0, -plan.scales())[:, None]
+    return flat.reshape(steps + 1, 2, 2)
+
+
+def _final_coin_density(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The reduced coin matrix of every walk of `plan` after its last step, (..., 2, 2), unscaled by the exact 2^-s."""
+    for up, dn, q in _propagate(plan, spinor):
+        pass
+    return _coin_density(up, dn, q) * np.ldexp(1.0, -plan.scales()[-1])
+
+
+def _moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """m2 after each step of every walk of `plan`, shape (steps, ...), unscaled by the exact 2^-s_t."""
+    rows = _moment_rows(plan.steps, plan.batch)
+    m2 = np.empty((plan.steps,) + plan.batch)
+    for t, (up, dn, _) in enumerate(_propagate(plan, spinor)):  # |b|^2 does not read the frame
+        m2[t] = _second_moment(up, dn, rows)
+    m2 *= np.ldexp(1.0, -plan.scales()[1:]).reshape((-1,) + (1,) * len(plan.batch))
+    return m2
+
+
+def _states_and_moments(plan: CoinPlan, spinor: NDArray[np.complex128]) -> Iterator[tuple[WalkState, np.float64]]:
+    """(state, m2) of one walk after each step t = 1 .. steps, from one kernel run.
+
+    m2 is reduced from the rows, as in `_moments`, not from the state, which an odd scale rounds.
+    """
+    rows, scales = _moment_rows(plan.steps), plan.scales()
+    for t, (up, dn, q) in enumerate(_propagate(plan, spinor), 1):
+        yield _dense(up, dn, q, scales[t]), _second_moment(up, dn, rows) * np.ldexp(1.0, -scales[t])
 
 
 def initial_state(init: InitialCoin) -> WalkState:

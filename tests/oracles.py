@@ -233,7 +233,9 @@ def momentum_coin_densities(plan: CoinPlan, spinor: np.ndarray) -> np.ndarray:
     of degree at most steps.  The coins are the plan's own (the exact-entry
     table of a scaled plan), and its scale is read as the kernel's is: the
     rows are multiplied by a power of two where the scale falls by more
-    than a step adds, and rho_C(t) by 2^-s_t.
+    than a step adds, and rho_C(t) by 2^-s_t.  The sums over k run in
+    np.clongdouble, so that no BLAS dot product, whose summation order
+    depends on the CPU kernel, rounds them.
     """
     n = 2 * plan.steps + 2
     k = 2 * np.pi * np.arange(n) / n
@@ -247,8 +249,8 @@ def momentum_coin_densities(plan: CoinPlan, spinor: np.ndarray) -> np.ndarray:
             up, dn = shift[0] * (c[0, 0] * up + c[0, 1] * dn), shift[1] * (c[1, 0] * up + c[1, 1] * dn)
             if drop := scales[t - 1] + plan.scaled - scales[t]:
                 up, dn = up * 2.0 ** (-drop / 2), dn * 2.0 ** (-drop / 2)
-        r01 = np.vdot(dn, up)
-        rho[t] = np.array([[np.vdot(up, up), r01], [np.conj(r01), np.vdot(dn, dn)]]) * 2.0 ** -scales[t] / n
+        r00, r01, r11 = (np.sum(x * np.conj(y), dtype=np.clongdouble) for x, y in ((up, up), (up, dn), (dn, dn)))
+        rho[t] = np.array([[r00, r01], [np.conj(r01), r11]]) * 2.0 ** -scales[t] / n
     return rho
 
 

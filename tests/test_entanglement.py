@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import dtqw.entanglement
+import dtqw.walk
 from dtqw.coins import fourier_coin, hadamard_coin
 from dtqw.entanglement import (
     asymptotic_entropy,
@@ -175,17 +175,16 @@ def test_entropy_bounds_on_random_states(rng):
 
 
 @pytest.mark.parametrize(
-    "scale,message", [(0.9, "not normalized"), (1 + 1e-7, "trace"), (np.nan, "non-finite")]
+    "scale,message", [(0.9, "trace"), (1 + 1e-7, "trace"), (np.nan, "non-finite")]
 )
 def test_coin_density_curve_rejects_unnormalized_steps(monkeypatch, scale, message):
-    # A nan scale fills only the |up> rows.  Its norm is nan, which passes
-    # the norm check (every comparison with nan is false), so the matrix
-    # check must refuse it.
+    # A nan scale fills only the |up> rows; its trace is nan, which no
+    # comparison with a tolerance refuses, so the finiteness check must.
     def leaky(plan, spinor):
         for up, dn, q in _propagate(plan, spinor):
             yield scale * up, dn if np.isnan(scale) else scale * dn, q
 
-    monkeypatch.setattr(dtqw.entanglement, "_propagate", leaky)
+    monkeypatch.setattr(dtqw.walk, "_propagate", leaky)
     with pytest.raises(ValueError, match=message):
         coin_density_curve(InitialCoin(51, 0), Ordered(hadamard_coin()), 4)
 
@@ -205,6 +204,13 @@ def test_asymptotic_entropy_memory_grows_linearly():
 def test_asymptotic_entropy_tail_validation():
     with pytest.raises(ValueError):
         asymptotic_entropy(InitialCoin(51, 0), Ordered(hadamard_coin()), steps=10, tail=11)
+
+
+@pytest.mark.parametrize("steps,tail", [(200, 17), (64, 64), (100, 1)])
+def test_asymptotic_entropy_is_the_mean_of_the_curves_last_tail_entries(steps, tail):
+    init, policy = InitialCoin(33, 270), StaticAndDynamic(7, 2)
+    curve = entropy_curve(init, policy, steps)
+    assert asymptotic_entropy(init, policy, steps, tail) == np.mean([s for _, s in curve[-tail:]])
 
 
 @pytest.mark.parametrize("theta,phi", [(51, 0), (51, 90), (51, 180), (0, 0), (120, 45)])

@@ -121,3 +121,48 @@ def plan_builders_outside_walk() -> list[str]:
 def test_only_walk_builds_coin_plans():
     found = plan_builders_outside_walk()
     assert not found, f"coin plans built outside walk.py: {found}; add a plan builder to walk.py"
+
+
+# The kernel's number format (its rows, the frame q, the scale s_t) is read
+# in walk.py, which hands other modules finished reductions and states.  The
+# exhaustive sweep's prefix tree drives the kernel's step itself.
+KERNEL_NAMES = {"_propagate", "_phase_shift", "_destination", "_dense", "_second_moment", "_moment_rows", "_coin_dots"}
+KERNEL_ATTRIBUTES = {"scales", "phases"}
+PREFIX_TREE = {"sequences.py": {"_tree_entropies", "_suffix_map"}}
+
+
+def kernel_readers_outside_walk() -> list[str]:
+    """``module:line name`` of each kernel name or plan attribute read outside ``walk.py`` and the prefix tree.
+
+    The module that holds the prefix tree may import the kernel names it uses.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "walk.py":
+            continue
+        allowed = PREFIX_TREE.get(path.name, set())
+        tree = _parse(path)
+        inside = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in allowed
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            kernel = KERNEL_NAMES
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name, kernel = node.attr, KERNEL_NAMES | KERNEL_ATTRIBUTES
+            elif isinstance(node, ast.alias) and not allowed:
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in kernel and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_only_walk_and_the_prefix_tree_read_the_kernel():
+    found = kernel_readers_outside_walk()
+    assert not found, f"kernel rows, frames or scales read outside walk.py: {found}; add a reduction to walk.py"

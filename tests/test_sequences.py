@@ -34,7 +34,7 @@ from dtqw.sequences import (
     to_bits,
     vocabulary,
 )
-from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _packed_plan, _propagate, final_state
+from dtqw.walk import _BATCH_ROWS, InitialCoin, Ordered, _final_coin_density, _packed_plan, _propagate, final_state
 from dtqw.coins import hadamard_coin
 from oracles import exact_entropies, exact_sequence_densities, extended_entropies
 from oracles import kaspar_schuster_complexity, packed, prefix_tree_entropies
@@ -394,6 +394,8 @@ def test_report_fields_match_entropy_array(init, bins):
     assert report.argmax_sequences == sorted(CoinSequence.from_int(int(v), n).text for v in winners)
     assert abs(report.mean_entropy - e.mean()) <= 1e-15
     assert abs(report.std_entropy - e.std()) <= 1e-12
+    # `fraction_above` counts entropies strictly above the threshold.
+    assert exhaustive_sweep(init, n, bins=bins, threshold=report.max_entropy).fraction_above == 0.0
 
 
 def test_sampled_sweep_lists_each_maximizer_once():
@@ -445,6 +447,7 @@ def test_sampled_sweep_tracks_exhaustive_mean():
     exact = exhaustive_sweep(INIT, 10)
     sampled = sampled_sweep(INIT, 10, samples=1 << 14, seed=9)
     assert abs(sampled.mean_entropy - exact.mean_entropy) <= 3 * sampled.std_error
+    assert sampled.std_error == sampled.std_entropy / np.sqrt(sampled.count)
 
 
 def test_sampled_sweep_long_sequences_complete():
@@ -521,7 +524,7 @@ def test_sampled_batches_match_the_exact_oracle(n):
     ints = np.random.default_rng(n).integers(0, 1 << n, size=256, dtype=np.uint64)
     for init in (INIT, InitialCoin(33, 270)):
         exact = exact_sequence_densities(ints, n, init.spinor)
-        assert np.max(np.abs(sequences._sampled_batch(ints, n, init.spinor) - exact)) < 1e-15
+        assert np.max(np.abs(_final_coin_density(_packed_plan(ints, n), init.spinor) - exact)) < 1e-15
 
 
 def test_exhaustive_sweep_matches_the_exact_oracle():

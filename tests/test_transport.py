@@ -133,6 +133,30 @@ def _sse(series, c, alpha):
         )
 
 
+def _newton_step(series, c, alpha):
+    """(c, alpha) moved by one Newton step on the `_sse` of c * t^alpha, in 40-digit decimal arithmetic.
+
+    With r = m2 - c u, u = t^alpha: the gradient of SSE / 2 is -sum r (u,
+    c u log t), and its Hessian sum u^2, sum (c u - r) u log t and sum (c
+    u log t)^2 - r c u log^2 t.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, alpha = Decimal(c), Decimal(alpha)
+        g_c = g_a = h_cc = h_ca = h_aa = Decimal(0)
+        for t, m in zip(series.times, series.m2):
+            log_t = Decimal(int(t)).ln()
+            u = (alpha * log_t).exp()
+            r, du = Decimal(float(m)) - c * u, u * log_t
+            g_c -= r * u
+            g_a -= r * c * du
+            h_cc += u * u
+            h_ca += (c * u - r) * du
+            h_aa += (c * du) ** 2 - r * c * du * log_t
+        det = h_cc * h_aa - h_ca * h_ca
+        return float(c - (h_aa * g_c - h_ca * g_a) / det), float(alpha - (h_cc * g_a - h_ca * g_c) / det)
+
+
 @pytest.mark.parametrize(
     "policy",
     [
@@ -157,6 +181,9 @@ def test_fit_matches_curve_fit_oracle(policy):
         lambda x, c, a: c * x**a, t, series.m2, p0=(np.exp(log_c0), alpha0),
         maxfev=10000, xtol=1e-15, ftol=1e-15, gtol=1e-15,
     )
+    # curve_fit stops up to 5e-8 away from the optimum, at a point that
+    # moves with the BLAS kernel; one Newton step takes it to the optimum.
+    c_ref, alpha_ref = _newton_step(series, c_ref, alpha_ref)
     fit = fit_power_law(series)
     assert _sse(series, fit.prefactor, fit.exponent) <= _sse(series, c_ref, alpha_ref) * (
         1 + Decimal("1e-12")
@@ -258,11 +285,14 @@ def test_ensemble_moment_series_draws_each_seed_as_its_dynamic_random_plan():
 def test_ensemble_moment_series_is_mean_of_per_seed_series():
     init = InitialCoin(33, 120)
     # One batch of seeds, and three (268, 268 and 64 walks of 60 steps).
-    for steps, n_seeds in ((15, 9), (60, 600)):
+    # The 600-step batch passes the batch kernel's rescale at t = 512; its
+    # m2 reaches 1e4, so it takes a relative bound (it reads 4.4e-16 to
+    # 7.8e-16 under five BLAS kernels, 1e154 with the rescale left out).
+    for steps, n_seeds, rtol, atol in ((15, 9, 0, 1e-12), (60, 600, 0, 1e-12), (600, 3, 4e-15, 0)):
         ensemble = ensemble_moment_series(init, steps, n_seeds=n_seeds, base_seed=4)
         per_seed = [moment_series(init, DynamicRandom(seed=4 + k), steps).m2 for k in range(n_seeds)]
         # Correctly rounded sums: np.mean over 600 rows adds them one at a
         # time, and its own rounding reaches 1.7e-12 at t = 43.
         mean = np.array([math.fsum(m2) for m2 in zip(*per_seed)]) / n_seeds
         np.testing.assert_array_equal(ensemble.times, np.arange(1, steps + 1))
-        np.testing.assert_allclose(ensemble.m2, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ensemble.m2, mean, rtol=rtol, atol=atol)
