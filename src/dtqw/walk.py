@@ -59,6 +59,14 @@ in row 1, and site j at column j + t.  `evolve` returns a trajectory whose
 states are expanded to this view as they are read, so a walk costs
 O(steps) memory however much of it is read; reading step t by index
 re-runs the walk up to t, so a caller that needs many states iterates.
+The last state alone can come without a re-run: the kernel keeps one
+record of its last single-walk run that reached its end (`_last_run`),
+keyed by the run's whole input, the steps and the bytes of the plan's
+alphabet, site bits and step bits and of the spinor, and holding copies of
+the final rows, frame and scale.  So after an entropy curve or a moment
+series of a walk, its final state is expanded from the record, byte for
+byte the state a re-run gives.  Batches and walks of steps + 1 >
+_BATCH_ROWS leave no record, so it holds at most 1.2 MB.
 
 Coin policies cover the ordered walk (one fixed coin), a prescribed coin
 sequence, and randomly drawn coins, H (bit 0) or F (bit 1), that vary per
@@ -431,6 +439,22 @@ def _check_buffers(walks: int, steps: int) -> None:
 _BATCH_ROWS = 1 << 14
 
 
+#: The last single walk that the kernel ran to its end, as (key, (up, dn,
+#: q, s)): the `_run_key` of its input, and copies of its final rows, their
+#: frame and their scale, for `_dense`.  The kernel is a deterministic
+#: function of the key, so the state expanded from them is the one a re-run
+#: gives, byte for byte.  It holds at most two rows of _BATCH_ROWS
+#: amplitudes, a frame row one longer and the key's bits: 1.2 MB.  One
+#: assignment replaces it whole, so a reader gets a key with its own value.
+_last_run = None
+
+
+def _run_key(plan: CoinPlan, spinor) -> tuple:
+    """The whole input of one walk's kernel run: its steps and the bytes of its alphabet, bits and complex spinor."""
+    bits = (None if b is None else b.tobytes() for b in (plan.site_bits, plan.step_bits))
+    return plan.steps, plan.alphabet.tobytes(), *bits, np.asarray(spinor, np.complex128).tobytes()
+
+
 def _batch_walks(steps: int) -> int:
     """Walks of `steps` steps per batch: one budget of rows, and at least one walk."""
     return max(1, _BATCH_ROWS // (steps + 1))
@@ -507,9 +531,13 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
     the broadcast product by x.  A scaled plan's rows are multiplied by
     2^-_RESCALE after every 2 * _RESCALE steps, exactly but for results
     below the normal range.  The yielded views are overwritten two steps
-    later: reduce or copy them before then.  The buffers are allocated
-    once, or ValueError raised if :func:`_check_buffers` refuses them.
+    later: reduce or copy them before then, and never write into them.
+    The buffers are allocated once, or ValueError raised if
+    :func:`_check_buffers` refuses them.  A run of one walk of steps + 1 <=
+    _BATCH_ROWS that is iterated to its end then writes `_last_run`, after
+    its phase tables are freed.
     """
+    global _last_run
     batch, steps, scaled = plan.batch, plan.steps, plan.scaled
     walks = math.prod(batch)
     _check_buffers(walks, steps)
@@ -536,6 +564,8 @@ def _propagate(plan: CoinPlan, spinor: NDArray[np.complex128]):
             if scaled and t % (2 * _RESCALE) == 0:
                 _rescale((up, dn))
             yield up, dn, q
+        if steps < _BATCH_ROWS:
+            _last_run = _run_key(plan, spinor), (up.copy(), dn.copy(), np.array(q), plan.scales()[-1])
         return
     # A batch's plan has step bits, so it is scaled.
     flats = list(buffers)
@@ -709,7 +739,15 @@ class _Trajectory(Sequence):
         return self._plan.steps + 1
 
     def _states(self, ts: range) -> Iterator[tuple[int, WalkState]]:
-        """(t, state) for every t of `ts`, ascending, from one kernel run up to max(ts)."""
+        """(t, state) for every t of `ts`, ascending, from one kernel run up to max(ts).
+
+        The last state alone comes from `_last_run` instead when it holds this walk's run.
+        """
+        steps = self._plan.steps
+        record = _last_run
+        if ts == range(steps, steps + 1) and record and record[0] == _run_key(self._plan, self._init.spinor):
+            yield steps, _dense(*record[1])
+            return
         if 0 in ts:
             yield 0, initial_state(self._init)
         blocks = _propagate(self._plan, self._init.spinor)
@@ -754,6 +792,11 @@ def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> Sequence[WalkSt
         yields a new state per step.  An index (negative ones too) re-runs
         the walk up to that step, and a slice returns a list of the states
         it selects, so a caller that needs many states should iterate.
+        The last state alone (``[-1]``, ``[steps]``) is instead expanded
+        from the record of the kernel's last single-walk run when that run
+        had this walk's whole input (steps, coins and spinor) and reached
+        its end, as an entropy curve or a moment series of the same
+        arguments does; it is byte-identical to a re-run.
 
     Raises
     ------
@@ -764,5 +807,12 @@ def evolve(init: InitialCoin, policy: CoinPolicy, steps: int) -> Sequence[WalkSt
 
 
 def final_state(init: InitialCoin, policy: CoinPolicy, steps: int) -> WalkState:
-    """The state after `steps` steps, ``evolve(init, policy, steps)[-1]``; O(steps) memory."""
+    """The state after `steps` steps, ``evolve(init, policy, steps)[-1]``; O(steps) memory.
+
+    When the kernel's last single-walk run was this walk to its end, say
+    for its entropy curve or moment series, the state is expanded from that
+    run's record, keyed by steps and the bytes of the coins and spinor,
+    instead of stepping the walk again; it is byte-identical either way.
+    Walks of more than _BATCH_ROWS - 1 = 16383 steps are always stepped.
+    """
     return evolve(init, policy, steps)[-1]

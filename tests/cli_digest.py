@@ -6,6 +6,11 @@ is the one line that changes from run to run, so it is dropped before
 hashing.  Run it from a checkout with the package on the path:
 
     PYTHONPATH=src python tests/cli_digest.py
+    PYTHONPATH=src python tests/cli_digest.py --expect TOTAL
+
+With ``--expect`` it exits 1, printing both totals, when the total differs
+from TOTAL, so that a claim of byte-identical output is checked by one
+command.
 
 The cases cover every coin policy at theta 0, 51 and 180 (the last with
 phi = 180), the ordered walk under each named coin (H and F, stepped
@@ -21,6 +26,7 @@ consecutive step bits.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -88,6 +94,9 @@ def run(root: Path) -> dict[str, str]:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="TOTAL", help="exit 1 if the total is not TOTAL")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
         try:
@@ -99,3 +108,6 @@ if __name__ == "__main__":
         print(f"{value}  {name}")
         total.update(f"{value}  {name}\n".encode())
     print(f"{total.hexdigest()}  total ({len(digests)} files)", file=sys.stdout)
+    if args.expect and args.expect != total.hexdigest():
+        print(f"total {total.hexdigest()} differs from the expected {args.expect}", file=sys.stderr)
+        sys.exit(1)

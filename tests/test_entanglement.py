@@ -174,19 +174,39 @@ def test_entropy_bounds_on_random_states(rng):
         assert 0.0 <= s <= 1.0
 
 
+def leaky(scale):
+    """A kernel wrapper that yields `scale` times the kernel's rows: the |up> rows alone for a nan scale."""
+
+    def propagate(plan, spinor):
+        for up, dn, q in _propagate(plan, spinor):
+            yield scale * up, dn if np.isnan(scale) else scale * dn, q
+
+    return propagate
+
+
 @pytest.mark.parametrize(
     "scale,message", [(0.9, "trace"), (1 + 1e-7, "trace"), (np.nan, "non-finite")]
 )
 def test_coin_density_curve_rejects_unnormalized_steps(monkeypatch, scale, message):
     # A nan scale fills only the |up> rows; its trace is nan, which no
     # comparison with a tolerance refuses, so the finiteness check must.
-    def leaky(plan, spinor):
-        for up, dn, q in _propagate(plan, spinor):
-            yield scale * up, dn if np.isnan(scale) else scale * dn, q
-
-    monkeypatch.setattr(dtqw.walk, "_propagate", leaky)
+    monkeypatch.setattr(dtqw.walk, "_propagate", leaky(scale))
     with pytest.raises(ValueError, match=message):
         coin_density_curve(InitialCoin(51, 0), Ordered(hadamard_coin()), 4)
+
+
+def test_a_kernel_wrapper_leaves_the_kernels_own_last_state(monkeypatch):
+    # The record of a walk's last run copies the kernel's rows, not what a
+    # caller of the kernel saw, so the final state after the refused curve
+    # is the walk's, byte for byte.
+    init, policy = InitialCoin(51, 0), Ordered(hadamard_coin())
+    fresh = final_state(init, policy, 4)
+    with monkeypatch.context() as patched:
+        patched.setattr(dtqw.walk, "_propagate", leaky(0.9))
+        with pytest.raises(ValueError, match="trace"):
+            coin_density_curve(init, policy, 4)
+    assert dtqw.walk._last_run is not None
+    assert final_state(init, policy, 4).amps.tobytes() == fresh.amps.tobytes()
 
 
 def test_asymptotic_entropy_memory_grows_linearly():

@@ -398,6 +398,28 @@ def test_report_fields_match_entropy_array(init, bins):
     assert exhaustive_sweep(init, n, bins=bins, threshold=report.max_entropy).fraction_above == 0.0
 
 
+def test_argmax_lists_the_sequences_within_1e_12_of_the_maximum():
+    # Packed sequences 1 and 3 are listed; 0, 1e-9 below the maximum, is not.
+    entropies = np.array([0.9 - 1e-9, 0.9, 0.5, 0.9 - 1e-13])
+    report = sequences._report(entropies, 2, INIT, np.linspace(0.0, 1.0, 13), 0.9, 0.0)
+    assert report.argmax_sequences == sorted(CoinSequence.from_int(v, 2).text for v in (1, 3))
+
+
+def test_exhaustive_report_sums_its_entropies_in_blocks_of_2_14():
+    """The mean and std are taken from float sums of blocks of 2^14 entropies, added in order.
+
+    At n = 18 blocks of 2^13 or 2^15 move the mean and the std in the last bit.
+    """
+    e = (report := exhaustive_sweep(INIT, 18)).entropies
+    total = total_sq = 0.0
+    for k in range(0, e.size, 1 << 14):
+        total += float(np.sum(e[k : k + (1 << 14)]))
+        total_sq += float(np.sum(e[k : k + (1 << 14)] ** 2))
+    mean = total / e.size
+    assert report.mean_entropy == mean
+    assert report.std_entropy == np.sqrt(total_sq / e.size - mean * mean)
+
+
 def test_sampled_sweep_lists_each_maximizer_once():
     # 100 draws with replacement of the 8 sequences of length 3 repeat every maximizer.
     report = sampled_sweep(INIT, 3, samples=100, seed=0)

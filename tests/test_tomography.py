@@ -109,6 +109,15 @@ def test_pair_totals_estimate_site_weight():
             assert pair_total == pytest.approx(3000 * probs[row], abs=1e-9)
 
 
+@pytest.mark.parametrize("noiseless", [False, True], ids=["drawn", "noiseless"])
+@pytest.mark.parametrize("total_counts,pairs", [(3001, [1001, 1000, 1000]), (3002, [1001, 1001, 1000])])
+def test_a_budget_that_3_does_not_divide_is_spent_in_full(total_counts, pairs, noiseless):
+    """The remainder of the budget's split goes to the earliest pairs, H/V and then D/A."""
+    state = final_state(InitialCoin(51, 0), DynamicSequence(SC0[:6]), 6)
+    counts = simulate_counts(state, total_counts, seed=2, noiseless=noiseless)
+    assert counts.counts.reshape(-1, 3, 2).sum(axis=(0, 2)).tolist() == pytest.approx(pairs, rel=0, abs=1e-9)
+
+
 def test_counts_reproducible_under_seed():
     state = final_state(InitialCoin(51, 0), DynamicSequence(SC0), 20)
     a = simulate_counts(state, 5000, seed=7)

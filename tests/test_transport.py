@@ -105,6 +105,15 @@ def test_fit_recovers_fractional_power_law():
     assert fit.residual < 1e-12
 
 
+def test_fit_residual_is_the_rms_log_misfit():
+    series = moment_series(InitialCoin(51, 0), DynamicRandom(seed=3), 100)
+    fit = fit_power_law(series, t_min=10)
+    keep = series.times >= 10
+    misfit = np.log(series.m2[keep]) - np.log(fit.prefactor) - fit.exponent * np.log(series.times[keep])
+    assert fit.residual == pytest.approx(np.sqrt(np.mean(misfit**2)), rel=1e-12)
+    assert fit.residual > 0.01
+
+
 def test_fit_window_and_errors():
     t = np.arange(1, 21)
     series = MomentSeries(times=t, m2=t.astype(float))

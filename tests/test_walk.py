@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dtqw.walk
 from dtqw.coins import fourier_coin, hadamard_coin, hwp_coin, identity_coin
 from dtqw.entanglement import coin_density_curve, reduced_coin_density
 from dtqw.transport import moment_series, position_distribution, second_moment
@@ -17,7 +18,9 @@ from dtqw.walk import (
     StaticRandom,
     WalkState,
     _coin_density,
+    _final_coin_density,
     _moment_rows,
+    _moments,
     _packed_plan,
     _propagate,
     _second_moment,
@@ -479,6 +482,96 @@ def test_final_state_memory_stays_linear_for_static_plans(policy, steps):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# --- the record of the last run ----------------------------------------------
+
+#: A walk past the kernel's rescale at 512 steps to an odd scale, s = 89,
+#: whose dense state `_dense` rounds once.
+RECORD_STEPS = 601
+RECORD_POLICIES = [
+    Ordered(hadamard_coin()),
+    Ordered(hwp_coin(0.3)),
+    DynamicSequence((SC0 * RECORD_STEPS)[:RECORD_STEPS]),
+    DynamicRandom(seed=7),
+    StaticRandom(seed=7),
+    StaticAndDynamic(static_seed=3, dynamic_seed=11),
+]
+RECORD_IDS = ["Ordered-H", "Ordered-hwp", "DynamicSequence", "DynamicRandom", "StaticRandom", "StaticAndDynamic"]
+
+
+def no_kernel(plan, spinor):
+    """Stands in for `_propagate` where a walk must be read from the record."""
+    raise AssertionError("the kernel ran again")
+    yield
+
+
+@pytest.mark.parametrize("reduce", [coin_density_curve, moment_series], ids=["curve", "moments"])
+@pytest.mark.parametrize("init", [InitialCoin(51, 30), InitialCoin(180, 90)], ids=["51-30", "180-90"])
+@pytest.mark.parametrize("policy", RECORD_POLICIES, ids=RECORD_IDS)
+def test_last_state_after_a_reduction_is_read_from_the_record(monkeypatch, policy, init, reduce):
+    """After a reduction of a walk, its last state comes from the run's record, byte-identical to a fresh run."""
+    reduce(init, policy, RECORD_STEPS)
+    with monkeypatch.context() as patched:
+        patched.setattr(dtqw.walk, "_propagate", no_kernel)
+        hits = [final_state(init, policy, RECORD_STEPS)]
+        hits += [evolve(init, policy, RECORD_STEPS)[t] for t in (-1, RECORD_STEPS)]
+    monkeypatch.setattr(dtqw.walk, "_last_run", None)
+    fresh = final_state(init, policy, RECORD_STEPS)
+    for hit in hits:
+        assert hit.t == RECORD_STEPS
+        assert hit.amps.tobytes() == fresh.amps.tobytes()
+
+
+def test_only_the_last_state_alone_is_read_from_the_record(monkeypatch):
+    init, policy = InitialCoin(51, 30), DynamicRandom(seed=7)
+    coin_density_curve(init, policy, 40)
+    monkeypatch.setattr(dtqw.walk, "_propagate", no_kernel)
+    assert [state.t for state in evolve(init, policy, 40)[-1:]] == [40]
+    for read in (lambda states: states[-2], lambda states: states[-2:], list):
+        with pytest.raises(AssertionError, match="the kernel ran again"):
+            read(evolve(init, policy, 40))
+
+
+def phase_coin(phi):
+    """diag(1, e^{i phi}): phase coins of two phi differ in one entry."""
+    return np.diag([1, np.exp(1j * phi)])
+
+
+INIT, DYNAMIC = InitialCoin(51, 30), DynamicRandom(seed=3)
+
+
+@pytest.mark.parametrize(
+    "recorded,asked",
+    [
+        ((INIT, DYNAMIC, 40), (INIT, DYNAMIC, 41)),
+        ((INIT, DYNAMIC, 40), (INIT, DynamicRandom(seed=4), 40)),
+        ((INIT, StaticAndDynamic(4, 3), 40), (INIT, StaticAndDynamic(5, 3), 40)),
+        ((INIT, Ordered(phase_coin(0.3)), 40), (INIT, Ordered(phase_coin(0.31)), 40)),
+        ((INIT, DYNAMIC, 40), (InitialCoin(51, 31), DYNAMIC, 40)),
+    ],
+    ids=["steps", "seed", "site-seed", "coin-entry", "spinor"],
+)
+def test_a_walk_with_another_input_misses_the_record(monkeypatch, recorded, asked):
+    """A walk that differs from the recorded one in one part of the key steps the kernel again."""
+    coin_density_curve(*recorded)
+    monkeypatch.setattr(dtqw.walk, "_propagate", no_kernel)
+    final_state(*recorded)
+    with pytest.raises(AssertionError, match="the kernel ran again"):
+        final_state(*asked)
+
+
+def test_batches_and_walks_past_the_row_budget_leave_no_record(monkeypatch):
+    init = InitialCoin(51, 30)
+    _moments(dynamic_batch(20), init.spinor)
+    _final_coin_density(PACKED_BATCH, init.spinor)
+    assert dtqw.walk._last_run is None
+    # A budget of 64 rows: a walk of 63 steps takes them all, one of 64 steps one more.
+    monkeypatch.setattr(dtqw.walk, "_BATCH_ROWS", 64)
+    moment_series(init, DynamicRandom(seed=1), 64)
+    assert dtqw.walk._last_run is None
+    moment_series(init, DynamicRandom(seed=1), 63)
+    assert dtqw.walk._last_run is not None
 
 
 def test_evolve_identity_coin_marches_right():
